@@ -63,9 +63,6 @@ class FrameQueue:
         head_slot = self.head % self.num_slots
         return self.head + ((slot - head_slot) % self.num_slots)
 
-    def contains(self, spad_offset: int) -> bool:
-        return self.base <= spad_offset < self.base + self.region_words
-
     def word_arrived(self, spad_offset: int) -> None:
         """Record one word arriving into the frame region."""
         seq = self.seq_for_offset(spad_offset)

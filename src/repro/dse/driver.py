@@ -299,18 +299,13 @@ def validate_dse_report(doc: dict) -> None:
 def build_dse_report(benchmark: str, scale: str, label: str, axes: dict,
                      space: dict, triage: dict, validation: dict,
                      frontier: List[dict], calibration: dict) -> dict:
-    from ..jobs.spec import CODE_VERSION, code_version_hash, machine_hash
-    from ..telemetry.report import _generated
+    from ..telemetry.report import _generated, provenance
     return {
         'schema_version': DSE_SCHEMA_VERSION,
         'kind': DSE_KIND,
         'label': label,
         'generated': _generated(),
-        'provenance': {
-            'code_version': CODE_VERSION,
-            'code_version_hash': code_version_hash(),
-            'machine_hash': machine_hash(DEFAULT_CONFIG),
-        },
+        'provenance': provenance(),
         'benchmark': benchmark,
         'scale': scale,
         'calibration': calibration,
@@ -329,13 +324,9 @@ def dse_path(label: str, directory: str = '.') -> str:
 
 
 def save_dse_report(doc: dict, path: str) -> str:
+    from ..telemetry.report import write_json_atomic
     validate_dse_report(doc)
-    tmp = f'{path}.tmp'
-    with open(tmp, 'w') as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write('\n')
-    os.replace(tmp, path)
-    return path
+    return write_json_atomic(doc, path)
 
 
 def load_dse_report(path: str) -> dict:

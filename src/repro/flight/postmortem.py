@@ -19,7 +19,8 @@ import json
 import os
 from typing import List, Optional
 
-from ..telemetry.report import check_schema
+from ..telemetry.report import (_generated, check_schema, provenance,
+                                write_json_atomic)
 from .recorder import FlightRecorder
 
 POSTMORTEM_KIND = 'repro-postmortem'
@@ -112,13 +113,11 @@ def build_postmortem(recorder: FlightRecorder, label: str, trigger: str,
     if trigger not in TRIGGERS:
         raise ValueError(f'unknown post-mortem trigger {trigger!r}; '
                          f'choose from {", ".join(TRIGGERS)}')
-    from ..telemetry.report import _generated
-    from .spans import _provenance
     doc = {
         'schema_version': POSTMORTEM_SCHEMA_VERSION,
         'kind': POSTMORTEM_KIND,
         'generated': _generated(),
-        'provenance': _provenance(),
+        'provenance': provenance(),
         'label': label,
         'reason': {'trigger': trigger, 'detail': detail, 't': int(t)},
         'ring': {'capacity': recorder.capacity,
@@ -134,9 +133,7 @@ def build_postmortem(recorder: FlightRecorder, label: str, trigger: str,
 
 
 def save_postmortem(doc: dict, path: str) -> str:
-    with open(path, 'w') as f:
-        json.dump(doc, f, indent=1)
-    return path
+    return write_json_atomic(doc, path)
 
 
 def load_postmortem(path: str) -> dict:

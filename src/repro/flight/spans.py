@@ -68,19 +68,11 @@ class JournalError(ValueError):
     """A flight journal failed structural validation."""
 
 
-def _provenance() -> dict:
-    from ..jobs.spec import CODE_VERSION, code_version_hash, machine_hash
-    from ..manycore import DEFAULT_CONFIG
-    return {'code_version': CODE_VERSION,
-            'code_version_hash': code_version_hash(),
-            'machine_hash': machine_hash(DEFAULT_CONFIG)}
-
-
 def journal_header(label: str) -> dict:
-    from ..telemetry.report import _generated
+    from ..telemetry.report import _generated, provenance
     return {'type': 'header', 'kind': JOURNAL_KIND,
             'schema_version': JOURNAL_SCHEMA_VERSION, 'label': label,
-            'generated': _generated(), 'provenance': _provenance()}
+            'generated': _generated(), 'provenance': provenance()}
 
 
 def write_journal(path: str, spans: List[dict],

@@ -74,8 +74,9 @@ def run_benchmark(bench: Benchmark, config, params: Dict[str, int],
     :class:`repro.manycore.Tracer`) attach to the fabric before the run;
     neither changes simulated timing.  ``profiler`` (a
     :class:`repro.perf.HostProfiler`) additionally attributes *host* wall
-    time to components (setup/codegen/run-loop/verify/energy) — it swaps
-    in the instrumented run loop but never changes simulation results.
+    time to components (setup/codegen/run-loop/verify/energy) — the
+    run loop credits it at its timing points and simulation results do
+    not change.
     """
     if isinstance(config, str):
         config = get(config)

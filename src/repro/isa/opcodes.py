@@ -116,7 +116,6 @@ _FP_MUL = frozenset([FMUL, FMA])
 _BRANCHES = frozenset([BEQ, BNE, BLT, BGE])
 _JUMPS = frozenset([J, JAL, JR])
 _SIMD = frozenset([VL4, VS4, VADD4, VSUB4, VMUL4, VFMA4, VBCAST, VREDSUM4])
-_STORES = frozenset([SW, SWSP, SWREM, VS4])
 _CONTROL = _BRANCHES | _JUMPS
 
 #: Execution latency (cycles from issue to writeback) per opcode, mirroring
@@ -158,16 +157,8 @@ def is_branch(op: int) -> bool:
     return op in _BRANCHES
 
 
-def is_jump(op: int) -> bool:
-    return op in _JUMPS
-
-
 def is_control(op: int) -> bool:
     return op in _CONTROL
-
-
-def is_store(op: int) -> bool:
-    return op in _STORES
 
 
 def is_simd(op: int) -> bool:

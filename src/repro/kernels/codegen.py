@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.sync import instruction_delay_bound, safe_runahead
 from ..core.vgroup import GroupDescriptor, plan_groups, plan_groups_in
-from ..isa import Assembler, Program, VL_GROUP, VL_PREFIX, VL_SELF, \
-    VL_SINGLE, VL_SUFFIX, opcodes as op
+from ..isa import Assembler, Program, VL_GROUP, VL_PREFIX, VL_SUFFIX, \
+    opcodes as op
 
 
 def pack_frame_cfg(frame_size: int, num_slots: int) -> int:
@@ -119,20 +119,6 @@ class SelfDaeStream:
         a.csrw(op.CSR_FRAME_CFG, 'x30')
         a.li('x22', 0)
         a.li('x23', self.frame_size * self.num_slots)
-
-    def emit_vload_self(self, a: Assembler, addr_reg: str, width: int,
-                        within: int = 0, unaligned: bool = False) -> None:
-        """Prefetch ``width`` words at ``addr_reg`` into the current slot."""
-        if within:
-            a.addi('x24', 'x22', within)
-            off = 'x24'
-        else:
-            off = 'x22'
-        if unaligned:
-            a.vload(off, addr_reg, 0, width, VL_SELF, VL_PREFIX)
-            a.vload(off, addr_reg, 0, width, VL_SELF, VL_SUFFIX)
-        else:
-            a.vload(off, addr_reg, 0, width, VL_SELF)
 
     def emit_advance_slot(self, a: Assembler) -> None:
         lab = a.label()
@@ -301,21 +287,6 @@ class VectorKernelBuilder:
             a.vload(off_reg, addr_reg, core_off, width, variant, VL_SUFFIX)
         else:
             a.vload(off_reg, addr_reg, core_off, width, variant)
-
-    def emit_vload(self, a: Assembler, addr_reg: str, width: int,
-                   variant: int = VL_GROUP, core_off: int = 0,
-                   within: int = 0, unaligned: bool = False) -> None:
-        """Issue a wide load into the current frame slot (+``within``)."""
-        if within:
-            a.addi('x24', 'x22', within)
-            off = 'x24'
-        else:
-            off = 'x22'
-        if unaligned:
-            a.vload(off, addr_reg, core_off, width, variant, VL_PREFIX)
-            a.vload(off, addr_reg, core_off, width, variant, VL_SUFFIX)
-        else:
-            a.vload(off, addr_reg, core_off, width, variant)
 
     def emit_advance_slot(self, a: Assembler) -> None:
         lab = a.label()
@@ -494,8 +465,3 @@ def emit_fp_zero(a: Assembler, freg: str) -> None:
     """Zero a floating-point register."""
     a.li(freg, 0)
     a.fcvt_sw(freg, freg)
-
-
-def emit_load_const_addr(a: Assembler, reg: str, base: int,
-                         offset: int = 0) -> None:
-    a.li(reg, base + offset)

@@ -523,10 +523,7 @@ class Fabric:
 
     def run(self, max_cycles: int = _MAX_DEFAULT) -> RunStats:
         """Classic flow: run the loaded program to completion."""
-        if self.profiler is not None:
-            return self.profiler.run(self, max_cycles, serve=False)
-        self._run_loop(max_cycles, serve=False)
-        return self._finish_run()
+        return self._run(max_cycles, serve=False)
 
     def run_serve(self, max_cycles: int = _MAX_DEFAULT) -> RunStats:
         """Multi-tenant flow: run until no job is live and no event pends.
@@ -535,12 +532,33 @@ class Fabric:
         keep the loop alive; a wedged job is routed to ``_stall_handler``
         instead of aborting the fabric.
         """
-        if self.profiler is not None:
-            return self.profiler.run(self, max_cycles, serve=True)
-        self._run_loop(max_cycles, serve=True)
-        return self._finish_run()
+        return self._run(max_cycles, serve=True)
+
+    def _run(self, max_cycles: int, serve: bool) -> RunStats:
+        prof = self.profiler
+        if prof is not None:
+            prof.begin_run()
+        try:
+            try:
+                self._run_loop(max_cycles, serve)
+            finally:
+                # also on timeout/deadlock: wake_tile must not keep
+                # feeding a wake heap no loop is draining
+                self._sched_heap_mode = False
+            return self._finish_run()
+        finally:
+            if prof is not None:
+                prof.end_run()
 
     def _run_loop(self, max_cycles: int, serve: bool) -> None:
+        # The one event loop, profiled or not.  With a HostProfiler
+        # attached, `lap(name)` credits the host time since the previous
+        # lap to a component (see repro.perf.profiler); detached, each
+        # timing point costs one local `is not None` test.
+        lap = classify = None
+        if self.profiler is not None:
+            lap = self.profiler.lap
+            classify = self.profiler.classify
         tel = self.telemetry
         sampler = None
         next_sample = INF
@@ -604,6 +622,8 @@ class Fabric:
                     now = head
                 elif (serve and self._stall_handler is not None
                         and self._stall_handler(self.cycle)):
+                    if lap is not None:
+                        lap('serve')
                     continue  # the handler freed a wedged job
                 else:
                     self._deadlock()
@@ -611,18 +631,26 @@ class Fabric:
                 raise SimulationTimeout(
                     f'exceeded {max_cycles} cycles at cycle {self.cycle}')
             self.cycle = now
+            if lap is not None:
+                lap('sched')
             if now >= next_sample:
                 sampler.take(now)
                 next_sample = sampler.next_due
+                if lap is not None:
+                    lap('telemetry')
             if now >= next_obs:
                 obs.take(now)
                 next_obs = obs.next_due
+                if lap is not None:
+                    lap('observe')
             pending = self._pending_events
             while heap and heap[0][0] <= now:
                 _, seq, fn = heapq.heappop(heap)
                 if seq in pending:
                     pending.discard(seq)
                     fn(now)
+                    if lap is not None:
+                        lap(classify(fn))
             # the due set is complete here: event callbacks wake tiles
             # to `now` at the latest, step-time wakes are all > now, and
             # both land in the heap before this drain
@@ -637,6 +665,8 @@ class Fabric:
                             and t._wake_epoch == epoch):
                         due.append((order, t))
                 due.sort()  # active-list order, as the scan steps
+                if lap is not None:
+                    lap('sched')
                 for order, t in due:
                     if t.halted or t.next_wake > now:
                         continue
@@ -671,10 +701,14 @@ class Fabric:
                         streak = 0
                 else:
                     streak = 0
-        self._sched_heap_mode = False
+            if lap is not None:
+                lap('tile_step')
 
     def _finish_run(self) -> RunStats:
+        prof = self.profiler
         self._drain()
+        if prof is not None:
+            prof.lap('drain')
         self.run_stats.cycles = self.cycle
         for t in self.tiles:
             # a core issuing at the final cycle index C occupies cycle
@@ -686,6 +720,8 @@ class Fabric:
             self.telemetry.finalize(self.cycle)
         if self.observe is not None:
             self.observe.finalize(self.cycle)
+        if prof is not None:
+            prof.lap('finish')
         return self.run_stats
 
     def _drain(self) -> None:

@@ -292,18 +292,13 @@ def build_calib_report(coefficients: dict, energy_scale: dict, errors: dict,
                        overall: dict, points: List[dict],
                        label: str = 'local',
                        suite: Optional[dict] = None) -> dict:
-    from ..jobs.spec import CODE_VERSION, code_version_hash, machine_hash
-    from ..telemetry.report import _generated
+    from ..telemetry.report import _generated, provenance
     return {
         'schema_version': CALIB_SCHEMA_VERSION,
         'kind': CALIB_KIND,
         'label': label,
         'generated': _generated(),
-        'provenance': {
-            'code_version': CODE_VERSION,
-            'code_version_hash': code_version_hash(),
-            'machine_hash': machine_hash(DEFAULT_CONFIG),
-        },
+        'provenance': provenance(),
         'suite': suite or {},
         'coefficients': coefficients,
         'energy_scale': energy_scale,
@@ -320,13 +315,9 @@ def calib_path(label: str, directory: str = '.') -> str:
 
 
 def save_calib_report(doc: dict, path: str) -> str:
+    from ..telemetry.report import write_json_atomic
     validate_calib_report(doc)
-    tmp = f'{path}.tmp'
-    with open(tmp, 'w') as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write('\n')
-    os.replace(tmp, path)
-    return path
+    return write_json_atomic(doc, path)
 
 
 def load_calib_report(path: str) -> dict:

@@ -3,8 +3,8 @@
 Three pieces (see docs/perf.md):
 
 * :mod:`~repro.perf.profiler` — :class:`HostProfiler`, the self-profiler
-  that swaps an instrumented copy of the fabric's event loop in and
-  attributes host wall time to named components (tile step, LLC, DRAM,
+  the fabric's one event loop credits at its segment boundaries,
+  attributing host wall time to named components (tile step, LLC, DRAM,
   frames, inet, telemetry/observe overhead, ...), with collapsed-stack
   flamegraph export and an optional cProfile deep mode;
 * :mod:`~repro.perf.bench` — the curated benchmark suite behind

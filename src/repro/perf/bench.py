@@ -188,7 +188,7 @@ def run_case(case: BenchCase, repeats: int = DEFAULT_REPEATS,
     """Run one case ``repeats`` times; returns its report section.
 
     When ``profile`` is set, one *extra* profiled repeat runs after the
-    timing repeats (the instrumented loop costs a few percent, so it is
+    timing repeats (an attached profiler costs a few percent, so it is
     kept out of the wall-time statistics) and its component attribution
     is embedded under ``profile``.  ``isolate`` runs every timing repeat
     in its own worker process (see :func:`_run_case_isolated`).
@@ -378,9 +378,7 @@ def validate_bench_report(doc: dict) -> None:
 def build_bench_report(cases: List[dict], label: str = 'local',
                        fast: bool = False,
                        repeats: int = DEFAULT_REPEATS) -> dict:
-    from ..jobs.spec import CODE_VERSION, code_version_hash, machine_hash
-    from ..manycore import DEFAULT_CONFIG
-    from ..telemetry.report import _generated
+    from ..telemetry.report import _generated, provenance
     doc = {
         'schema_version': BENCH_SCHEMA_VERSION,
         'kind': BENCH_KIND,
@@ -392,11 +390,7 @@ def build_bench_report(cases: List[dict], label: str = 'local',
             'python_impl': platform.python_implementation(),
             'cpu_count': os.cpu_count() or 0,
         },
-        'provenance': {
-            'code_version': CODE_VERSION,
-            'code_version_hash': code_version_hash(),
-            'machine_hash': machine_hash(DEFAULT_CONFIG),
-        },
+        'provenance': provenance(),
         'suite': {'fast': fast, 'repeats': repeats},
         'cases': cases,
     }
@@ -411,9 +405,8 @@ def bench_path(label: str, directory: str = '.') -> str:
 
 
 def save_bench_report(doc: dict, path: str) -> str:
-    with open(path, 'w') as f:
-        json.dump(doc, f, indent=1)
-    return path
+    from ..telemetry.report import write_json_atomic
+    return write_json_atomic(doc, path)
 
 
 def load_bench_report(path: str) -> dict:

@@ -26,21 +26,23 @@ components of the event loop:
 
 Design constraints, in order:
 
-1. **Zero overhead when disabled.**  The fabric holds
-   ``fabric.profiler = None``; the only cost on the normal path is one
-   ``is None`` check at ``run()`` entry.  The unprofiled event loop is
-   byte-for-byte the code that ran before this module existed, so
-   disabled-mode simulation results are bit-identical (guarded by
-   test).
-2. **Attribution, not sampling.**  The profiled loop brackets every
-   segment with ``perf_counter()`` and *shares boundaries* between
-   consecutive segments, so the sum of components covers the loop
-   almost exactly; the residual (timer overhead + loop bookkeeping) is
+1. **One loop.**  ``Fabric._run_loop`` is the only event loop; it picks
+   up ``fabric.profiler`` once on entry and calls :meth:`HostProfiler.lap`
+   at its segment boundaries behind a local ``is not None`` test.  With
+   no profiler attached that test is the whole price: a handful per loop
+   iteration plus one per event.  Six alternating parent/change
+   bench-ladder pairs put it at -0.4% / -0.3% / +3.3% instrs per host
+   second (MIMD / vector / serve), inside the parent's own run-to-run
+   spread — unresolved, not shown to be zero (docs/perf.md).
+2. **Attribution, not sampling.**  Every lap credits the time since the
+   previous one, so consecutive segments *share* ``perf_counter()``
+   boundaries and the components tile the measured window; the timer's
+   own cost lands in the segment being closed.  The residual (the tail
+   after the last lap, or an aborted iteration on timeout/deadlock) is
    computed, reported, and asserted small (< 10%) by test.
-3. **Identical simulation.**  The profiled loop is a timing-annotated
-   copy of ``Fabric._run_loop``; a tier-1 test runs both and asserts
-   bit-identical cycle counts and outputs, so the copies cannot drift
-   silently.
+3. **Identical simulation.**  Laps read the clock and a dict; they touch
+   no simulated state, so cycles, stats and outputs are bit-identical
+   attached or detached (guarded by test).
 
 ``deep=True`` additionally wraps the run in :mod:`cProfile` for a
 per-function "top N" table (at real profiler cost — use it to dig, not
@@ -59,8 +61,6 @@ from typing import Dict, Optional
 LOOP_COMPONENTS = ('tile_step', 'llc', 'dram', 'frames', 'inet', 'barrier',
                    'serve', 'sched', 'telemetry', 'observe', 'events',
                    'drain', 'finish')
-
-_INF = 1 << 60
 
 
 class ProfileScope:
@@ -87,7 +87,7 @@ class HostProfiler:
     Usage::
 
         prof = HostProfiler()
-        prof.attach(fabric)          # fabric.run() now uses the profiled loop
+        prof.attach(fabric)          # fabric.run() now credits its laps here
         fabric.load_program(prog)
         fabric.run()
         print(prof.render())         # per-component table + residual
@@ -99,6 +99,7 @@ class HostProfiler:
         self.total = 0.0  # wall seconds measured around run()+finish
         self.deep = deep
         self._cprofile = None
+        self._t_start = self._t_lap = 0.0  # open window / last lap boundary
         self._fn_cache: Dict[object, str] = {}  # code object -> component
 
     # ------------------------------------------------------------- lifecycle
@@ -133,189 +134,30 @@ class HostProfiler:
             return 1.0
         return min(1.0, self.attributed() / self.total)
 
-    # -------------------------------------------------------------- profiled run
-    def run(self, fabric, max_cycles: int, serve: bool):
-        """Profiled replacement for ``Fabric.run``/``run_serve``."""
+    # ------------------------------------------------- timing points (fabric)
+    def begin_run(self) -> None:
+        """``Fabric.run``/``run_serve`` entry: open the measured window."""
         if self.deep and self._cprofile is None:
             import cProfile
             self._cprofile = cProfile.Profile()
-        t_start = perf_counter()
+        self._t_start = self._t_lap = perf_counter()
         if self._cprofile is not None:
             self._cprofile.enable()
-        try:
-            self._loop(fabric, max_cycles, serve)
-            t0 = perf_counter()
-            fabric._drain()
-            t1 = perf_counter()
-            self.add('drain', t1 - t0)
-            fabric.run_stats.cycles = fabric.cycle
-            for t in fabric.tiles:
-                t.stats.cycles = fabric.cycle + 1
-            if fabric.telemetry is not None:
-                fabric.telemetry.finalize(fabric.cycle)
-            if fabric.observe is not None:
-                fabric.observe.finalize(fabric.cycle)
-            self.add('finish', perf_counter() - t1)
-        finally:
-            if self._cprofile is not None:
-                self._cprofile.disable()
-            self.total += perf_counter() - t_start
-        return fabric.run_stats
 
-    def _loop(self, fabric, max_cycles: int, serve: bool) -> None:
-        """Timing-annotated copy of ``Fabric._run_loop``.
+    def lap(self, name: str) -> None:
+        """Credit the wall time since the previous lap to ``name``."""
+        t = perf_counter()
+        self.seconds[name] = self.seconds.get(name, 0.0) + t - self._t_lap
+        self._t_lap = t
 
-        Kept line-for-line parallel with the original (same wake/event
-        ordering, same sampler/observe scheduling); consecutive segments
-        share ``perf_counter()`` boundaries so coverage stays near 100%.
-        """
-        acc = self.seconds
-        classify = self._classify
-        pc = perf_counter
-        import heapq
-        from ..manycore.fabric import (_SCHED_TO_HEAP as _TO_HEAP,
-                                       _SCHED_TO_SCAN as _TO_SCAN)
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-
-        tel = fabric.telemetry
-        sampler = None
-        next_sample = _INF
-        if tel is not None:
-            tel.attach(fabric)
-            sampler = tel.sampler
-            if sampler is not None:
-                next_sample = sampler.next_due
-        obs = fabric.observe
-        next_obs = _INF
-        if obs is not None:
-            obs.bind(fabric)
-            if obs.interval:
-                next_obs = obs.next_due
-        heap = fabric._heap
-        wheap = fabric._wake_heap
-        active = [t for t in fabric._active if not t.halted]
-        fabric._active_dirty = False
-        heap_mode = False
-        fabric._sched_heap_mode = False
-        streak = 0
-        while True:
-            t0 = pc()
-            if fabric._active_dirty:
-                active = [t for t in fabric._active if not t.halted]
-                fabric._active_dirty = False
-                if heap_mode:
-                    fabric._rebuild_wake_heap(active)
-            elif heap_mode and len(wheap) > (len(active) << 2) + 64:
-                fabric._rebuild_wake_heap(active)
-            if not active and not (serve and fabric._pending_events):
-                acc['sched'] = acc.get('sched', 0.0) + pc() - t0
-                break
-            if heap_mode:
-                while wheap and (wheap[0][2] != wheap[0][3]._wake_entry
-                                 or wheap[0][3].halted):
-                    heappop(wheap)
-                now = wheap[0][0] if wheap else _INF
-            else:
-                now = min(t.next_wake for t in active) if active else _INF
-            head = fabric._peek_live()
-            if head is not None and head < now:
-                now = head
-            if now >= _INF:
-                if head is not None:
-                    now = head
-                elif (serve and fabric._stall_handler is not None
-                        and fabric._stall_handler(fabric.cycle)):
-                    acc['serve'] = acc.get('serve', 0.0) + pc() - t0
-                    continue  # the handler freed a wedged job
-                else:
-                    fabric._deadlock()
-            if now > max_cycles:
-                acc['sched'] = acc.get('sched', 0.0) + pc() - t0
-                from ..manycore.fabric import SimulationTimeout
-                raise SimulationTimeout(
-                    f'exceeded {max_cycles} cycles at cycle {fabric.cycle}')
-            fabric.cycle = now
-            t1 = pc()
-            acc['sched'] = acc.get('sched', 0.0) + t1 - t0
-            if now >= next_sample:
-                sampler.take(now)
-                next_sample = sampler.next_due
-                t = pc()
-                acc['telemetry'] = acc.get('telemetry', 0.0) + t - t1
-                t1 = t
-            if now >= next_obs:
-                obs.take(now)
-                next_obs = obs.next_due
-                t = pc()
-                acc['observe'] = acc.get('observe', 0.0) + t - t1
-                t1 = t
-            pending = fabric._pending_events
-            while heap and heap[0][0] <= now:
-                _, seq, fn = heappop(heap)
-                if seq in pending:
-                    pending.discard(seq)
-                    fn(now)
-                    t = pc()
-                    comp = classify(fn)
-                    acc[comp] = acc.get(comp, 0.0) + t - t1
-                    t1 = t
-            n = len(active)
-            s = 0
-            if heap_mode:
-                epoch = fabric._wake_epoch
-                due = []
-                while wheap and wheap[0][0] <= now:
-                    _, order, c, t = heappop(wheap)
-                    if (c == t._wake_entry and not t.halted
-                            and t._wake_epoch == epoch):
-                        due.append((order, t))
-                due.sort()
-                t = pc()
-                acc['sched'] = acc.get('sched', 0.0) + t - t1
-                t1 = t
-                for order, t in due:
-                    if t.halted or t.next_wake > now:
-                        continue
-                    nw = t.step(now)
-                    t.next_wake = nw = nw if nw > now else now + 1
-                    fabric._wake_counter = c = fabric._wake_counter + 1
-                    t._wake_entry = c
-                    if nw < _INF:
-                        heappush(wheap, (nw, order, c, t))
-                    s += 1
-                if s << 2 >= n:
-                    streak += 1
-                    if streak >= _TO_SCAN:
-                        heap_mode = False
-                        fabric._sched_heap_mode = False
-                        del wheap[:]
-                        streak = 0
-                else:
-                    streak = 0
-            else:
-                t = pc()
-                acc['sched'] = acc.get('sched', 0.0) + t - t1
-                t1 = t
-                for t in active:
-                    if t.next_wake <= now and not t.halted:
-                        nw = t.step(now)
-                        t.next_wake = nw if nw > now else now + 1
-                        s += 1
-                if s << 3 <= n:
-                    streak += 1
-                    if streak >= _TO_HEAP:
-                        heap_mode = True
-                        fabric._sched_heap_mode = True
-                        fabric._rebuild_wake_heap(active)
-                        streak = 0
-                else:
-                    streak = 0
-            acc['tile_step'] = acc.get('tile_step', 0.0) + pc() - t1
-        fabric._sched_heap_mode = False
+    def end_run(self) -> None:
+        """Close the window (also on timeout/deadlock) into ``total``."""
+        if self._cprofile is not None:
+            self._cprofile.disable()
+        self.total += perf_counter() - self._t_start
 
     # ---------------------------------------------------------- classification
-    def _classify(self, fn) -> str:
+    def classify(self, fn) -> str:
         """Map an event callback to a component, cached per code object.
 
         Frame/wide chunk deliveries and remote stores both end in

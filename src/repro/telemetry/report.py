@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -202,6 +203,26 @@ def _generated() -> dict:
         'timestamp': datetime.now(timezone.utc).isoformat(),
         'python': platform.python_version(),
     }
+
+
+def provenance() -> dict:
+    """The code-version + default-machine stamp artifacts carry."""
+    from ..jobs.spec import CODE_VERSION, code_version_hash, machine_hash
+    from ..manycore import DEFAULT_CONFIG
+    return {'code_version': CODE_VERSION,
+            'code_version_hash': code_version_hash(),
+            'machine_hash': machine_hash(DEFAULT_CONFIG)}
+
+
+def write_json_atomic(doc: dict, path: str) -> str:
+    """Write an artifact via tmp + ``os.replace``: a process killed
+    mid-write leaves the previous file (or none), never a truncated one."""
+    tmp = f'{path}.tmp'
+    with open(tmp, 'w') as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write('\n')
+    os.replace(tmp, path)
+    return path
 
 
 # ----------------------------------------------------------------------- build

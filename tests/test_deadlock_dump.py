@@ -4,12 +4,14 @@ import pytest
 
 from repro.core import GroupDescriptor
 from repro.isa import Assembler, opcodes as op
-from repro.manycore import DeadlockError, Fabric, small_config
+from repro.manycore import (JOB_KILLED, DeadlockError, Fabric,
+                            small_config)
+from repro.perf import HostProfiler
 
 from .conftest import pack_frame_cfg
 
 
-def _wedge_vconfig(fabric):
+def _wedge_program(fabric):
     """Core 0 waits at vconfig for a group whose other members halt."""
     a = Assembler()
     a.csrr('x1', op.CSR_COREID)
@@ -22,16 +24,32 @@ def _wedge_vconfig(fabric):
     a.bind('other')
     a.halt()
     fabric.register_group(GroupDescriptor(0, [0, 1, 2]))
-    fabric.load_program(a.finish(), active_cores=[0, 1])
+    return a.finish()
+
+
+def _deadlock_message(profiler=None):
+    fabric = Fabric(small_config())
+    if profiler is not None:
+        profiler.attach(fabric)
+    fabric.load_program(_wedge_program(fabric), active_cores=[0, 1])
+    with pytest.raises(DeadlockError) as exc_info:
+        fabric.run()
+    assert fabric._sched_heap_mode is False
+    return str(exc_info.value)
+
+
+def _both_ways():
+    """The wedge's dump, checked identical with a profiler attached."""
+    prof = HostProfiler()
+    msg = _deadlock_message()
+    assert _deadlock_message(prof) == msg
+    assert prof.total > 0.0
+    return msg
 
 
 class TestDeadlockDump:
     def test_dump_names_the_wedged_tile(self):
-        fabric = Fabric(small_config())
-        _wedge_vconfig(fabric)
-        with pytest.raises(DeadlockError) as exc_info:
-            fabric.run()
-        msg = str(exc_info.value)
+        msg = _both_ways()
         # the wedged tile, by id, with its blocking instruction
         assert 'core 0' in msg
         assert 'vconfig' in msg
@@ -42,15 +60,35 @@ class TestDeadlockDump:
         assert 'core 1' not in msg
 
     def test_dump_reports_frame_and_queue_state(self):
-        fabric = Fabric(small_config())
-        _wedge_vconfig(fabric)
-        with pytest.raises(DeadlockError) as exc_info:
-            fabric.run()
-        line = [ln for ln in str(exc_info.value).splitlines()
+        line = [ln for ln in _both_ways().splitlines()
                 if ln.strip().startswith('core 0')][0]
         assert 'head=' in line and 'open=' in line
         assert 'lq=' in line
         assert 'blocked-on:' in line
+
+    def test_stall_handler_frees_a_wedged_job(self):
+        """Serve mode hands the wedge to ``_stall_handler`` instead of
+        raising; killing the job there ends the run at the same cycle
+        profiled and unprofiled, the handler's time credited to serve."""
+        def serve(profiler=None):
+            fabric = Fabric(small_config())
+            if profiler is not None:
+                profiler.attach(fabric)
+            job = fabric.launch_job('wedge', _wedge_program(fabric), [0, 1])
+
+            def on_stall(now):
+                fabric.kill_job(job, now)
+                return True
+            fabric._stall_handler = on_stall
+            fabric.run_serve()
+            assert fabric._sched_heap_mode is False
+            return fabric.cycle, job.state, job.finished_at
+
+        prof = HostProfiler()
+        base = serve()
+        assert base == serve(prof)
+        assert base[1] == JOB_KILLED
+        assert prof.seconds['serve'] > 0.0
 
     def test_wait_state_dump_without_raising(self):
         """The dump is also available as a plain inspection API."""

@@ -2,14 +2,15 @@
 
 Acceptance (ISSUE 5): the profiler attributes at least 90% of measured
 host time to named components with the residual reported explicitly,
-and profiling never changes simulation results — the profiled run loop
-is a timing-annotated copy of the stock one, so these tests double as
-the drift guard between the two copies.
+and profiling never changes simulation results — ``Fabric._run_loop``
+is the one event loop and only credits laps to an attached profiler, so
+these tests guard that its timing points touch no simulated state.
 """
 
 import numpy as np
 
 from repro.harness import run_benchmark
+from repro.isa import Assembler
 from repro.kernels import registry
 from repro.manycore import Fabric
 from repro.perf import LOOP_COMPONENTS, HostProfiler
@@ -140,12 +141,17 @@ def test_event_classification():
                                           'energy', 'custom')
 
 
-def test_detach_restores_stock_loop():
+def test_detach_stops_crediting():
     fabric = Fabric()
     prof = HostProfiler().attach(fabric)
     assert fabric.profiler is prof
     prof.detach(fabric)
     assert fabric.profiler is None
+    a = Assembler()
+    a.halt()
+    fabric.load_program(a.finish(), active_cores=[0])
+    assert fabric.run().total_instrs == 1
+    assert prof.total == 0.0 and not prof.seconds
 
 
 def test_verification_passes_under_profiler():

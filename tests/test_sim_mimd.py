@@ -305,13 +305,31 @@ class TestSimControl:
             fabric.run()
 
     def test_timeout_raises(self):
+        """Core 0 spins while the rest park at the barrier, so the loop
+        is in heap mode (1 of 16 due) when the budget runs out — with
+        and without a profiler: same message, scheduler left in scan."""
         from repro.manycore import SimulationTimeout
-        cfg = small_config()
-        fabric = Fabric(cfg)
+        from repro.perf import HostProfiler
         a = Assembler()
+        a.csrr('x1', op.CSR_COREID)
+        a.bne('x1', 'x0', 'park')
         a.bind('spin')
         a.j('spin')
+        a.bind('park')
+        a.barrier()
+        a.halt()
         prog = a.finish()
-        fabric.load_program(prog, active_cores=[0])
-        with pytest.raises(SimulationTimeout):
-            fabric.run(max_cycles=1000)
+        prof = HostProfiler()
+        messages = []
+        for attach in (False, True):
+            fabric = Fabric(small_config())
+            if attach:
+                prof.attach(fabric)
+            fabric.load_program(prog)
+            with pytest.raises(SimulationTimeout) as exc_info:
+                fabric.run(max_cycles=1000)
+            messages.append(str(exc_info.value))
+            assert fabric._sched_heap_mode is False
+        assert messages[0] == messages[1]
+        assert 'cycle 1000' in messages[0]
+        assert prof.total > 0.0
