@@ -45,8 +45,10 @@ Commands
     failed/timed-out requests, 2 on SLO fail or invalid policy (see
     docs/fleet.md).
 ``report FILE.json``
-    Validate a run report against the schema and print its summary
-    (CPI stack, histograms, sample count).
+    Validate any ``repro-*`` artifact (run, serve, fleet, sweep, bench,
+    calibration, DSE, post-mortem) against its schema and print that
+    kind's summary; ``dse report`` and ``postmortem validate|dump`` are
+    aliases.
 ``compare A.json B.json [--threshold 0.02]``
     Diff two run reports; exits nonzero when B regresses cycles (or any
     stall cause) beyond the threshold.
@@ -76,6 +78,40 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+
+class _Exit(Exception):
+    """Unwinds a command: ``main`` prints the line to stderr and returns
+    the code."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+def _loaded(load, path, what='report'):
+    """``load(path)``; an invalid artifact file is exit 1, one line."""
+    from .artifact import ReportValidationError
+    try:
+        return load(path)
+    except ReportValidationError as exc:
+        raise _Exit(1, f'invalid {what}: {exc}') from None
+
+
+def _save_report(doc, path):
+    from .artifact import REGISTRY
+    REGISTRY[doc['kind']].save(doc, path)
+
+
+def _load_slo_policy(path):
+    """The ``--slo`` policy (None without the flag); exit 2 if invalid."""
+    if not path:
+        return None
+    from .observe import SloPolicy
+    try:
+        return SloPolicy.load(path)
+    except (OSError, ValueError) as exc:
+        raise _Exit(2, f'{path}: invalid SLO policy: {exc}') from None
 
 
 def cmd_list(args):
@@ -186,12 +222,8 @@ def cmd_bench(args):
         return 0
     if args.bench_command == 'compare':
         from .perf import compare_bench
-        try:
-            a = B.load_bench_report(args.a)
-            b = B.load_bench_report(args.b)
-        except (OSError, ValueError, B.BenchValidationError) as exc:
-            print(f'invalid bench report: {exc}', file=sys.stderr)
-            return 1
+        a = _loaded(B.load_bench_report, args.a, 'bench report')
+        b = _loaded(B.load_bench_report, args.b, 'bench report')
         text, regressed = compare_bench(
             a, b, threshold=args.threshold, noise_mult=args.noise_mult,
             rss_threshold=args.rss_threshold)
@@ -204,7 +236,6 @@ def cmd_bench(args):
 
 
 def cmd_serve(args):
-    import json
     from .manycore import Fabric
     from .serve import (FAILED, ServeScheduler, build_serve_report,
                         generate_trace, load_trace, render_serve_report,
@@ -220,15 +251,7 @@ def cmd_serve(args):
     if args.save_trace:
         save_trace(args.save_trace, requests)
         print(f'trace: {args.save_trace} ({len(requests)} requests)')
-    policy = None
-    if args.slo:
-        from .observe import SloPolicy
-        try:
-            policy = SloPolicy.load(args.slo)
-        except (OSError, ValueError) as exc:
-            print(f'{args.slo}: invalid SLO policy: {exc}',
-                  file=sys.stderr)
-            return 2
+    policy = _load_slo_policy(args.slo)
     plane = None
     if args.metrics_out or args.heatmaps:
         from .observe import ObservePlane
@@ -246,8 +269,7 @@ def cmd_serve(args):
     if args.heatmaps:
         print(plane.render_heatmaps())
     if args.report:
-        with open(args.report, 'w') as f:
-            json.dump(doc, f, indent=1)
+        _save_report(doc, args.report)
         print(f'report: {args.report} (schema-valid)')
     if args.store:
         from .jobs import ResultStore
@@ -287,15 +309,7 @@ def cmd_fleet(args):
                   file=sys.stderr)
             return 2
         autoscaler = Autoscaler(policy)
-    slo_policy = None
-    if args.slo:
-        from .observe import SloPolicy
-        try:
-            slo_policy = SloPolicy.load(args.slo)
-        except (OSError, ValueError) as exc:
-            print(f'{args.slo}: invalid SLO policy: {exc}',
-                  file=sys.stderr)
-            return 2
+    slo_policy = _load_slo_policy(args.slo)
     crashes = []
     for spec in args.crash or ():
         try:
@@ -364,8 +378,7 @@ def cmd_fleet(args):
         print(f'metrics: {args.metrics_out} '
               f'({len(result.epoch_log)} epoch snapshots)')
     if args.report:
-        with open(args.report, 'w') as f:
-            json.dump(doc, f, indent=1)
+        _save_report(doc, args.report)
         print(f'report: {args.report} (schema-valid, '
               f'conservation-checked)')
     s = doc['summary']
@@ -468,43 +481,22 @@ def cmd_trace(args):
     return 2 if broken else 0
 
 
-def cmd_postmortem(args):
-    from .flight import load_postmortem, render_postmortem
-    from .telemetry import ReportValidationError
-    try:
-        doc = load_postmortem(args.file)
-    except (OSError, ValueError, ReportValidationError) as exc:
-        print(f'{args.file}: INVALID post-mortem: {exc}',
-              file=sys.stderr)
-        return 1
-    if args.postmortem_command == 'dump':
-        print(render_postmortem(doc))
-    else:
-        print(f'{args.file}: valid {doc["kind"]} '
-              f'(trigger {doc["reason"]["trigger"]}, '
-              f'{len(doc["events"])} event(s) in ring)')
-    return 0
-
-
 def cmd_report(args):
-    from .telemetry import ReportValidationError, load_report, render_report
-    try:
-        doc = load_report(args.file)
-    except ReportValidationError as exc:
-        print(f'{args.file}: INVALID report: {exc}', file=sys.stderr)
-        return 1
-    print(render_report(doc))
+    """``report``, ``dse report`` and ``postmortem validate|dump``."""
+    from .artifact import REGISTRY, load_any
+    doc = _loaded(load_any, args.file)
+    if getattr(args, 'postmortem_command', None) == 'validate':
+        print(f'{args.file}: valid {doc["kind"]} '
+              f'(schema v{doc["schema_version"]})')
+    else:
+        print(REGISTRY[doc['kind']].render(doc))
     return 0
 
 
 def cmd_compare(args):
-    from .telemetry import ReportValidationError, compare_reports, load_report
-    try:
-        a = load_report(args.a)
-        b = load_report(args.b)
-    except ReportValidationError as exc:
-        print(f'invalid report: {exc}', file=sys.stderr)
-        return 1
+    from .telemetry import compare_reports, load_report
+    a = _loaded(load_report, args.a)
+    b = _loaded(load_report, args.b)
     text, regressed = compare_reports(a, b, threshold=args.threshold)
     print(text)
     return 2 if regressed else 0
@@ -561,7 +553,6 @@ def cmd_experiment(args):
 
 
 def cmd_sweep(args):
-    import json
     import time
     from .harness import figures as F
     from .jobs import (ResultStore, SweepEngine, SweepManifest, any_failed,
@@ -598,8 +589,7 @@ def cmd_sweep(args):
         doc = build_sweep_report(outcomes, name=manifest.name,
                                  launched=engine.launched,
                                  elapsed=time.monotonic() - t0)
-        with open(args.report, 'w') as f:
-            json.dump(doc, f, indent=1)
+        _save_report(doc, args.report)
         print(f'sweep report: {args.report}')
     if any_failed(outcomes):
         return 1
@@ -618,7 +608,8 @@ def _dse_load_model(calib):
     """The analytical model for a dse subcommand: calibrated or priors."""
     from .model import AnalyticModel, load_calib_report
     if calib:
-        return AnalyticModel.from_calibration(load_calib_report(calib))
+        return AnalyticModel.from_calibration(
+            _loaded(load_calib_report, calib, 'calibration report'))
     print('warning: no --calib given; predictions use uncalibrated '
           'priors', file=sys.stderr)
     return AnalyticModel.default()
@@ -627,7 +618,6 @@ def _dse_load_model(calib):
 def cmd_dse(args):
     from .model import calibrate as C
     from .model.analytic import ModelError
-    from .model.calibrate import CalibValidationError
 
     if args.dse_command == 'calibrate':
         from .jobs import ResultStore, SweepEngine, any_failed, \
@@ -683,11 +673,7 @@ def cmd_dse(args):
         from .dse import (AXES_BY_NAME, DseError, dse_path,
                           render_dse_report, run_dse, save_dse_report)
         from .jobs import ResultStore
-        try:
-            model = _dse_load_model(args.calib)
-        except (OSError, ValueError) as exc:
-            print(f'invalid calibration report: {exc}', file=sys.stderr)
-            return 1
+        model = _dse_load_model(args.calib)
         axes = AXES_BY_NAME[args.space]
         store = ResultStore(args.store) if not args.no_simulate else None
         try:
@@ -709,11 +695,7 @@ def cmd_dse(args):
         return 1 if doc['triage'].get('n_sim_failed', 0) else 0
 
     if args.dse_command == 'predict':
-        try:
-            model = _dse_load_model(args.calib)
-        except (OSError, ValueError) as exc:
-            print(f'invalid calibration report: {exc}', file=sys.stderr)
-            return 1
+        model = _dse_load_model(args.calib)
         from .manycore import DEFAULT_CONFIG
         overrides = {}
         if args.frame_counters is not None:
@@ -743,32 +725,29 @@ def cmd_dse(args):
         return 0
 
     if args.dse_command == 'report':
-        import json
-        from .dse import (DSE_KIND, DseValidationError,
-                          render_dse_report, validate_dse_report)
-        try:
-            with open(args.file) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f'{args.file}: {exc}', file=sys.stderr)
-            return 1
-        try:
-            if doc.get('kind') == DSE_KIND:
-                validate_dse_report(doc)
-                print(render_dse_report(doc))
-            elif doc.get('kind') == C.CALIB_KIND:
-                C.validate_calib_report(doc)
-                print(C.render_calib_report(doc))
-            else:
-                print(f'{args.file}: unknown kind {doc.get("kind")!r} '
-                      f'(expected {DSE_KIND} or {C.CALIB_KIND})',
-                      file=sys.stderr)
-                return 1
-        except (DseValidationError, CalibValidationError) as exc:
-            print(f'{args.file}: INVALID: {exc}', file=sys.stderr)
-            return 1
-        return 0
+        return cmd_report(args)
     raise AssertionError(args.dse_command)
+
+
+def _add_trace_args(p, requests, mean_interarrival, fleet=False):
+    """The generated-trace flags ``serve``, ``fleet`` and ``top`` share."""
+    noun = 'traffic' if fleet else 'trace'
+    p.add_argument('--seed', type=int, default=0, metavar='N',
+                   help=f'{noun}-generator seed (default 0)')
+    p.add_argument('--requests', type=int, default=requests, metavar='N',
+                   help=f'generated {noun} length (default {requests})')
+    p.add_argument('--scale', choices=('test', 'bench'), default='test',
+                   help='problem sizes for generated requests '
+                        '(default test)')
+    p.add_argument('--mean-interarrival', type=int,
+                   default=mean_interarrival, metavar='CYCLES',
+                   help=f'mean request interarrival '
+                        f'(default {mean_interarrival})')
+    p.add_argument('--timeout', type=int, default=None, metavar='CYCLES',
+                   help='per-request deadline measured from arrival')
+    p.add_argument('--no-verify', action='store_true',
+                   help='skip numpy output verification'
+                        + (' in shards' if fleet else ''))
 
 
 def main(argv=None) -> int:
@@ -858,18 +837,7 @@ def main(argv=None) -> int:
     p.add_argument('trace_file', nargs='?', metavar='TRACE.json',
                    help='request trace to replay (omit to generate a '
                         'seeded trace)')
-    p.add_argument('--seed', type=int, default=0, metavar='N',
-                   help='trace-generator seed (default 0)')
-    p.add_argument('--requests', type=int, default=8, metavar='N',
-                   help='generated trace length (default 8)')
-    p.add_argument('--scale', choices=('test', 'bench'), default='test',
-                   help='problem sizes for generated requests '
-                        '(default test)')
-    p.add_argument('--mean-interarrival', type=int, default=2000,
-                   metavar='CYCLES',
-                   help='mean request interarrival (default 2000)')
-    p.add_argument('--timeout', type=int, default=None, metavar='CYCLES',
-                   help='per-request deadline measured from arrival')
+    _add_trace_args(p, requests=8, mean_interarrival=2000)
     p.add_argument('--save-trace', metavar='OUT.json',
                    help='also write the (generated) trace file')
     p.add_argument('--report', metavar='OUT.json',
@@ -879,8 +847,6 @@ def main(argv=None) -> int:
     p.add_argument('--perfetto', metavar='OUT.json',
                    help='write a Chrome trace with per-core request/'
                         'group annotation')
-    p.add_argument('--no-verify', action='store_true',
-                   help='skip numpy output verification')
     p.add_argument('--metrics-out', metavar='OUT.jsonl',
                    help='attach the observability plane and write '
                         'periodic metric snapshots as JSONL')
@@ -899,22 +865,11 @@ def main(argv=None) -> int:
     p.add_argument('trace_file', nargs='?', metavar='TRACE.json',
                    help='request trace to replay (omit to generate '
                         'seeded open-loop traffic)')
-    p.add_argument('--seed', type=int, default=0, metavar='N',
-                   help='traffic-generator seed (default 0)')
-    p.add_argument('--requests', type=int, default=24, metavar='N',
-                   help='generated traffic length (default 24)')
+    _add_trace_args(p, requests=24, mean_interarrival=4000, fleet=True)
     p.add_argument('--pattern', default='mixed',
                    choices=('steady', 'diurnal', 'bursty', 'mixed'),
                    help='arrival process (default mixed: diurnal wave '
                         '+ bursts, heavy-tailed sizes)')
-    p.add_argument('--scale', choices=('test', 'bench'), default='test',
-                   help='problem sizes for generated requests '
-                        '(default test)')
-    p.add_argument('--mean-interarrival', type=int, default=4000,
-                   metavar='CYCLES',
-                   help='mean request interarrival (default 4000)')
-    p.add_argument('--timeout', type=int, default=None, metavar='CYCLES',
-                   help='per-request deadline measured from arrival')
     p.add_argument('--shards', type=int, default=3, metavar='N',
                    help='initial fleet size (default 3)')
     p.add_argument('--epoch-cycles', type=int, default=50_000,
@@ -943,8 +898,6 @@ def main(argv=None) -> int:
     p.add_argument('--no-affinity', action='store_true',
                    help='disable job-key affinity (pure '
                         'join-shortest-queue)')
-    p.add_argument('--no-verify', action='store_true',
-                   help='skip numpy output verification in shards')
     p.add_argument('--metrics-out', metavar='OUT.jsonl',
                    help='write per-epoch fleet metric snapshots as '
                         'JSONL')
@@ -975,19 +928,12 @@ def main(argv=None) -> int:
     p.add_argument('trace_file', nargs='?', metavar='TRACE.json',
                    help='request trace to replay (omit to generate a '
                         'seeded trace)')
-    p.add_argument('--seed', type=int, default=0, metavar='N')
-    p.add_argument('--requests', type=int, default=8, metavar='N')
-    p.add_argument('--scale', choices=('test', 'bench'), default='test')
-    p.add_argument('--mean-interarrival', type=int, default=2000,
-                   metavar='CYCLES')
-    p.add_argument('--timeout', type=int, default=None, metavar='CYCLES')
+    _add_trace_args(p, requests=8, mean_interarrival=2000)
     p.add_argument('--refresh', type=int, default=5000, metavar='CYCLES',
                    help='simulated cycles between dashboard frames '
                         '(default 5000)')
     p.add_argument('--metrics-out', metavar='OUT.jsonl',
                    help='also write JSONL metric snapshots')
-    p.add_argument('--no-verify', action='store_true',
-                   help='skip numpy output verification')
     p.add_argument('--fleet', metavar='DIR',
                    help='fleet mode: tail the per-shard JSONL snapshot '
                         'streams under DIR (from `repro fleet '
@@ -1179,13 +1125,18 @@ def main(argv=None) -> int:
                    help='relative regression threshold (default 0.02)')
 
     args = parser.parse_args(argv)
-    return {'list': cmd_list, 'run': cmd_run, 'figure': cmd_figure,
-            'experiment': cmd_experiment, 'sweep': cmd_sweep,
-            'serve': cmd_serve, 'fleet': cmd_fleet, 'top': cmd_top,
-            'trace': cmd_trace, 'postmortem': cmd_postmortem,
-            'report': cmd_report,
-            'compare': cmd_compare, 'bench': cmd_bench, 'dse': cmd_dse,
-            'version': cmd_version}[args.command](args)
+    command = {'list': cmd_list, 'run': cmd_run, 'figure': cmd_figure,
+               'experiment': cmd_experiment, 'sweep': cmd_sweep,
+               'serve': cmd_serve, 'fleet': cmd_fleet, 'top': cmd_top,
+               'trace': cmd_trace, 'postmortem': cmd_report,
+               'report': cmd_report,
+               'compare': cmd_compare, 'bench': cmd_bench, 'dse': cmd_dse,
+               'version': cmd_version}[args.command]
+    try:
+        return command(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == '__main__':

@@ -18,11 +18,10 @@ of being dominated by the maxed-out machine.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..artifact import Artifact, ReportValidationError
 from ..jobs.engine import SweepEngine
 from ..jobs.spec import JobSpec
 from ..manycore.config import DEFAULT_CONFIG, MachineConfig
@@ -154,7 +153,7 @@ def run_dse(model: AnalyticModel, benchmark: str,
         entries.append(entry)
 
     n_simulated = len(apes) + n_sim_failed if simulate else 0
-    doc = build_dse_report(
+    return build_dse_report(
         benchmark=benchmark, scale=scale, label=label,
         axes={k: list(v) for k, v in axes.items()},
         space={'n_space': n_space, 'n_feasible': len(feasible),
@@ -171,8 +170,6 @@ def run_dse(model: AnalyticModel, benchmark: str,
         frontier=entries,
         calibration={'label': model.label,
                      'calibrated': bool(model.calibrated)})
-    validate_dse_report(doc)
-    return doc
 
 
 def _median(values: Sequence[float]) -> float:
@@ -185,27 +182,10 @@ def _median(values: Sequence[float]) -> float:
 
 
 # ------------------------------------------------------------------- artifact
-DSE_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'label', 'generated',
-                 'provenance', 'benchmark', 'scale', 'calibration',
-                 'axes', 'space', 'triage', 'validation', 'frontier'],
+_BODY_SCHEMA = {
+    'required': ['benchmark', 'scale', 'calibration', 'axes', 'space',
+                 'triage', 'validation', 'frontier'],
     'properties': {
-        'schema_version': {'type': 'integer',
-                           'enum': [DSE_SCHEMA_VERSION]},
-        'kind': {'type': 'string', 'enum': [DSE_KIND]},
-        'label': {'type': 'string'},
-        'generated': {'type': 'object'},
-        'provenance': {
-            'type': 'object',
-            'required': ['code_version', 'code_version_hash',
-                         'machine_hash'],
-            'properties': {
-                'code_version': {'type': 'integer'},
-                'code_version_hash': {'type': 'string'},
-                'machine_hash': {'type': 'string'},
-            },
-        },
         'benchmark': {'type': 'string'},
         'scale': {'type': 'string'},
         'calibration': {
@@ -285,27 +265,10 @@ DSE_SCHEMA = {
 }
 
 
-class DseValidationError(ValueError):
-    pass
-
-
-def validate_dse_report(doc: dict) -> None:
-    from ..telemetry.report import check_schema
-    errors = check_schema(doc, DSE_SCHEMA)
-    if errors:
-        raise DseValidationError('; '.join(errors[:20]))
-
-
 def build_dse_report(benchmark: str, scale: str, label: str, axes: dict,
                      space: dict, triage: dict, validation: dict,
                      frontier: List[dict], calibration: dict) -> dict:
-    from ..telemetry.report import _generated, provenance
-    return {
-        'schema_version': DSE_SCHEMA_VERSION,
-        'kind': DSE_KIND,
-        'label': label,
-        'generated': _generated(),
-        'provenance': provenance(),
+    return DSE_REPORT.stamp({
         'benchmark': benchmark,
         'scale': scale,
         'calibration': calibration,
@@ -314,26 +277,7 @@ def build_dse_report(benchmark: str, scale: str, label: str, axes: dict,
         'triage': triage,
         'validation': validation,
         'frontier': frontier,
-    }
-
-
-def dse_path(label: str, directory: str = '.') -> str:
-    """Canonical artifact name: ``DSE_<label>.json``."""
-    safe = ''.join(c if c.isalnum() or c in '-_.' else '-' for c in label)
-    return os.path.join(directory, f'DSE_{safe}.json')
-
-
-def save_dse_report(doc: dict, path: str) -> str:
-    from ..telemetry.report import write_json_atomic
-    validate_dse_report(doc)
-    return write_json_atomic(doc, path)
-
-
-def load_dse_report(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_dse_report(doc)
-    return doc
+    }, label=label)
 
 
 def frontier_specs(doc: dict, base: MachineConfig = DEFAULT_CONFIG,
@@ -384,3 +328,12 @@ def render_dse_report(doc: dict) -> str:
             f"{p['dram_bandwidth']:>5g} {e['area']:>7.1f} "
             f"{e['predicted_cycles']:>10.1f} {sim} {ape}")
     return '\n'.join(lines)
+
+
+DSE_REPORT = Artifact(DSE_KIND, DSE_SCHEMA_VERSION, _BODY_SCHEMA,
+                      render_dse_report, file_prefix='DSE')
+DseValidationError = ReportValidationError
+validate_dse_report = DSE_REPORT.validate
+dse_path = DSE_REPORT.path
+save_dse_report = DSE_REPORT.save
+load_dse_report = DSE_REPORT.load

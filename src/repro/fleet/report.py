@@ -25,15 +25,14 @@ unchanged.
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional
+from typing import Optional
 
+from ..artifact import Artifact, ReportValidationError
 from ..jobs.serialize import stats_from_dict
 from ..manycore import RunStats
-from ..observe import BREAKDOWN_PHASES, merge_breakdowns
-from ..serve.report import (BREAKDOWN_SCHEMA, _percentile)
-from ..telemetry.report import (ReportValidationError, _generated,
-                                check_schema)
+from ..observe import BREAKDOWN_PHASES
+from ..serve.report import (REQUEST_RECORD_SCHEMA, SUMMARY_PROPERTIES,
+                            _mean, latency_summary)
 from .router import FleetResult
 
 FLEET_SCHEMA_VERSION = 1
@@ -42,34 +41,18 @@ FLEET_REPORT_KIND = 'repro-fleet-report'
 _COUNTER = {'type': 'integer', 'minimum': 0}
 _NUMBER = {'type': 'number'}
 
+#: a serve request record plus the router's placement fields
 FLEET_REQUEST_SCHEMA = {
     'type': 'object',
-    'required': ['req_id', 'kernel', 'lanes', 'groups', 'priority',
-                 'arrival', 'state', 'attempts', 'router_wait'],
+    'required': REQUEST_RECORD_SCHEMA['required'] + ['attempts',
+                                                     'router_wait'],
     'properties': {
-        'req_id': _COUNTER,
-        'kernel': {'type': 'string'},
-        'params': {'type': 'object'},
-        'lanes': {'type': 'integer', 'minimum': 1},
-        'groups': {'type': 'integer', 'minimum': 1},
-        'tiles': {'type': 'integer', 'minimum': 2},
-        'priority': {'type': 'integer'},
-        'arrival': _COUNTER,
-        'state': {'type': 'string',
-                  'enum': ['done', 'failed', 'timed-out', 'rejected']},
+        **REQUEST_RECORD_SCHEMA['properties'],
         'shard': _COUNTER,
         'epoch': _COUNTER,
         'attempts': _COUNTER,
         'router_wait': _COUNTER,
-        'launched_at': _COUNTER,
-        'finished_at': _COUNTER,
-        'queue_wait': _COUNTER,
-        'service_cycles': _COUNTER,
-        'latency': _COUNTER,
-        'instrs': _COUNTER,
         'digest': {'type': 'string'},
-        'error': {'type': 'string'},
-        'breakdown': BREAKDOWN_SCHEMA,
     },
 }
 
@@ -103,23 +86,9 @@ EVENT_SCHEMA = {
     },
 }
 
-FLEET_REPORT_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'generated', 'traffic',
-                 'fleet', 'summary', 'requests'],
+_BODY_SCHEMA = {
+    'required': ['traffic', 'fleet', 'summary', 'requests'],
     'properties': {
-        'schema_version': {'type': 'integer',
-                           'enum': [FLEET_SCHEMA_VERSION]},
-        'kind': {'type': 'string', 'enum': [FLEET_REPORT_KIND]},
-        'generated': {
-            'type': 'object',
-            'required': ['git_sha', 'timestamp', 'python'],
-            'properties': {
-                'git_sha': {'type': 'string'},
-                'timestamp': {'type': 'string'},
-                'python': {'type': 'string'},
-            },
-        },
         'traffic': {
             'type': 'object',
             'required': ['n_requests'],
@@ -153,25 +122,9 @@ FLEET_REPORT_SCHEMA = {
             'required': ['makespan_cycles', 'submitted', 'completed',
                          'failed', 'timed_out', 'rejected',
                          'throughput_per_mcycle', 'peak_queue_depth'],
-            'properties': {
-                'makespan_cycles': _COUNTER,
-                'submitted': _COUNTER,
-                'completed': _COUNTER,
-                'failed': _COUNTER,
-                'timed_out': _COUNTER,
-                'rejected': _COUNTER,
-                'throughput_per_mcycle': _NUMBER,
-                'peak_queue_depth': _COUNTER,
-                'latency_mean': _NUMBER,
-                'latency_p50': _NUMBER,
-                'latency_p95': _NUMBER,
-                'latency_p99': _NUMBER,
-                'queue_wait_mean': _NUMBER,
-                'router_wait_mean': _NUMBER,
-                'total_instrs': _COUNTER,
-                'tile_utilization': _NUMBER,
-                'breakdown_totals': BREAKDOWN_SCHEMA,
-            },
+            'properties': {**SUMMARY_PROPERTIES,
+                           'submitted': _COUNTER,
+                           'router_wait_mean': _NUMBER},
         },
         'requests': {'type': 'array', 'items': FLEET_REQUEST_SCHEMA},
         'slo': {'type': 'object'},
@@ -180,7 +133,7 @@ FLEET_REPORT_SCHEMA = {
 }
 
 
-class FleetInvariantError(AssertionError):
+class FleetInvariantError(ReportValidationError, AssertionError):
     """A fleet-level conservation invariant failed."""
 
 
@@ -219,11 +172,6 @@ def build_fleet_report(result: FleetResult,
     by_state = {}
     for e in result.entries:
         by_state[e.state] = by_state.get(e.state, 0) + 1
-    latencies = [r['latency'] for r in records
-                 if r['state'] == 'done' and r.get('latency') is not None]
-    waits = [r['queue_wait'] for r in records
-             if r.get('queue_wait') is not None]
-    rwaits = [r['router_wait'] for r in records]
     makespan = result.final_cycle
     busy = sum(m * u * tiles for (m, tiles, u) in result.batch_busy)
     denom = sum(m * tiles for (m, tiles, _) in result.batch_busy)
@@ -234,28 +182,23 @@ def build_fleet_report(result: FleetResult,
         'failed': by_state.get('failed', 0),
         'timed_out': by_state.get('timed-out', 0),
         'rejected': by_state.get('rejected', 0),
-        'throughput_per_mcycle': (by_state.get('done', 0) * 1e6 / makespan
-                                  if makespan else 0.0),
         'peak_queue_depth': result.peak_queue_depth,
-        'latency_mean': (sum(latencies) / len(latencies)
-                         if latencies else 0.0),
-        'latency_p50': _percentile(latencies, 0.50),
-        'latency_p95': _percentile(latencies, 0.95),
-        'latency_p99': _percentile(latencies, 0.99),
-        'queue_wait_mean': sum(waits) / len(waits) if waits else 0.0,
-        'router_wait_mean': (sum(rwaits) / len(rwaits)
-                             if rwaits else 0.0),
+        'router_wait_mean': _mean([r['router_wait'] for r in records]),
         # utilization of shards *while busy* — the autoscaler's signal
         'tile_utilization': (busy / denom) if denom else 0.0,
+        **latency_summary(
+            by_state.get('done', 0), makespan,
+            [r['latency'] for r in records
+             if r['state'] == 'done' and r.get('latency') is not None],
+            [r['queue_wait'] for r in records
+             if r.get('queue_wait') is not None],
+            [r['breakdown'] for r in records
+             if r.get('breakdown') is not None]),
     }
     if result.stats_docs:
         merged = RunStats.merge(
             [stats_from_dict(d) for d in result.stats_docs])
         summary['total_instrs'] = merged.total_instrs
-    breakdowns = [r['breakdown'] for r in records
-                  if r.get('breakdown') is not None]
-    if breakdowns:
-        summary['breakdown_totals'] = merge_breakdowns(breakdowns)
     shards = []
     for sh in result.shards:
         row = {'shard_id': sh.shard_id, 'state': sh.state,
@@ -267,9 +210,6 @@ def build_fleet_report(result: FleetResult,
             row['retired_epoch'] = sh.retired_epoch
         shards.append(row)
     doc = {
-        'schema_version': FLEET_SCHEMA_VERSION,
-        'kind': FLEET_REPORT_KIND,
-        'generated': _generated(),
         'traffic': {'n_requests': len(result.entries)},
         'fleet': {
             'initial_shards': result.initial_shards,
@@ -296,23 +236,7 @@ def build_fleet_report(result: FleetResult,
         doc['slo'] = slo.evaluate(summary)
     if include_epoch_log:
         doc['epoch_log'] = list(result.epoch_log)
-    check_conservation(doc)
-    validate_fleet_report(doc)
-    return doc
-
-
-def validate_fleet_report(doc: dict) -> None:
-    errors = check_schema(doc, FLEET_REPORT_SCHEMA)
-    if errors:
-        raise ReportValidationError('; '.join(errors[:20]))
-
-
-def load_fleet_report(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_fleet_report(doc)
-    check_conservation(doc)
-    return doc
+    return FLEET_REPORT.stamp(doc)
 
 
 def render_fleet_report(doc: dict) -> str:
@@ -359,3 +283,11 @@ def render_fleet_report(doc: dict) -> str:
         from ..observe import render_slo
         lines.append(render_slo(doc['slo']))
     return '\n'.join(lines)
+
+
+FLEET_REPORT = Artifact(FLEET_REPORT_KIND, FLEET_SCHEMA_VERSION,
+                        _BODY_SCHEMA, render_fleet_report,
+                        check=check_conservation)
+FLEET_REPORT_SCHEMA = FLEET_REPORT.schema
+validate_fleet_report = FLEET_REPORT.validate
+load_fleet_report = FLEET_REPORT.load

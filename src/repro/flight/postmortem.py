@@ -8,19 +8,16 @@ metric snapshots, and every span still open at the trigger instant
 written next to the run's other artifacts.  Like ``BENCH_*``/``CALIB_*``
 artifacts, a post-mortem is self-describing: typed ``kind``, versioned
 schema, ``generated`` stamp, and the ``code_version_hash`` +
-``machine_hash`` provenance pair, all enforced by
-:func:`validate_postmortem` (the same ``check_schema`` machinery the
-telemetry reports use), so CI can gate on artifact shape.
+``machine_hash`` provenance pair, all enforced by the
+:mod:`repro.artifact` envelope, so CI can gate on artifact shape.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List, Optional
 
-from ..telemetry.report import (_generated, check_schema, provenance,
-                                write_json_atomic)
+from ..artifact import Artifact
 from .recorder import FlightRecorder
 
 POSTMORTEM_KIND = 'repro-postmortem'
@@ -29,31 +26,10 @@ POSTMORTEM_SCHEMA_VERSION = 1
 #: triggers that produce a post-mortem
 TRIGGERS = ('crash', 'deadlock', 'slo_fail')
 
-POSTMORTEM_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'generated', 'provenance',
-                 'label', 'reason', 'ring', 'events',
-                 'metric_snapshots', 'inflight', 'anomalies'],
+_BODY_SCHEMA = {
+    'required': ['reason', 'ring', 'events', 'metric_snapshots',
+                 'inflight', 'anomalies'],
     'properties': {
-        'schema_version': {'type': 'integer', 'minimum': 1},
-        'kind': {'type': 'string', 'enum': [POSTMORTEM_KIND]},
-        'generated': {
-            'type': 'object',
-            'required': ['git_sha', 'timestamp', 'python'],
-            'properties': {'git_sha': {'type': 'string'},
-                           'timestamp': {'type': 'string'},
-                           'python': {'type': 'string'}},
-        },
-        'provenance': {
-            'type': 'object',
-            'required': ['code_version', 'code_version_hash',
-                         'machine_hash'],
-            'properties': {
-                'code_version': {'type': 'integer'},
-                'code_version_hash': {'type': 'string'},
-                'machine_hash': {'type': 'string'}},
-        },
-        'label': {'type': 'string'},
         'reason': {
             'type': 'object',
             'required': ['trigger', 'detail', 't'],
@@ -113,12 +89,7 @@ def build_postmortem(recorder: FlightRecorder, label: str, trigger: str,
     if trigger not in TRIGGERS:
         raise ValueError(f'unknown post-mortem trigger {trigger!r}; '
                          f'choose from {", ".join(TRIGGERS)}')
-    doc = {
-        'schema_version': POSTMORTEM_SCHEMA_VERSION,
-        'kind': POSTMORTEM_KIND,
-        'generated': _generated(),
-        'provenance': provenance(),
-        'label': label,
+    return POSTMORTEM.stamp({
         'reason': {'trigger': trigger, 'detail': detail, 't': int(t)},
         'ring': {'capacity': recorder.capacity,
                  'recorded': recorder.seq,
@@ -127,37 +98,7 @@ def build_postmortem(recorder: FlightRecorder, label: str, trigger: str,
         'metric_snapshots': recorder.snapshots(),
         'inflight': list(inflight or ()),
         'anomalies': list(anomalies or ()),
-    }
-    validate_postmortem(doc)
-    return doc
-
-
-def save_postmortem(doc: dict, path: str) -> str:
-    return write_json_atomic(doc, path)
-
-
-def load_postmortem(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_postmortem(doc)
-    return doc
-
-
-def validate_postmortem(doc: dict) -> None:
-    """Raise ``ReportValidationError`` unless ``doc`` is a well-formed
-    post-mortem of the supported schema version."""
-    from ..telemetry.report import ReportValidationError
-    if doc.get('kind') != POSTMORTEM_KIND:
-        raise ReportValidationError(
-            f'not a {POSTMORTEM_KIND} document '
-            f'(kind={doc.get("kind")!r})')
-    if doc.get('schema_version') != POSTMORTEM_SCHEMA_VERSION:
-        raise ReportValidationError(
-            f'unsupported post-mortem schema_version '
-            f'{doc.get("schema_version")!r}')
-    errors = check_schema(doc, POSTMORTEM_SCHEMA)
-    if errors:
-        raise ReportValidationError('; '.join(errors[:20]))
+    }, label=label)
 
 
 def render_postmortem(doc: dict) -> str:
@@ -194,3 +135,12 @@ def render_postmortem(doc: dict) -> str:
         lines.append(f'    #{ev["seq"]:>4} t={ev["t"]:>10} '
                      f'{ev["kind"]:<17} {extra}'.rstrip())
     return '\n'.join(lines)
+
+
+POSTMORTEM = Artifact(POSTMORTEM_KIND, POSTMORTEM_SCHEMA_VERSION,
+                      _BODY_SCHEMA, render_postmortem,
+                      file_prefix='POSTMORTEM')
+POSTMORTEM_SCHEMA = POSTMORTEM.schema
+validate_postmortem = POSTMORTEM.validate
+save_postmortem = POSTMORTEM.save
+load_postmortem = POSTMORTEM.load

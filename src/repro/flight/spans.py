@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from ..artifact import envelope
+
 JOURNAL_KIND = 'repro-flight-journal'
 JOURNAL_SCHEMA_VERSION = 1
 
@@ -69,10 +71,8 @@ class JournalError(ValueError):
 
 
 def journal_header(label: str) -> dict:
-    from ..telemetry.report import _generated, provenance
-    return {'type': 'header', 'kind': JOURNAL_KIND,
-            'schema_version': JOURNAL_SCHEMA_VERSION, 'label': label,
-            'generated': _generated(), 'provenance': provenance()}
+    return {'type': 'header',
+            **envelope(JOURNAL_KIND, JOURNAL_SCHEMA_VERSION, label)}
 
 
 def write_journal(path: str, spans: List[dict],

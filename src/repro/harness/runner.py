@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -41,11 +40,10 @@ class RunResult:
         :class:`~repro.telemetry.Telemetry` attached.  When ``path`` is
         given the document is also written there as JSON.
         """
-        from ..telemetry.report import build_report
+        from ..telemetry.report import RUN_REPORT, build_report
         doc = build_report(self)
         if path is not None:
-            with open(path, 'w') as f:
-                json.dump(doc, f, indent=1)
+            RUN_REPORT.save(doc, path)
         return doc
 
 

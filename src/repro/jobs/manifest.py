@@ -14,10 +14,10 @@ itself exactly like the result store does.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..artifact import write_json_atomic
 from .engine import CACHED, DONE, JobOutcome
 from .spec import CODE_VERSION, JobSpec
 
@@ -81,10 +81,8 @@ class SweepManifest:
             'code_version': CODE_VERSION,
             'jobs': self.entries,
         }
-        tmp = target.with_name(f'.{target.name}.{os.getpid()}.tmp')
-        with open(tmp, 'w') as f:
-            json.dump(doc, f, indent=1)
-        os.replace(tmp, target)
+        # plan order is the resume order, so keys stay unsorted
+        write_json_atomic(doc, target, sort_keys=False)
         return target
 
     @classmethod

@@ -7,19 +7,20 @@ code-version salt, a stored result can never be served for a point it
 does not exactly describe — stale results after a simulator change simply
 stop being addressed.
 
-Writes are atomic (temp file + ``os.replace``) and performed only by the
-sweep parent process — workers hand results back over a pipe — so there
-are no cross-process write races.  Reads are fully defensive: a corrupt,
-truncated, or schema-incompatible file is a cache miss, never an error.
+Writes are atomic (:func:`repro.artifact.write_json_atomic`) and
+performed only by the sweep parent process — workers hand results back
+over a pipe — so there are no cross-process write races.  Reads are
+fully defensive: a corrupt, truncated, or schema-incompatible file is a
+cache miss, never an error.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import List, Optional, Union
 
+from ..artifact import write_json_atomic
 from .serialize import RESULT_SCHEMA_VERSION, result_from_dict, \
     result_to_dict
 
@@ -61,35 +62,22 @@ class ResultStore:
         self.hits += 1
         return result
 
+    def _write(self, key: str, field: str, value: dict) -> Path:
+        target = self.path(key)
+        write_json_atomic({'store_schema_version': RESULT_SCHEMA_VERSION,
+                           'key': key, field: value},
+                          target, indent=None, sort_keys=False)
+        return target
+
     def put(self, key: str, result) -> Path:
         """Atomically persist one result under ``key``."""
-        doc = {
-            'store_schema_version': RESULT_SCHEMA_VERSION,
-            'key': key,
-            'result': result_to_dict(result),
-        }
-        target = self.path(key)
-        tmp = target.with_name(f'.{key}.{os.getpid()}.tmp')
-        with open(tmp, 'w') as f:
-            json.dump(doc, f)
-        os.replace(tmp, target)
-        return target
+        return self._write(key, 'result', result_to_dict(result))
 
     def put_doc(self, key: str, doc: dict) -> Path:
         """Atomically persist an arbitrary JSON document (e.g. a serving
         report) under ``key``.  Keys for documents must carry a kind
         prefix (``serve-...``) so they can never shadow a sweep result."""
-        wrapper = {
-            'store_schema_version': RESULT_SCHEMA_VERSION,
-            'key': key,
-            'doc': doc,
-        }
-        target = self.path(key)
-        tmp = target.with_name(f'.{key}.{os.getpid()}.tmp')
-        with open(tmp, 'w') as f:
-            json.dump(wrapper, f)
-        os.replace(tmp, target)
-        return target
+        return self._write(key, 'doc', doc)
 
     def get_doc(self, key: str) -> Optional[dict]:
         """Return a stored document for ``key``, or None on any miss."""

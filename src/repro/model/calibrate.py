@@ -13,10 +13,9 @@ code-version/machine-hash provenance — lands in a schema-checked
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..artifact import Artifact, ReportValidationError
 from ..harness.configs import CONFIGS
 from ..jobs.spec import JobSpec
 from ..manycore.config import DEFAULT_CONFIG, MachineConfig
@@ -198,7 +197,6 @@ def run_calibration(outcomes, label: str = 'local',
                  'worst_ape_pct': round(max(all_apes), 3) if all_apes
                  else 0.0},
         label=label, suite=suite or {})
-    validate_calib_report(doc)
     return doc
 
 
@@ -216,27 +214,10 @@ def _spec_params(spec: JobSpec) -> Dict[str, int]:
 
 
 # ------------------------------------------------------------------- artifact
-CALIB_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'label', 'generated',
-                 'provenance', 'suite', 'coefficients', 'energy_scale',
-                 'errors', 'overall', 'points'],
+_BODY_SCHEMA = {
+    'required': ['suite', 'coefficients', 'energy_scale', 'errors',
+                 'overall', 'points'],
     'properties': {
-        'schema_version': {'type': 'integer',
-                           'enum': [CALIB_SCHEMA_VERSION]},
-        'kind': {'type': 'string', 'enum': [CALIB_KIND]},
-        'label': {'type': 'string'},
-        'generated': {'type': 'object'},
-        'provenance': {
-            'type': 'object',
-            'required': ['code_version', 'code_version_hash',
-                         'machine_hash'],
-            'properties': {
-                'code_version': {'type': 'integer'},
-                'code_version_hash': {'type': 'string'},
-                'machine_hash': {'type': 'string'},
-            },
-        },
         'suite': {'type': 'object'},
         'coefficients': {'type': 'object'},
         'energy_scale': {'type': 'object'},
@@ -271,19 +252,12 @@ CALIB_SCHEMA = {
 }
 
 
-class CalibValidationError(ValueError):
-    pass
-
-
-def validate_calib_report(doc: dict) -> None:
-    from ..telemetry.report import check_schema
-    errors = check_schema(doc, CALIB_SCHEMA)
-    if errors:
-        raise CalibValidationError('; '.join(errors[:20]))
+def _check_features(doc: dict) -> None:
+    """Every kernel's coefficient row names every model feature."""
     for kernel, coeffs in doc['coefficients'].items():
         missing = [f for f in FEATURES if f not in coeffs]
         if missing:
-            raise CalibValidationError(
+            raise ReportValidationError(
                 f'coefficients[{kernel}] missing feature(s): '
                 f'{", ".join(missing)}')
 
@@ -292,39 +266,14 @@ def build_calib_report(coefficients: dict, energy_scale: dict, errors: dict,
                        overall: dict, points: List[dict],
                        label: str = 'local',
                        suite: Optional[dict] = None) -> dict:
-    from ..telemetry.report import _generated, provenance
-    return {
-        'schema_version': CALIB_SCHEMA_VERSION,
-        'kind': CALIB_KIND,
-        'label': label,
-        'generated': _generated(),
-        'provenance': provenance(),
+    return CALIB_REPORT.stamp({
         'suite': suite or {},
         'coefficients': coefficients,
         'energy_scale': energy_scale,
         'errors': errors,
         'overall': overall,
         'points': points,
-    }
-
-
-def calib_path(label: str, directory: str = '.') -> str:
-    """Canonical artifact name: ``CALIB_<label>.json``."""
-    safe = ''.join(c if c.isalnum() or c in '-_.' else '-' for c in label)
-    return os.path.join(directory, f'CALIB_{safe}.json')
-
-
-def save_calib_report(doc: dict, path: str) -> str:
-    from ..telemetry.report import write_json_atomic
-    validate_calib_report(doc)
-    return write_json_atomic(doc, path)
-
-
-def load_calib_report(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_calib_report(doc)
-    return doc
+    }, label=label)
 
 
 def render_calib_report(doc: dict) -> str:
@@ -344,3 +293,13 @@ def render_calib_report(doc: dict) -> str:
                      f"median {e['median_ape_pct']:6.1f}%  "
                      f"worst {e['worst_ape_pct']:6.1f}%")
     return '\n'.join(lines)
+
+
+CALIB_REPORT = Artifact(CALIB_KIND, CALIB_SCHEMA_VERSION, _BODY_SCHEMA,
+                        render_calib_report, check=_check_features,
+                        file_prefix='CALIB')
+CalibValidationError = ReportValidationError
+validate_calib_report = CALIB_REPORT.validate
+calib_path = CALIB_REPORT.path
+save_calib_report = CALIB_REPORT.save
+load_calib_report = CALIB_REPORT.load

@@ -23,13 +23,14 @@ case got slower lives in :mod:`repro.perf.profiler`.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import statistics
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
+
+from ..artifact import Artifact, ReportValidationError
 
 BENCH_SCHEMA_VERSION = 1
 BENCH_KIND = 'repro-bench-report'
@@ -313,24 +314,9 @@ CASE_SCHEMA = {
     },
 }
 
-BENCH_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'label', 'generated', 'host',
-                 'provenance', 'suite', 'cases'],
+_BODY_SCHEMA = {
+    'required': ['host', 'suite', 'cases'],
     'properties': {
-        'schema_version': {'type': 'integer',
-                           'enum': [BENCH_SCHEMA_VERSION]},
-        'kind': {'type': 'string', 'enum': [BENCH_KIND]},
-        'label': {'type': 'string'},
-        'generated': {
-            'type': 'object',
-            'required': ['git_sha', 'timestamp', 'python'],
-            'properties': {
-                'git_sha': {'type': 'string'},
-                'timestamp': {'type': 'string'},
-                'python': {'type': 'string'},
-            },
-        },
         'host': {
             'type': 'object',
             'required': ['platform', 'machine', 'python_impl'],
@@ -339,16 +325,6 @@ BENCH_SCHEMA = {
                 'machine': {'type': 'string'},
                 'python_impl': {'type': 'string'},
                 'cpu_count': _COUNTER,
-            },
-        },
-        'provenance': {
-            'type': 'object',
-            'required': ['code_version', 'code_version_hash',
-                         'machine_hash'],
-            'properties': {
-                'code_version': {'type': 'integer'},
-                'code_version_hash': {'type': 'string'},
-                'machine_hash': {'type': 'string'},
             },
         },
         'suite': {
@@ -364,56 +340,19 @@ BENCH_SCHEMA = {
 }
 
 
-class BenchValidationError(Exception):
-    """The document does not conform to the bench-report schema."""
-
-
-def validate_bench_report(doc: dict) -> None:
-    from ..telemetry.report import check_schema
-    errors = check_schema(doc, BENCH_SCHEMA)
-    if errors:
-        raise BenchValidationError('; '.join(errors[:20]))
-
-
 def build_bench_report(cases: List[dict], label: str = 'local',
                        fast: bool = False,
                        repeats: int = DEFAULT_REPEATS) -> dict:
-    from ..telemetry.report import _generated, provenance
-    doc = {
-        'schema_version': BENCH_SCHEMA_VERSION,
-        'kind': BENCH_KIND,
-        'label': label,
-        'generated': _generated(),
+    return BENCH_REPORT.stamp({
         'host': {
             'platform': platform.platform(),
             'machine': platform.machine(),
             'python_impl': platform.python_implementation(),
             'cpu_count': os.cpu_count() or 0,
         },
-        'provenance': provenance(),
         'suite': {'fast': fast, 'repeats': repeats},
         'cases': cases,
-    }
-    validate_bench_report(doc)
-    return doc
-
-
-def bench_path(label: str, directory: str = '.') -> str:
-    """Canonical artifact name: ``BENCH_<label>.json``."""
-    safe = ''.join(c if c.isalnum() or c in '-_.' else '-' for c in label)
-    return os.path.join(directory, f'BENCH_{safe}.json')
-
-
-def save_bench_report(doc: dict, path: str) -> str:
-    from ..telemetry.report import write_json_atomic
-    return write_json_atomic(doc, path)
-
-
-def load_bench_report(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_bench_report(doc)
-    return doc
+    }, label=label)
 
 
 # -------------------------------------------------------------------- render
@@ -449,3 +388,13 @@ def render_bench_report(doc: dict) -> str:
                          f'({parts}; residual '
                          f'{prof["residual_seconds"]:.3f}s)')
     return '\n'.join(lines)
+
+
+BENCH_REPORT = Artifact(BENCH_KIND, BENCH_SCHEMA_VERSION, _BODY_SCHEMA,
+                        render_bench_report, file_prefix='BENCH')
+BENCH_SCHEMA = BENCH_REPORT.schema
+BenchValidationError = ReportValidationError
+validate_bench_report = BENCH_REPORT.validate
+bench_path = BENCH_REPORT.path
+save_bench_report = BENCH_REPORT.save
+load_bench_report = BENCH_REPORT.load

@@ -14,10 +14,9 @@ import hashlib
 import json
 from typing import List, Optional
 
+from ..artifact import Artifact
 from ..observe import BREAKDOWN_PHASES, SLO_SECTION_SCHEMA, \
     merge_breakdowns
-from ..telemetry.report import (ReportValidationError, _generated,
-                                check_schema)
 from .request import DONE, FAILED, KernelRequest, REJECTED, TIMED_OUT
 from .scheduler import ServeResult
 
@@ -61,23 +60,28 @@ REQUEST_RECORD_SCHEMA = {
     },
 }
 
-SERVE_REPORT_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'generated', 'trace',
-                 'summary', 'allocator', 'requests'],
+#: the summary fields serve and fleet reports share
+SUMMARY_PROPERTIES = {
+    'makespan_cycles': _COUNTER,
+    'completed': _COUNTER,
+    'failed': _COUNTER,
+    'timed_out': _COUNTER,
+    'rejected': _COUNTER,
+    'throughput_per_mcycle': _NUMBER,
+    'peak_queue_depth': _COUNTER,
+    'latency_mean': _NUMBER,
+    'latency_p50': _NUMBER,
+    'latency_p95': _NUMBER,
+    'latency_p99': _NUMBER,
+    'queue_wait_mean': _NUMBER,
+    'total_instrs': _COUNTER,
+    'tile_utilization': _NUMBER,
+    'breakdown_totals': BREAKDOWN_SCHEMA,
+}
+
+_BODY_SCHEMA = {
+    'required': ['trace', 'summary', 'allocator', 'requests'],
     'properties': {
-        'schema_version': {'type': 'integer',
-                           'enum': [SERVE_SCHEMA_VERSION]},
-        'kind': {'type': 'string', 'enum': [SERVE_REPORT_KIND]},
-        'generated': {
-            'type': 'object',
-            'required': ['git_sha', 'timestamp', 'python'],
-            'properties': {
-                'git_sha': {'type': 'string'},
-                'timestamp': {'type': 'string'},
-                'python': {'type': 'string'},
-            },
-        },
         'trace': {
             'type': 'object',
             'required': ['key', 'n_requests'],
@@ -92,24 +96,8 @@ SERVE_REPORT_SCHEMA = {
             'required': ['makespan_cycles', 'completed', 'failed',
                          'timed_out', 'rejected', 'throughput_per_mcycle',
                          'peak_concurrent_jobs', 'peak_queue_depth'],
-            'properties': {
-                'makespan_cycles': _COUNTER,
-                'completed': _COUNTER,
-                'failed': _COUNTER,
-                'timed_out': _COUNTER,
-                'rejected': _COUNTER,
-                'throughput_per_mcycle': _NUMBER,
-                'peak_concurrent_jobs': _COUNTER,
-                'peak_queue_depth': _COUNTER,
-                'latency_mean': _NUMBER,
-                'latency_p50': _NUMBER,
-                'latency_p95': _NUMBER,
-                'latency_p99': _NUMBER,
-                'queue_wait_mean': _NUMBER,
-                'total_instrs': _COUNTER,
-                'tile_utilization': _NUMBER,
-                'breakdown_totals': BREAKDOWN_SCHEMA,
-            },
+            'properties': {**SUMMARY_PROPERTIES,
+                           'peak_concurrent_jobs': _COUNTER},
         },
         'allocator': {
             'type': 'object',
@@ -153,6 +141,30 @@ def _percentile(values: List[int], q: float) -> float:
     return float(xs[idx])
 
 
+def _mean(values: List[int]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def latency_summary(completed: int, makespan: int, latencies: List[int],
+                    waits: List[int], breakdowns: List[dict]) -> dict:
+    """The latency/throughput summary fields serve and fleet reports
+    share; ``latencies`` are the completed requests' only."""
+    out = {
+        'throughput_per_mcycle': (completed * 1e6 / makespan
+                                  if makespan else 0.0),
+        'latency_mean': _mean(latencies),
+        'latency_p50': _percentile(latencies, 0.50),
+        'latency_p95': _percentile(latencies, 0.95),
+        'latency_p99': _percentile(latencies, 0.99),
+        'queue_wait_mean': _mean(waits),
+    }
+    if breakdowns:
+        # phase totals including the unattributed residual — never
+        # silently dropped in aggregation
+        out['breakdown_totals'] = merge_breakdowns(breakdowns)
+    return out
+
+
 def build_serve_report(result: ServeResult,
                        seed: Optional[int] = None,
                        mesh: str = '',
@@ -167,10 +179,6 @@ def build_serve_report(result: ServeResult,
     """
     reqs = result.requests
     counts = result.by_state()
-    latencies = [r.latency for r in reqs
-                 if r.state == DONE and r.latency is not None]
-    waits = [r.queue_wait for r in reqs
-             if r.queue_wait is not None]
     makespan = result.makespan
     records = []
     for r in reqs:
@@ -203,31 +211,21 @@ def build_serve_report(result: ServeResult,
         'failed': counts.get(FAILED, 0),
         'timed_out': counts.get(TIMED_OUT, 0),
         'rejected': counts.get(REJECTED, 0),
-        'throughput_per_mcycle': (counts.get(DONE, 0) * 1e6 / makespan
-                                  if makespan else 0.0),
         'peak_concurrent_jobs': result.peak_concurrent_jobs,
         'peak_queue_depth': result.peak_queue_depth,
-        'latency_mean': (sum(latencies) / len(latencies)
-                         if latencies else 0.0),
-        'latency_p50': _percentile(latencies, 0.50),
-        'latency_p95': _percentile(latencies, 0.95),
-        'latency_p99': _percentile(latencies, 0.99),
-        'queue_wait_mean': sum(waits) / len(waits) if waits else 0.0,
         'tile_utilization': (busy / (result.num_tiles * makespan)
                              if result.num_tiles and makespan else 0.0),
+        **latency_summary(
+            counts.get(DONE, 0), makespan,
+            [r.latency for r in reqs
+             if r.state == DONE and r.latency is not None],
+            [r.queue_wait for r in reqs if r.queue_wait is not None],
+            [r.breakdown for r in reqs if r.breakdown is not None]),
     }
     if result.merged_stats is not None:
         summary['total_instrs'] = result.merged_stats.total_instrs
-    breakdowns = [r.breakdown for r in reqs if r.breakdown is not None]
-    if breakdowns:
-        # phase totals including the unattributed residual — never
-        # silently dropped in aggregation
-        summary['breakdown_totals'] = merge_breakdowns(breakdowns)
     st = result.alloc_stats
     doc = {
-        'schema_version': SERVE_SCHEMA_VERSION,
-        'kind': SERVE_REPORT_KIND,
-        'generated': _generated(),
         'trace': {'key': trace_key(reqs, mesh),
                   'n_requests': len(reqs)},
         'summary': summary,
@@ -243,21 +241,7 @@ def build_serve_report(result: ServeResult,
         doc['slo'] = slo.evaluate(summary)
     if observe is not None:
         doc['observability'] = observe.report_dict()
-    validate_serve_report(doc)
-    return doc
-
-
-def validate_serve_report(doc: dict) -> None:
-    errors = check_schema(doc, SERVE_REPORT_SCHEMA)
-    if errors:
-        raise ReportValidationError('; '.join(errors[:20]))
-
-
-def load_serve_report(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_serve_report(doc)
-    return doc
+    return SERVE_REPORT.stamp(doc)
 
 
 def store_serve_report(store, doc: dict) -> str:
@@ -307,3 +291,10 @@ def render_serve_report(doc: dict) -> str:
         from ..observe import render_slo
         lines.append(render_slo(doc['slo']))
     return '\n'.join(lines)
+
+
+SERVE_REPORT = Artifact(SERVE_REPORT_KIND, SERVE_SCHEMA_VERSION,
+                        _BODY_SCHEMA, render_serve_report)
+SERVE_REPORT_SCHEMA = SERVE_REPORT.schema
+validate_serve_report = SERVE_REPORT.validate
+load_serve_report = SERVE_REPORT.load

@@ -18,12 +18,13 @@ Quick start::
 See ``docs/telemetry.md`` for the sampler/histogram/trace/report tour.
 """
 
+from ..artifact import ReportValidationError
 from .histogram import Log2Histogram, merge_histograms
 from .probes import (HIST_FRAME, HIST_GPU_MEM, HIST_LLC_QUEUE, HIST_NOC,
                      HIST_VLOAD, HISTOGRAM_NAMES, Telemetry)
-from .report import (REPORT_SCHEMA, SCHEMA_VERSION, ReportValidationError,
-                     build_report, compare_reports, load_report,
-                     render_report, validate_report)
+from .report import (REPORT_SCHEMA, SCHEMA_VERSION, build_report,
+                     compare_reports, load_report, render_report,
+                     validate_report)
 from .sampler import Sample, Sampler, STALL_FIELDS
 from .spans import CAT_FRAME, CAT_MICROTHREAD, CAT_WIDE, Span, SpanRecorder
 from .trace_export import to_chrome_trace, write_chrome_trace

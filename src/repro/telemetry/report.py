@@ -6,21 +6,16 @@ interval samples, the machine configuration, and provenance (git SHA,
 python version, timestamp) — so sweeps can be archived, diffed, and
 regression-gated in CI without re-running the simulator.
 
-The schema below is expressed in (a practical subset of) JSON Schema
-and enforced by a built-in validator, so the artifact stays checkable
-on machines without the ``jsonschema`` package installed.
+The envelope (kind, version, ``generated`` stamp, validate / load / save)
+is :mod:`repro.artifact`'s; this module owns the body schema, the
+builder, the renderer and the two-report compare.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import platform
-import subprocess
-import sys
-from datetime import datetime, timezone
-from typing import List, Optional
+
+from ..artifact import Artifact
 
 SCHEMA_VERSION = 1
 REPORT_KIND = 'repro-run-report'
@@ -67,22 +62,10 @@ HISTOGRAM_SCHEMA = {
     },
 }
 
-REPORT_SCHEMA = {
-    'type': 'object',
-    'required': ['schema_version', 'kind', 'generated', 'benchmark',
-                 'config', 'cycles', 'instrs', 'counters', 'telemetry'],
+_BODY_SCHEMA = {
+    'required': ['benchmark', 'config', 'cycles', 'instrs', 'counters',
+                 'telemetry'],
     'properties': {
-        'schema_version': {'type': 'integer', 'enum': [SCHEMA_VERSION]},
-        'kind': {'type': 'string', 'enum': [REPORT_KIND]},
-        'generated': {
-            'type': 'object',
-            'required': ['git_sha', 'timestamp', 'python'],
-            'properties': {
-                'git_sha': {'type': 'string'},
-                'timestamp': {'type': 'string'},
-                'python': {'type': 'string'},
-            },
-        },
         'benchmark': {'type': 'string'},
         'config': {'type': 'string'},
         'params': {'type': 'object'},
@@ -124,106 +107,6 @@ REPORT_SCHEMA = {
     },
 }
 
-_TYPES = {
-    'object': dict,
-    'array': list,
-    'string': str,
-    'integer': int,
-    'number': (int, float),
-    'boolean': bool,
-    'null': type(None),
-}
-
-
-class ReportValidationError(Exception):
-    """The document does not conform to the report schema."""
-
-
-def _check(doc, schema: dict, path: str, errors: List[str]) -> None:
-    typ = schema.get('type')
-    if typ is not None:
-        py = _TYPES[typ]
-        ok = isinstance(doc, py) and not (
-            typ in ('integer', 'number') and isinstance(doc, bool))
-        if not ok:
-            errors.append(f'{path}: expected {typ}, got '
-                          f'{type(doc).__name__}')
-            return
-    if 'enum' in schema and doc not in schema['enum']:
-        errors.append(f'{path}: {doc!r} not in {schema["enum"]}')
-    if 'minimum' in schema and isinstance(doc, (int, float)) \
-            and not isinstance(doc, bool) and doc < schema['minimum']:
-        errors.append(f'{path}: {doc} < minimum {schema["minimum"]}')
-    if isinstance(doc, dict):
-        for key in schema.get('required', ()):
-            if key not in doc:
-                errors.append(f'{path}: missing required key {key!r}')
-        props = schema.get('properties', {})
-        for key, sub in props.items():
-            if key in doc:
-                _check(doc[key], sub, f'{path}.{key}', errors)
-    if isinstance(doc, list) and 'items' in schema:
-        for i, item in enumerate(doc):
-            _check(item, schema['items'], f'{path}[{i}]', errors)
-
-
-def check_schema(doc, schema: dict, root: str = '$') -> List[str]:
-    """Validate ``doc`` against a schema; returns the error list.
-
-    Public entry point for other report kinds (the serving report reuses
-    the same practical-subset validator).
-    """
-    errors: List[str] = []
-    _check(doc, schema, root, errors)
-    return errors
-
-
-def validate_report(doc: dict) -> None:
-    """Raise :class:`ReportValidationError` unless ``doc`` is schema-valid."""
-    errors = check_schema(doc, REPORT_SCHEMA)
-    if errors:
-        raise ReportValidationError('; '.join(errors[:20]))
-
-
-# ------------------------------------------------------------------ provenance
-def git_sha(cwd: Optional[str] = None) -> str:
-    try:
-        out = subprocess.run(['git', 'rev-parse', 'HEAD'], cwd=cwd,
-                             capture_output=True, text=True, timeout=10)
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return 'unknown'
-
-
-def _generated() -> dict:
-    return {
-        'git_sha': git_sha(),
-        'timestamp': datetime.now(timezone.utc).isoformat(),
-        'python': platform.python_version(),
-    }
-
-
-def provenance() -> dict:
-    """The code-version + default-machine stamp artifacts carry."""
-    from ..jobs.spec import CODE_VERSION, code_version_hash, machine_hash
-    from ..manycore import DEFAULT_CONFIG
-    return {'code_version': CODE_VERSION,
-            'code_version_hash': code_version_hash(),
-            'machine_hash': machine_hash(DEFAULT_CONFIG)}
-
-
-def write_json_atomic(doc: dict, path: str) -> str:
-    """Write an artifact via tmp + ``os.replace``: a process killed
-    mid-write leaves the previous file (or none), never a truncated one."""
-    tmp = f'{path}.tmp'
-    with open(tmp, 'w') as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write('\n')
-    os.replace(tmp, path)
-    return path
-
 
 # ----------------------------------------------------------------------- build
 def _stats_counters(stats) -> dict:
@@ -255,9 +138,6 @@ def build_report(result) -> dict:
     from ..jobs.serialize import RESULT_SCHEMA_VERSION
     from ..jobs.spec import machine_hash
     doc = {
-        'schema_version': SCHEMA_VERSION,
-        'kind': REPORT_KIND,
-        'generated': _generated(),
         'benchmark': result.benchmark,
         'config': result.config,
         'cycles': result.cycles,
@@ -280,15 +160,7 @@ def build_report(result) -> dict:
     doc['telemetry'] = (tel.to_dict() if tel is not None else
                         {'sample_interval': 0, 'samples': [],
                          'histograms': {}, 'spans': {}})
-    validate_report(doc)
-    return doc
-
-
-def load_report(path: str) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    validate_report(doc)
-    return doc
+    return RUN_REPORT.stamp(doc)
 
 
 # ---------------------------------------------------------------------- render
@@ -328,6 +200,13 @@ def render_report(doc: dict) -> str:
         lines.append('  spans         ' + ', '.join(
             f'{k}={v}' for k, v in sorted(spans.items())))
     return '\n'.join(lines)
+
+
+RUN_REPORT = Artifact(REPORT_KIND, SCHEMA_VERSION, _BODY_SCHEMA,
+                      render_report)
+REPORT_SCHEMA = RUN_REPORT.schema
+validate_report = RUN_REPORT.validate
+load_report = RUN_REPORT.load
 
 
 # --------------------------------------------------------------------- compare

@@ -90,10 +90,6 @@ class TestPostmortem:
         assert loaded['metric_snapshots'][0]['t'] == 150
         assert loaded['inflight'][0]['span_id'] == 't0/x1'
         assert loaded['provenance']['code_version_hash']
-        # a write that dies part-way leaves the previous file intact
-        with pytest.raises(TypeError):
-            save_postmortem(dict(doc, events=object()), path)
-        assert load_postmortem(path) == loaded
 
     def test_unknown_trigger_rejected(self):
         with pytest.raises(ValueError):
