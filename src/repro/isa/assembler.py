@@ -50,6 +50,9 @@ class Program:
         self.instrs = instrs
         self.labels = labels
         annotate_program(instrs)
+        #: set once repro.manycore.execute.bind_program has attached the
+        #: instructions' ``run`` closures
+        self.bound = False
 
     def __len__(self):
         return len(self.instrs)

@@ -1,9 +1,24 @@
-"""Static decode annotations: register read/write sets per instruction.
+"""Static decode: everything the tile's sequencer asks about an instruction.
 
-The simulator's scoreboard needs, for every instruction, which scalar and
-SIMD registers it reads and writes.  We compute these once per program (at
-``Program`` construction via :func:`annotate_program`) so the per-cycle hot
-path only walks precomputed tuples.
+In the paper only the expander has a live frontend; vector cores execute
+*already decoded* instructions popped from the inet.  We decode once per
+program (at ``Program`` construction via :func:`annotate_program`), so
+that the per-cycle issue path reads plain attributes and never looks at
+an opcode table:
+
+* ``reads``/``writes``/``vreads``/``vwrites`` — scalar and SIMD register
+  sets (``x0`` dropped); ``deps``/``vdeps`` are the same sets merged in
+  scoreboard-check order (sources, then destinations);
+* ``lat``  — issue-to-writeback latency (``opcodes.LATENCY``, default 1);
+* ``mix``  — the ``CoreStats`` instruction-mix field the opcode counts
+  under (feeds the energy model);
+* ``seq``  — what the sequencer must do beyond the scoreboard check
+  (one of the ``SEQ_*`` classes below);
+* ``ctrl``, ``pred_exempt``, ``forwards`` — branch/jump; executes with
+  the predication flag clear; the expander sends it down the inet.
+
+The datapath half (the ``run`` closure) is bound later, by
+``repro.manycore.execute.bind_program``.
 """
 
 from __future__ import annotations
@@ -13,9 +28,23 @@ from .instruction import Instr, X0
 
 _EMPTY = ()
 
+# Sequencer classes, ordered so that ``seq > SEQ_FRAME`` means "executed
+# by the sequencer itself, never by a ``run`` closure".
+SEQ_PLAIN = 0  # scoreboard check, then the datapath
+SEQ_LOAD = 1  # also needs a free load-queue entry (frontend modes)
+SEQ_FRAME = 2  # also needs the head frame ready (frame_start)
+SEQ_SEND = 3  # vissue/devec: needs room in the successor's inet queue
+SEQ_SYSTEM = 4  # halt/barrier/vconfig: changes the tile's run state
+SEQ_CONTROL = 5  # branches and jumps
+
+_SEQ = {op.LW: SEQ_LOAD, op.FRAME_START: SEQ_FRAME,
+        op.VISSUE: SEQ_SEND, op.DEVEC: SEQ_SEND,
+        op.HALT: SEQ_SYSTEM, op.BARRIER: SEQ_SYSTEM, op.VCONFIG: SEQ_SYSTEM}
+_SEQ.update((o, SEQ_CONTROL) for o in op.NAMES if op.is_control(o))
+
 
 def annotate(inst: Instr) -> None:
-    """Attach ``reads``/``writes``/``vreads``/``vwrites`` tuples to ``inst``."""
+    """Attach the static decode fields (module docstring) to ``inst``."""
     o = inst.op
     rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
     reads = _EMPTY
@@ -77,6 +106,14 @@ def annotate(inst: Instr) -> None:
     inst.writes = tuple(w for w in writes if w != X0)
     inst.vreads = vreads
     inst.vwrites = vwrites
+    inst.deps = inst.reads + inst.writes
+    inst.vdeps = vreads + vwrites
+    inst.lat = op.LATENCY.get(o, 1)
+    inst.mix = op.MIX_FIELD.get(o, 'n_int_alu')
+    inst.seq = _SEQ.get(o, SEQ_PLAIN)
+    inst.ctrl = op.is_control(o)
+    inst.pred_exempt = op.is_pred_exempt(o)
+    inst.forwards = not inst.ctrl and o != op.VEND
 
 
 def annotate_program(instrs) -> None:

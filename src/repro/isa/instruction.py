@@ -76,11 +76,16 @@ class Instr:
 
     Fields mirror a generic three-operand RISC encoding; ``ex`` carries the
     extended operand tuple used by ``vload``:
-    ``(core_off, width, variant, part, spad_off_is_reg)``.
+    ``(core_off, width, variant, part, spad_off_is_reg)``.  The second
+    row of slots is the static decode (:mod:`repro.isa.decode`, filled at
+    ``Program`` construction); ``run`` is the datapath closure bound by
+    :func:`repro.manycore.execute.bind_program`.
     """
 
     __slots__ = ('op', 'rd', 'rs1', 'rs2', 'imm', 'ex',
-                 'reads', 'writes', 'vreads', 'vwrites')
+                 'reads', 'writes', 'vreads', 'vwrites', 'deps', 'vdeps',
+                 'lat', 'mix', 'seq', 'ctrl', 'pred_exempt', 'forwards',
+                 'run')
 
     def __init__(self, opcode: int, rd: int = 0, rs1: int = 0, rs2: int = 0,
                  imm=0, ex=None):

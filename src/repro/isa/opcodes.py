@@ -5,8 +5,10 @@ extension from the paper (Section 2) and a small fixed-width per-core SIMD
 (PCV) extension standing in for the RISC-V vector extension used in the
 paper's PCV configurations.
 
-Opcodes are plain integers (not Enum members) because the simulator
-dispatches on them in its hottest loop.
+Opcodes are plain integers (not Enum members): they key the decode
+(:mod:`repro.isa.decode`) and execute (:mod:`repro.manycore.execute`)
+tables, which are consulted once per ``Program`` — the simulator's hot
+loop reads only the predecoded fields and the bound ``run`` closure.
 """
 
 from __future__ import annotations
@@ -117,6 +119,10 @@ _BRANCHES = frozenset([BEQ, BNE, BLT, BGE])
 _JUMPS = frozenset([J, JAL, JR])
 _SIMD = frozenset([VL4, VS4, VADD4, VSUB4, VMUL4, VFMA4, VBCAST, VREDSUM4])
 _CONTROL = _BRANCHES | _JUMPS
+#: Instructions that execute even when the predication flag is clear.
+_PRED_EXEMPT = frozenset([PRED_EQ, PRED_NEQ, FRAME_START, REMEM, VEND, NOP])
+#: Decoded by the assembler but executed only by ``repro.gpu``.
+_GPU_ONLY = frozenset([VOTE_ANY])
 
 #: Execution latency (cycles from issue to writeback) per opcode, mirroring
 #: Table 1a.  Opcodes not listed complete in 1 cycle or are handled specially
@@ -148,6 +154,16 @@ LATENCY = {
     VBCAST: 1,
 }
 
+#: ``CoreStats`` instruction-mix field per opcode (feeds the energy model).
+#: Opcodes not listed, system ops included, count as integer-ALU slots.
+MIX_FIELD = {o: f for f, ops in (
+    ('n_mem', (LW, SW, LWSP, SWSP, SWREM, VLOAD)),
+    ('n_mul', (MUL,)),
+    ('n_div', (DIV, REM, FDIV, FSQRT)),
+    ('n_fp', _FP_ALU | _FP_MUL),
+    ('n_simd', _SIMD),
+    ('n_control', _CONTROL)) for o in ops}
+
 NAMES = {v: k for k, v in list(globals().items())
          if isinstance(v, int) and k.isupper() and not k.startswith('CSR_')
          and not k.startswith('_')}
@@ -161,8 +177,12 @@ def is_control(op: int) -> bool:
     return op in _CONTROL
 
 
-def is_simd(op: int) -> bool:
-    return op in _SIMD
+def is_pred_exempt(op: int) -> bool:
+    return op in _PRED_EXEMPT
+
+
+def is_gpu_only(op: int) -> bool:
+    return op in _GPU_ONLY
 
 
 def name(op: int) -> str:

@@ -17,10 +17,11 @@ from ..core.vgroup import (GroupDescriptor, ROLE_EXPANDER, ROLE_SCALAR,
 from ..isa.assembler import Program
 from .config import DEFAULT_CONFIG, MachineConfig
 from .dram import Dram
+from .execute import bind_program
 from .llc import KIND_STORE, KIND_WIDE, LLCBank, MemRequest
 from .noc import NocModel
 from .stats import RunStats
-from .tile import INF, RUN, Tile, WAIT_BARRIER
+from .tile import HALTED, INF, RUN, Tile, WAIT_BARRIER, WAIT_VCONFIG
 
 _MAX_DEFAULT = 200_000_000
 
@@ -58,18 +59,17 @@ class FabricJob:
     or late completions would corrupt the successor's state.
     """
 
-    __slots__ = ('job_id', 'name', 'tiles', 'core_ids', 'program', 'state',
+    __slots__ = ('job_id', 'name', 'tiles', 'core_ids', 'state',
                  'pending_ops', 'fence_waiting', 'launched_at',
                  'finished_at', 'on_complete', '_drain_kind', 'rid',
                  'rtrace')
 
     def __init__(self, job_id: int, name: str, tiles: List[Tile],
-                 program: Program, on_complete: Optional[Callable] = None):
+                 on_complete: Optional[Callable] = None):
         self.job_id = job_id
         self.name = name
         self.tiles = tiles
         self.core_ids = [t.core_id for t in tiles]
-        self.program = program
         self.state = JOB_RUNNING
         self.pending_ops = 0
         self.fence_waiting = False
@@ -127,7 +127,6 @@ class Fabric:
         self.num_groups = 0
         self._active: List[Tile] = []
         self._active_dirty = False
-        self.jobs: List[FabricJob] = []
         self._next_job_id = 0
         #: serve-mode hook: called with the current cycle when no tile can
         #: progress and no events are pending; return True after freeing a
@@ -329,7 +328,6 @@ class Fabric:
             raise DeadlockError(
                 f'core {tile.core_id} ran vconfig for group '
                 f'{desc.group_id} it does not belong to')
-        from .tile import WAIT_VCONFIG
         tile.state = WAIT_VCONFIG
         job = tile.job
         if job is not None and job.rtrace is not None \
@@ -418,6 +416,7 @@ class Fabric:
         halted (or the job was killed) *and* its in-flight memory
         operations drained — only then is it safe to reuse the tiles.
         """
+        bind_program(program)
         now = self.cycle
         tiles = []
         for cid in core_ids:
@@ -425,7 +424,7 @@ class Fabric:
             if t.job is not None and not t.job.finished:
                 raise ValueError(f'core {cid} still owned by {t.job!r}')
             tiles.append(t)
-        job = FabricJob(self._next_job_id, name, tiles, program, on_complete)
+        job = FabricJob(self._next_job_id, name, tiles, on_complete)
         self._next_job_id += 1
         job.launched_at = now
         for rank, t in enumerate(tiles):
@@ -433,7 +432,6 @@ class Fabric:
             if t not in self._active:
                 self._active.append(t)
         self._active_dirty = True
-        self.jobs.append(job)
         return job
 
     def kill_job(self, job: FabricJob, now: int) -> None:
@@ -446,7 +444,6 @@ class Fabric:
         """
         if job.finished or job.state == JOB_DRAINING:
             return
-        from .tile import HALTED
         for t in job.tiles:
             if t.group is not None:
                 t.group._arrived.discard(t.core_id)
@@ -508,6 +505,7 @@ class Fabric:
     # --------------------------------------------------------------------- run
     def load_program(self, program: Program,
                      active_cores: Optional[Sequence[int]] = None) -> None:
+        bind_program(program)
         if active_cores is None:
             active_cores = range(self.cfg.num_cores)
         active = list(active_cores)

@@ -52,6 +52,23 @@ class Scratchpad:
         self.stats.spad_writes += 1
         self.data[offset] = value
 
+    def read_block(self, offset: int, n: int) -> list:
+        """``n`` consecutive words (a PCV register): one check, one count."""
+        end = offset + n
+        if not (0 <= offset and end <= self.words):
+            raise ScratchpadError(
+                f'spad read [{offset}, {end}) out of bounds')
+        self.stats.spad_reads += n
+        return self.data[offset:end]
+
+    def write_block(self, offset: int, values: Sequence) -> None:
+        end = offset + len(values)
+        if not (0 <= offset and end <= self.words):
+            raise ScratchpadError(
+                f'spad write [{offset}, {end}) out of bounds')
+        self.stats.spad_writes += len(values)
+        self.data[offset:end] = values
+
     def deliver(self, offset: int, values: Sequence, is_frame: bool) -> None:
         """A response packet (or remote store) lands in the scratchpad."""
         end = offset + len(values)

@@ -20,18 +20,25 @@ A tile operates in one of four roles (paper Figure 1/6):
 Stall accounting uses *gap attribution*: when an instruction finally issues,
 the idle gap since the core was last ready is charged to the most recent
 blocking cause, producing the CPI stacks of Figures 12/13/15.
+
+This module is the tile's *sequencer*: when may the next instruction
+issue, what does the wait get charged to, and where does the instruction
+go next.  It reads only the static decode of :mod:`repro.isa.decode`
+(``inst.deps``, ``inst.seq``, ``inst.mix`` ...) and never inspects an
+opcode to compute a result — that is the *datapath*, the per-opcode
+``inst.run(tile, now)`` closures of :mod:`repro.manycore.execute`, bound
+when the fabric loads the program.
 """
 
 from __future__ import annotations
 
-from ..core.vgroup import (ROLE_EXPANDER, ROLE_INDEPENDENT, ROLE_SCALAR,
+from ..core.vgroup import (ROLE_EXPANDER, ROLE_INDEPENDENT, ROLE_NAMES,
                            ROLE_VECTOR)
 from ..core.inet import InetQueue, MSG_DEVEC, MSG_INST, MSG_LAUNCH
-from ..core.wide_access import expand_vload
 from ..isa import opcodes as op
+from ..isa.decode import SEQ_FRAME, SEQ_LOAD, SEQ_SEND
 from ..isa.instruction import Instr
 from .icache import ICache
-from .llc import KIND_LOAD, KIND_STORE, KIND_WIDE, MemRequest
 from .scratchpad import Scratchpad
 from .stats import CoreStats
 
@@ -43,28 +50,17 @@ WAIT_BARRIER = 1
 WAIT_VCONFIG = 2
 HALTED = 3
 
-# stall causes (map onto CoreStats fields)
-_CAUSE_FIELD = {
-    'frame': 'stall_frame',
-    'inet_input': 'stall_inet_input',
-    'backpressure': 'stall_backpressure',
-    'scoreboard': 'stall_scoreboard',
-    'loadq': 'stall_loadq',
-    'branch': 'stall_branch',
-    'other': 'stall_other',
-}
-
-#: Instructions that execute even when the predication flag is clear.
-_PRED_EXEMPT = frozenset([op.PRED_EQ, op.PRED_NEQ, op.FRAME_START, op.REMEM,
-                          op.VEND, op.NOP])
-
 
 class SimError(Exception):
     """An architectural error detected during simulation."""
 
 
 class Tile:
-    """One core of the fabric."""
+    """One core of the fabric: architectural state and the issue sequencer.
+
+    What an issued instruction *does* lives in the per-opcode table of
+    :mod:`repro.manycore.execute`; see the module docstring.
+    """
 
     def __init__(self, core_id: int, fabric, cfg):
         self.core_id = core_id
@@ -188,45 +184,56 @@ class Tile:
         self._stall_cause = cause
         return wake
 
+    def _charge_stall(self, gap: int, cause: str) -> None:
+        st = self.stats
+        if cause == 'inet_input':
+            st.stall_inet_input += gap
+        elif cause == 'frame':
+            st.stall_frame += gap
+        elif cause == 'scoreboard':
+            st.stall_scoreboard += gap
+        elif cause == 'backpressure':
+            st.stall_backpressure += gap
+        elif cause == 'other':
+            st.stall_other += gap
+        elif cause == 'branch':
+            st.stall_branch += gap
+        else:
+            st.stall_loadq += gap
+
     def _commit_issue(self, inst: Instr, now: int) -> None:
+        """Charge the wait to its cause and count the issue (and its mix)."""
         gap = now - self._ready_at
         if gap > 0:
-            st = self.stats
-            field = _CAUSE_FIELD[self._stall_cause]
-            setattr(st, field, getattr(st, field) + gap)
+            self._charge_stall(gap, self._stall_cause)
         self._ready_at = now + 1
-        self.stats.instrs += 1
-        self._classify(inst.op)
-        if self.fabric.trace is not None:
-            self.fabric.trace.record(self.core_id, now, inst, self.mode)
+        st = self.stats
+        st.instrs += 1
+        mix = inst.mix
+        if mix == 'n_int_alu':
+            st.n_int_alu += 1
+        elif mix == 'n_fp':
+            st.n_fp += 1
+        elif mix == 'n_mem':
+            st.n_mem += 1
+        elif mix == 'n_simd':
+            st.n_simd += 1
+        elif mix == 'n_control':
+            st.n_control += 1
+        elif mix == 'n_mul':
+            st.n_mul += 1
+        else:
+            st.n_div += 1
+        trace = self.fabric.trace
+        if trace is not None:
+            trace.record(self.core_id, now, inst, self.mode)
 
     def _charge_gap(self, now: int, cause: str) -> None:
         """Attribute idle time without an instruction issue (mode changes)."""
         gap = now - self._ready_at
         if gap > 0:
-            st = self.stats
-            field = _CAUSE_FIELD[cause]
-            setattr(st, field, getattr(st, field) + gap)
+            self._charge_stall(gap, cause)
         self._ready_at = now + 1
-
-    def _classify(self, o: int) -> None:
-        st = self.stats
-        if o in (op.LW, op.SW, op.LWSP, op.SWSP, op.SWREM, op.VLOAD):
-            st.n_mem += 1
-        elif o == op.MUL:
-            st.n_mul += 1
-        elif o in (op.DIV, op.REM, op.FDIV, op.FSQRT):
-            st.n_div += 1
-        elif o in (op.FADD, op.FSUB, op.FMUL, op.FMA, op.FMIN, op.FMAX,
-                   op.FABS, op.FNEG, op.FLT, op.FLE, op.FEQ, op.FCVT_WS,
-                   op.FCVT_SW):
-            st.n_fp += 1
-        elif op.is_simd(o):
-            st.n_simd += 1
-        elif op.is_control(o):
-            st.n_control += 1
-        else:
-            st.n_int_alu += 1
 
     # ------------------------------------------------------------------ stepping
     def step(self, now: int) -> int:
@@ -244,101 +251,163 @@ class Tile:
     def _step_front(self, now: int) -> int:
         if self.fetch_stall_until > now:
             return self.fetch_stall_until
-        prog = self.program
-        if self.pc >= len(prog.instrs):
+        pc = self.pc
+        instrs = self.program.instrs
+        if pc >= len(instrs):
             raise SimError(f'core {self.core_id} fell off the program end')
-        inst = prog.instrs[self.pc]
-        if self._fetch_pc != self.pc:
-            pen = self.icache.fetch(self.pc)
-            self._fetch_pc = self.pc
+        inst = instrs[pc]
+        if self._fetch_pc != pc:
+            pen = self.icache.fetch(pc)
+            self._fetch_pc = pc
             if pen:
                 self.fetch_stall_until = now + pen
                 return self._stall('other', self.fetch_stall_until)
-        wake = self._check_operands(inst, now)
-        if wake is not None:
+        wake = self._operands_busy_until(inst, now)
+        if wake:
             return wake
-        o = inst.op
-        # structural checks that must precede issue
-        if o == op.LW:
-            if self.lq_count >= self.cfg.load_queue_entries:
-                return self._stall('loadq', INF)
-        elif o == op.FRAME_START:
-            if not self._frame_ready():
-                return self._stall('frame', INF)
-        elif o in (op.VISSUE, op.DEVEC):
-            succ = self.successor
-            if succ is None:
-                raise SimError(f'{op.name(o)} outside a vector group '
-                               f'(core {self.core_id})')
-            if not succ.inet_in.can_accept():
-                return self._stall('backpressure', now + 1)
+        seq = inst.seq
+        if seq:  # structural checks that must precede issue
+            if seq == SEQ_LOAD:
+                if self.lq_count >= self.cfg.load_queue_entries:
+                    return self._stall('loadq', INF)
+            elif seq == SEQ_FRAME:
+                if not self._frame_ready():
+                    return self._stall('frame', INF)
+            elif seq == SEQ_SEND:
+                succ = self.successor
+                if succ is None:
+                    raise SimError(f'{op.name(inst.op)} outside a vector '
+                                   f'group (core {self.core_id})')
+                if not succ.inet_in.can_accept():
+                    return self._stall('backpressure', now + 1)
         self._commit_issue(inst, now)
-        self._execute_front(inst, now)
-        return max(now + 1, self.fetch_stall_until)
+        if seq > SEQ_FRAME:
+            self._execute_sequenced(inst, now)
+            return max(now + 1, self.fetch_stall_until)
+        inst.run(self, now)
+        self.pc = pc + 1
+        return now + 1
+
+    def _execute_sequenced(self, inst: Instr, now: int) -> None:
+        """Frontend-mode instructions that steer the tile; advances self.pc."""
+        o = inst.op
+        if inst.ctrl:
+            if o == op.J:
+                self.pc = inst.imm
+            elif o == op.JAL:
+                if inst.rd:
+                    self.regs[inst.rd] = self.pc + 1
+                    self._busy[inst.rd] = now + 1
+                self.pc = inst.imm
+            elif o == op.JR:
+                self.pc = int(self.regs[inst.rs1])
+            else:
+                taken, target = self._branch_outcome(inst)
+                if not taken:
+                    self.pc += 1
+                    return
+                self.pc = target
+            self.fetch_stall_until = now + self.cfg.branch_bubble
+            self._stall_cause = 'branch'
+            return
+        self.pc += 1
+        if o == op.HALT:
+            self.halted = True
+            self.state = HALTED
+            self.fabric.on_halt(self, now)
+        elif o == op.BARRIER:
+            self.fabric.barrier_arrive(self, now)
+        elif o == op.VCONFIG:
+            self.fabric.vconfig_arrive(self, int(self.regs[inst.rs1]), now)
+        elif o == op.VISSUE:
+            self.successor.push_inet(MSG_LAUNCH, inst.imm, now)
+            self.stats.inet_forwards += 1
+        else:  # DEVEC
+            self.successor.push_inet(MSG_DEVEC, inst.imm, now)
+            self.stats.inet_forwards += 1
+            self.mode = ROLE_INDEPENDENT
+            self.group = None
+            self.successor = None
+
+    def _branch_outcome(self, inst: Instr):
+        o = inst.op
+        if o == op.BEQ:
+            return self.regs[inst.rs1] == self.regs[inst.rs2], inst.imm
+        if o == op.BNE:
+            return self.regs[inst.rs1] != self.regs[inst.rs2], inst.imm
+        if o == op.BLT:
+            return self.regs[inst.rs1] < self.regs[inst.rs2], inst.imm
+        if o == op.BGE:
+            return self.regs[inst.rs1] >= self.regs[inst.rs2], inst.imm
+        return False, inst.imm
 
     # -- expander ---------------------------------------------------------------
     def _step_expander(self, now: int) -> int:
-        q = self.inet_in
         if not self.in_mt:
-            msg = q.peek(now)
-            if msg is None:
-                nr = q.next_ready_cycle()
-                return self._stall('inet_input', nr if nr is not None else INF)
-            kind, payload = msg
-            if kind == MSG_DEVEC:
-                return self._handle_devec(payload, now)
-            if kind == MSG_LAUNCH:
-                q.pop(now)
-                self.in_mt = True
-                self.mt_pc = payload
-                self.stats.microthreads += 1
-                self._charge_gap(now, 'inet_input')
-                self._fetch_pc = -1
-                tel = self.fabric.telemetry
-                if tel is not None:
-                    tel.on_mt_launch((self.core_id, now, payload))
-                return now + 1
-            raise SimError(f'expander received unexpected inet message '
-                           f'{kind!r}')
+            return self._await_launch(now)
         if self.fetch_stall_until > now:
             return self.fetch_stall_until
-        prog = self.program
-        inst = prog.instrs[self.mt_pc]
+        inst = self.program.instrs[self.mt_pc]
         if self._fetch_pc != self.mt_pc:
             pen = self.icache.fetch(self.mt_pc)
             self._fetch_pc = self.mt_pc
             if pen:
                 self.fetch_stall_until = now + pen
                 return self._stall('other', self.fetch_stall_until)
-        o = inst.op
-        forward = (self.successor is not None and not op.is_control(o)
-                   and o != op.VEND)
-        if forward and not self.successor.inet_in.can_accept():
-            return self._stall('backpressure', now + 1)
-        skip = not self.pred and o not in _PRED_EXEMPT and not op.is_control(o)
+        succ = self.successor
+        forward = succ is not None and inst.forwards
+        if forward:
+            sq = succ.inet_in
+            if len(sq.entries) >= sq.capacity:
+                return self._stall('backpressure', now + 1)
+        ctrl = inst.ctrl
+        skip = not self.pred and not inst.pred_exempt and not ctrl
         if not skip:
-            if o == op.FRAME_START and not self._frame_ready():
+            if inst.seq == SEQ_FRAME and not self._frame_ready():
                 return self._stall('frame', INF)
-            wake = self._check_operands(inst, now)
-            if wake is not None:
+            wake = self._operands_busy_until(inst, now)
+            if wake:
                 return wake
         self._commit_issue(inst, now)
         if forward:
-            self.successor.push_inet(MSG_INST, inst, now)
-            self.stats.inet_forwards += 1
-        if o == op.VEND:
+            self._forward(succ, inst, now)
+        if inst.op == op.VEND:
             self.in_mt = False
             tel = self.fabric.telemetry
             if tel is not None:
                 tel.on_mt_end((self.core_id, now))
             return now + 1
-        if op.is_control(o):
+        if ctrl:
             self._execute_control_mt(inst, now)
         else:
             if not skip:
-                self._execute_common(inst, now)
+                inst.run(self, now)
             self.mt_pc += 1
         return max(now + 1, self.fetch_stall_until)
+
+    def _await_launch(self, now: int) -> int:
+        """Expander between microthreads: wait for a ``vissue`` or ``devec``."""
+        q = self.inet_in
+        msg = q.peek(now)
+        if msg is None:
+            nr = q.next_ready_cycle()
+            return self._stall('inet_input', nr if nr is not None else INF)
+        kind, payload = msg
+        if kind == MSG_DEVEC:
+            return self._handle_devec(payload, now)
+        if kind != MSG_LAUNCH:
+            raise SimError(f'expander received unexpected inet message '
+                           f'{kind!r}')
+        q.pop(now)
+        self.in_mt = True
+        self.mt_pc = payload
+        self.stats.microthreads += 1
+        self._charge_gap(now, 'inet_input')
+        self._fetch_pc = -1
+        tel = self.fabric.telemetry
+        if tel is not None:
+            tel.on_mt_launch((self.core_id, now, payload))
+        return now + 1
 
     def _execute_control_mt(self, inst: Instr, now: int) -> None:
         """Branches/jumps inside a microthread (expander only)."""
@@ -363,35 +432,53 @@ class Tile:
 
     # -- vector lane --------------------------------------------------------------
     def _step_vector(self, now: int) -> int:
-        q = self.inet_in
-        msg = q.peek(now)
-        if msg is None:
-            nr = q.next_ready_cycle()
-            return self._stall('inet_input', nr if nr is not None else INF)
-        kind, payload = msg
-        if kind == MSG_DEVEC:
-            return self._handle_devec(payload, now)
+        # The fabric's hottest function (N-2 of every N group tiles run it
+        # for every forwarded instruction), so both inet hops work on the
+        # queues' deques directly: the stall rules below *are* the queue
+        # protocol's two checks (head has crossed the link; room downstream).
+        entries = self.inet_in.entries
+        if not entries or entries[0][0] > now:
+            self._stall_cause = 'inet_input'
+            return entries[0][0] if entries else INF
+        _, kind, inst = entries[0]
         if kind != MSG_INST:
+            if kind == MSG_DEVEC:
+                return self._handle_devec(inst, now)
             raise SimError(f'vector core {self.core_id} received {kind!r}')
-        inst: Instr = payload
         succ = self.successor
-        if succ is not None and not succ.inet_in.can_accept():
-            return self._stall('backpressure', now + 1)
-        skip = not self.pred and inst.op not in _PRED_EXEMPT
-        if inst.op == op.FRAME_START and not self._frame_ready():
+        if succ is not None:
+            sq = succ.inet_in
+            if len(sq.entries) >= sq.capacity:
+                self._stall_cause = 'backpressure'
+                return now + 1
+        skip = not self.pred and not inst.pred_exempt
+        if inst.seq == SEQ_FRAME and not self._frame_ready():
             return self._stall('frame', INF)
         if not skip:
-            wake = self._check_operands(inst, now)
-            if wake is not None:
+            wake = self._operands_busy_until(inst, now)
+            if wake:
                 return wake
-        q.pop(now)
+        entries.popleft()  # the head was seen ready above
         if succ is not None:
-            succ.push_inet(MSG_INST, inst, now)
-            self.stats.inet_forwards += 1
+            self._forward(succ, inst, now)
         self._commit_issue(inst, now)
         if not skip:
-            self._execute_common(inst, now)
+            inst.run(self, now)
         return now + 1
+
+    def _forward(self, succ: 'Tile', inst: Instr, now: int) -> None:
+        """Send ``inst`` down the inet.  The caller has just seen room in
+        ``succ``'s queue (its backpressure stall rule), so this appends
+        without ``InetQueue.push``'s second capacity check."""
+        sq = succ.inet_in
+        ready = now + sq.hop_latency
+        sq.entries.append((ready, MSG_INST, inst))
+        sq.pushes += 1
+        if len(sq.entries) > sq.peak_depth:
+            sq.peak_depth = len(sq.entries)
+        if ready < succ.next_wake:
+            self.fabric.wake_tile(succ, ready)
+        self.stats.inet_forwards += 1
 
     def _handle_devec(self, resume_pc: int, now: int) -> int:
         succ = self.successor
@@ -422,323 +509,29 @@ class Tile:
         return fq.head_ready()
 
     # ---------------------------------------------------------------- scoreboard
-    def _check_operands(self, inst: Instr, now: int):
-        """None if all operands ready; else a wake hint (stall recorded)."""
+    def _operands_busy_until(self, inst: Instr, now: int) -> int:
+        """0 if every operand is ready; else the wake cycle (stall recorded).
+
+        ``inst.deps`` lists sources then destinations, so a later write to
+        a register with a pending load is held as well (WAW).
+        """
         busy = self._busy
-        worst = 0
+        worst = now
         is_load = False
-        for r in inst.reads:
+        for r in inst.deps:
             b = busy[r]
-            if b > now and b > worst:
+            if b > worst:
                 worst = b
                 is_load = self._busy_load[r]
-        for w in inst.writes:
-            b = busy[w]
-            if b > now and b > worst:
-                worst = b
-                is_load = self._busy_load[w]
-        if inst.vreads or inst.vwrites:
+        if inst.vdeps:
             vbusy = self._vbusy
-            for r in inst.vreads:
+            for r in inst.vdeps:
                 if vbusy[r] > worst:
                     worst = vbusy[r]
-            for w in inst.vwrites:
-                if vbusy[w] > worst:
-                    worst = vbusy[w]
         if worst <= now:
-            return None
-        cause = 'frame' if is_load else 'scoreboard'
-        return self._stall(cause, worst if worst < INF else INF)
-
-    def _writeback(self, reg: int, value, at: int) -> None:
-        if reg == 0:
-            return
-        self.regs[reg] = value
-        self._busy[reg] = at
-
-    # ---------------------------------------------------------------- execution
-    def _execute_front(self, inst: Instr, now: int) -> None:
-        """Execute in a frontend mode (independent/scalar); advances self.pc."""
-        o = inst.op
-        if op.is_control(o):
-            taken, target = self._branch_outcome(inst)
-            if o == op.J:
-                self.pc = inst.imm
-            elif o == op.JAL:
-                self._writeback(inst.rd, self.pc + 1, now + 1)
-                self.pc = inst.imm
-            elif o == op.JR:
-                self.pc = int(self.regs[inst.rs1])
-            elif taken:
-                self.pc = target
-                self.fetch_stall_until = now + self.cfg.branch_bubble
-                self._stall_cause = 'branch'
-            else:
-                self.pc += 1
-                return
-            self.fetch_stall_until = now + self.cfg.branch_bubble
-            self._stall_cause = 'branch'
-            return
-        if o == op.HALT:
-            self.pc += 1
-            self.halted = True
-            self.state = HALTED
-            self.fabric.on_halt(self, now)
-            return
-        if o == op.BARRIER:
-            self.pc += 1
-            self.fabric.barrier_arrive(self, now)
-            return
-        if o == op.VCONFIG:
-            self.pc += 1
-            handle = int(self.regs[inst.rs1])
-            self.fabric.vconfig_arrive(self, handle, now)
-            return
-        if o == op.VISSUE:
-            self.successor.push_inet(MSG_LAUNCH, inst.imm, now)
-            self.stats.inet_forwards += 1
-            self.pc += 1
-            return
-        if o == op.DEVEC:
-            self.successor.push_inet(MSG_DEVEC, inst.imm, now)
-            self.stats.inet_forwards += 1
-            self.mode = ROLE_INDEPENDENT
-            self.group = None
-            self.successor = None
-            self.pc += 1
-            return
-        self._execute_common(inst, now)
-        self.pc += 1
-
-    def _branch_outcome(self, inst: Instr):
-        o = inst.op
-        if o == op.BEQ:
-            return self.regs[inst.rs1] == self.regs[inst.rs2], inst.imm
-        if o == op.BNE:
-            return self.regs[inst.rs1] != self.regs[inst.rs2], inst.imm
-        if o == op.BLT:
-            return self.regs[inst.rs1] < self.regs[inst.rs2], inst.imm
-        if o == op.BGE:
-            return self.regs[inst.rs1] >= self.regs[inst.rs2], inst.imm
-        return False, inst.imm
-
-    def _execute_common(self, inst: Instr, now: int) -> None:
-        """Non-control instructions, shared by every mode."""
-        o = inst.op
-        regs = self.regs
-        lat = op.LATENCY.get(o, 1)
-        wb = now + lat
-
-        # -- integer --
-        if o == op.ADD:
-            self._writeback(inst.rd, regs[inst.rs1] + regs[inst.rs2], wb)
-        elif o == op.SUB:
-            self._writeback(inst.rd, regs[inst.rs1] - regs[inst.rs2], wb)
-        elif o == op.MUL:
-            self._writeback(inst.rd, regs[inst.rs1] * regs[inst.rs2], wb)
-        elif o == op.DIV:
-            a, b = regs[inst.rs1], regs[inst.rs2]
-            self._writeback(inst.rd, int(a / b) if b else -1, wb)
-        elif o == op.REM:
-            a, b = int(regs[inst.rs1]), int(regs[inst.rs2])
-            self._writeback(inst.rd, a - int(a / b) * b if b else a, wb)
-        elif o == op.AND:
-            self._writeback(inst.rd, int(regs[inst.rs1]) & int(regs[inst.rs2]), wb)
-        elif o == op.OR:
-            self._writeback(inst.rd, int(regs[inst.rs1]) | int(regs[inst.rs2]), wb)
-        elif o == op.XOR:
-            self._writeback(inst.rd, int(regs[inst.rs1]) ^ int(regs[inst.rs2]), wb)
-        elif o == op.SLL:
-            self._writeback(inst.rd, int(regs[inst.rs1]) << int(regs[inst.rs2]), wb)
-        elif o == op.SRL:
-            self._writeback(inst.rd, int(regs[inst.rs1]) >> int(regs[inst.rs2]), wb)
-        elif o == op.SLT:
-            self._writeback(inst.rd, int(regs[inst.rs1] < regs[inst.rs2]), wb)
-        elif o == op.ADDI:
-            self._writeback(inst.rd, regs[inst.rs1] + inst.imm, wb)
-        elif o == op.ANDI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) & inst.imm, wb)
-        elif o == op.ORI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) | inst.imm, wb)
-        elif o == op.XORI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) ^ inst.imm, wb)
-        elif o == op.SLLI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) << inst.imm, wb)
-        elif o == op.SRLI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) >> inst.imm, wb)
-        elif o == op.SLTI:
-            self._writeback(inst.rd, int(regs[inst.rs1] < inst.imm), wb)
-        elif o == op.LI:
-            self._writeback(inst.rd, inst.imm, wb)
-        elif o == op.MV:
-            self._writeback(inst.rd, regs[inst.rs1], wb)
-
-        # -- floating point --
-        elif o == op.FADD:
-            self._writeback(inst.rd, regs[inst.rs1] + regs[inst.rs2], wb)
-        elif o == op.FSUB:
-            self._writeback(inst.rd, regs[inst.rs1] - regs[inst.rs2], wb)
-        elif o == op.FMUL:
-            self._writeback(inst.rd, regs[inst.rs1] * regs[inst.rs2], wb)
-        elif o == op.FDIV:
-            self._writeback(inst.rd, regs[inst.rs1] / regs[inst.rs2], wb)
-        elif o == op.FSQRT:
-            self._writeback(inst.rd, regs[inst.rs1] ** 0.5, wb)
-        elif o == op.FMIN:
-            self._writeback(inst.rd, min(regs[inst.rs1], regs[inst.rs2]), wb)
-        elif o == op.FMAX:
-            self._writeback(inst.rd, max(regs[inst.rs1], regs[inst.rs2]), wb)
-        elif o == op.FMA:
-            self._writeback(
-                inst.rd, regs[inst.rd] + regs[inst.rs1] * regs[inst.rs2], wb)
-        elif o == op.FABS:
-            self._writeback(inst.rd, abs(regs[inst.rs1]), wb)
-        elif o == op.FNEG:
-            self._writeback(inst.rd, -regs[inst.rs1], wb)
-        elif o == op.FLT:
-            self._writeback(inst.rd, int(regs[inst.rs1] < regs[inst.rs2]), wb)
-        elif o == op.FLE:
-            self._writeback(inst.rd, int(regs[inst.rs1] <= regs[inst.rs2]), wb)
-        elif o == op.FEQ:
-            self._writeback(inst.rd, int(regs[inst.rs1] == regs[inst.rs2]), wb)
-        elif o == op.FCVT_WS:
-            self._writeback(inst.rd, int(regs[inst.rs1]), wb)
-        elif o == op.FCVT_SW:
-            self._writeback(inst.rd, float(regs[inst.rs1]), wb)
-
-        # -- memory --
-        elif o == op.LW:
-            self._issue_load(inst, now)
-        elif o == op.SW:
-            addr = int(regs[inst.rs1]) + inst.imm
-            self.fabric.send_store(self.core_id, addr, regs[inst.rs2], now)
-        elif o == op.LWSP:
-            off = int(regs[inst.rs1]) + inst.imm
-            value = self.spad.read(off)
-            self._writeback(inst.rd, value, now + self.cfg.spad_hit_latency)
-        elif o == op.SWSP:
-            off = int(regs[inst.rs1]) + inst.imm
-            self.spad.write(off, regs[inst.rs2])
-        elif o == op.SWREM:
-            dest = int(regs[inst.rs2])
-            off = int(regs[inst.rd]) + inst.imm
-            self.fabric.send_remote_store(self.core_id, dest, off,
-                                          regs[inst.rs1], now)
-
-        # -- SDV --
-        elif o == op.VLOAD:
-            self._issue_vload(inst, now)
-        elif o == op.FRAME_START:
-            fq = self.spad.frames
-            if fq is None:
-                raise SimError(f'frame_start with no frame config '
-                               f'(core {self.core_id})')
-            tel = self.fabric.telemetry
-            if tel is not None:
-                tel.on_frame_start((self.core_id, fq.head, now))
-            self._writeback(inst.rd, fq.head_offset(), wb)
-        elif o == op.REMEM:
-            fq = self.spad.frames
-            tel = self.fabric.telemetry
-            if tel is not None:
-                tel.on_frame_free((self.core_id, fq.head, 0, now))
-            fq.free_head()
-            self.stats.frames_consumed += 1
-        elif o == op.PRED_EQ:
-            self.pred = regs[inst.rs1] == regs[inst.rs2]
-        elif o == op.PRED_NEQ:
-            self.pred = regs[inst.rs1] != regs[inst.rs2]
-        elif o == op.VEND:
-            pass  # meaningful only on the expander (handled there)
-
-        # -- system --
-        elif o == op.CSRW:
-            self._csr_write(inst.imm, regs[inst.rs1])
-        elif o == op.CSRR:
-            self._writeback(inst.rd, self._csr_read(inst.imm), wb)
-        elif o == op.NOP:
-            pass
-        elif o == op.PRINT:
-            print(f'[core {self.core_id} @ {now}] '
-                  f'r{inst.rs1} = {regs[inst.rs1]}')
-
-        # -- per-core SIMD --
-        elif o == op.VL4:
-            base = int(regs[inst.rs1]) + inst.imm
-            w = self.cfg.simd_width
-            self.vregs[inst.rd] = [self.spad.read(base + i) for i in range(w)]
-            self._vbusy[inst.rd] = now + self.cfg.spad_hit_latency
-        elif o == op.VS4:
-            base = int(regs[inst.rs1]) + inst.imm
-            for i, v in enumerate(self.vregs[inst.rd]):
-                self.spad.write(base + i, v)
-        elif o == op.VADD4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            self.vregs[inst.rd] = [x + y for x, y in zip(a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VSUB4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            self.vregs[inst.rd] = [x - y for x, y in zip(a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VMUL4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            self.vregs[inst.rd] = [x * y for x, y in zip(a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VFMA4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            d = self.vregs[inst.rd]
-            self.vregs[inst.rd] = [acc + x * y for acc, x, y in zip(d, a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VBCAST:
-            self.vregs[inst.rd] = [regs[inst.rs1]] * self.cfg.simd_width
-            self._vbusy[inst.rd] = wb
-        elif o == op.VREDSUM4:
-            self._writeback(inst.rd, sum(self.vregs[inst.rs1]), wb)
-        else:
-            raise SimError(f'cannot execute {op.name(o)} here '
-                           f'(core {self.core_id}, mode {self.mode})')
-
-    # ------------------------------------------------------------------ memory
-    def _issue_load(self, inst: Instr, now: int) -> None:
-        addr = int(self.regs[inst.rs1]) + inst.imm
-        rd = inst.rd
-        self.lq_count += 1
-        if rd != 0:
-            self._busy[rd] = INF
-            self._busy_load[rd] = True
-
-        def on_data(value, at, tile=self, reg=rd):
-            tile.lq_count -= 1
-            if reg != 0:
-                tile.regs[reg] = value
-                tile._busy[reg] = at
-                tile._busy_load[reg] = False
-            tile.fabric.wake_tile(tile, at)
-
-        req = MemRequest(KIND_LOAD, addr, 1, self.core_id, on_data=on_data)
-        self.fabric.send_to_bank(req, now)
-
-    def _issue_vload(self, inst: Instr, now: int) -> None:
-        core_off, width, variant, part, _ = inst.ex
-        addr = int(self.regs[inst.rs1])
-        spad_off = int(self.regs[inst.rs2])
-        lanes = self.group.lanes if self.group is not None else []
-        expansion = expand_vload(addr, spad_off, core_off, width, variant,
-                                 part, lanes, self.core_id,
-                                 self.cfg.line_words)
-        self.stats.vloads_issued += 1
-        job = self.job
-        if job is not None and job.rtrace is not None:
-            job.rtrace.wide_issued += 1
-        if expansion is None:
-            return
-        start, chunks = expansion
-        nwords = sum(c[1] for c in chunks)
-        req = MemRequest(KIND_WIDE, start, nwords, self.core_id,
-                         chunks=chunks, is_frame=True)
-        if self.fabric.telemetry is not None:
-            req.t_issue = now
-        self.fabric.send_to_bank(req, now)
+            return 0
+        self._stall_cause = 'frame' if is_load else 'scoreboard'
+        return worst
 
     # ------------------------------------------------------------------- CSRs
     def _csr_write(self, csr: int, value) -> None:
@@ -771,20 +564,19 @@ class Tile:
         raise SimError(f'read of unknown CSR {csr}')
 
     def __repr__(self):
-        from ..core.vgroup import ROLE_NAMES
         return (f'<Tile {self.core_id} {ROLE_NAMES[self.mode]} pc={self.pc} '
                 f'state={self.state}>')
 
     # ------------------------------------------------------------- diagnostics
     def blocked_instruction(self) -> str:
         """The instruction this tile is stuck on, best-effort by role."""
-        from ..core.vgroup import ROLE_EXPANDER as _EXP, ROLE_VECTOR as _VEC
         if self.state == WAIT_BARRIER:
             return 'barrier'
         if self.state == WAIT_VCONFIG:
             return f'vconfig (group {self.group.group_id})' \
                 if self.group else 'vconfig'
-        if self.mode == _VEC or (self.mode == _EXP and not self.in_mt):
+        if self.mode == ROLE_VECTOR or (self.mode == ROLE_EXPANDER
+                                        and not self.in_mt):
             msg = self.inet_in.peek(1 << 62)
             if msg is None:
                 return '<inet empty>'
@@ -797,7 +589,6 @@ class Tile:
 
     def describe_wait_state(self) -> str:
         """One dump line for DeadlockError diagnostics."""
-        from ..core.vgroup import ROLE_NAMES
         parts = [f'core {self.core_id} [{ROLE_NAMES[self.mode]}]',
                  f'stall={self._stall_cause}',
                  f'blocked-on: {self.blocked_instruction()}']

@@ -3,8 +3,8 @@
 The serving scheduler hangs a :class:`RequestTrace` off each launched
 :class:`~repro.manycore.fabric.FabricJob` (``job.rtrace``).  The request
 id then travels with the job wherever the job already travels — into
-wide-access issue (:meth:`Tile._issue_vload`), LLC queue entries
-(:meth:`LLCBank.access` reads ``req.job``), frame fills
+wide-access issue (the ``vload`` executor of ``manycore.execute``), LLC
+queue entries (:meth:`LLCBank.access` reads ``req.job``), frame fills
 (:meth:`Fabric.spad_deliver`), and group formation
 (:meth:`Fabric.vconfig_arrive`) — and each site bumps a plain integer on
 the trace.  Every update is observation-only: no events are posted and

@@ -128,9 +128,8 @@ class Sampler:
         if self.per_core:
             per_core = {}
             for t, cur, prev in zip(tiles, curs, self._prev_core):
-                d = [c - p for c, p in zip(cur, prev)]
-                if any(d):
-                    per_core[t.core_id] = d
+                if cur != prev:  # idle tiles cost one tuple compare
+                    per_core[t.core_id] = [c - p for c, p in zip(cur, prev)]
             s.per_core = per_core
         totals = [sum(col) for col in zip(*curs)]
         d = [c - p for c, p in zip(totals, self._prev_totals)]
@@ -139,7 +138,7 @@ class Sampler:
         s.issued = d[0]
         s.stalls = {f[len('stall_'):]: v
                     for f, v in zip(STALL_FIELDS, d[1:]) if v}
-        depths = [len(t.inet_in) for t in tiles]
+        depths = [len(t.inet_in.entries) for t in tiles]
         depth_total = sum(depths)
         depth_max = max(depths)
 

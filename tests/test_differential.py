@@ -2,63 +2,130 @@
 
 Hypothesis generates random straight-line arithmetic programs; the
 simulator's architectural result must match a simple Python interpretation
-of the same instructions.  This guards the ALU semantics, the scoreboard
+of the same instructions.  This guards the ALU semantics (every opcode in
+``repro.manycore.execute``'s table has a row here), the scoreboard
 (results must not depend on latencies), and writeback ordering.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.isa import Assembler, opcodes as op
-from repro.manycore import Fabric, small_config
+from repro.isa import Assembler, Program, opcodes as op
+from repro.isa.decode import SEQ_FRAME
+from repro.isa.instruction import Instr
+from repro.manycore import Fabric, SimError, small_config
+from repro.manycore.execute import EXECUTORS, bind_program
 
-# (mnemonic, arity, reference lambda)
+XREGS = [f'x{i}' for i in range(5, 12)]
+SHAMT = 'x12'  # holds a small non-negative shift amount; never written
+FREGS = [f'f{i}' for i in range(1, 9)]
+
+# (mnemonic, destination file, source operands, reference lambda).  Source
+# operand codes: x/f a register of that file, h the shift-amount register,
+# i an immediate, k a shift immediate, d the destination's old value.
 INT_OPS = [
-    ('add', 2, lambda a, b: a + b),
-    ('sub', 2, lambda a, b: a - b),
-    ('mul', 2, lambda a, b: a * b),
-    ('and_', 2, lambda a, b: a & b),
-    ('or_', 2, lambda a, b: a | b),
-    ('xor', 2, lambda a, b: a ^ b),
-    ('slt', 2, lambda a, b: int(a < b)),
+    ('add', 'x', 'xx', lambda a, b: a + b),
+    ('sub', 'x', 'xx', lambda a, b: a - b),
+    ('mul', 'x', 'xx', lambda a, b: a * b),
+    ('div', 'x', 'xx', lambda a, b: int(a / b) if b else -1),
+    ('rem', 'x', 'xx', lambda a, b: a - int(a / b) * b if b else a),
+    ('and_', 'x', 'xx', lambda a, b: a & b),
+    ('or_', 'x', 'xx', lambda a, b: a | b),
+    ('xor', 'x', 'xx', lambda a, b: a ^ b),
+    ('sll', 'x', 'xh', lambda a, b: a << b),
+    ('srl', 'x', 'xh', lambda a, b: a >> b),
+    ('slt', 'x', 'xx', lambda a, b: int(a < b)),
+    ('addi', 'x', 'xi', lambda a, i: a + i),
+    ('andi', 'x', 'xi', lambda a, i: a & i),
+    ('ori', 'x', 'xi', lambda a, i: a | i),
+    ('xori', 'x', 'xi', lambda a, i: a ^ i),
+    ('slli', 'x', 'xk', lambda a, k: a << k),
+    ('srli', 'x', 'xk', lambda a, k: a >> k),
+    ('slti', 'x', 'xi', lambda a, i: int(a < i)),
+    ('li', 'x', 'i', lambda i: i),
+    ('mv', 'x', 'x', lambda a: a),
 ]
 
 FP_OPS = [
-    ('fadd', 2, lambda a, b: a + b),
-    ('fsub', 2, lambda a, b: a - b),
-    ('fmul', 2, lambda a, b: a * b),
-    ('fmin', 2, lambda a, b: min(a, b)),
-    ('fmax', 2, lambda a, b: max(a, b)),
+    ('fadd', 'f', 'ff', lambda a, b: a + b),
+    ('fsub', 'f', 'ff', lambda a, b: a - b),
+    ('fmul', 'f', 'ff', lambda a, b: a * b),
+    ('fdiv', 'f', 'ff', lambda a, b: a / b),
+    ('fsqrt', 'f', 'f', lambda a: a ** 0.5),
+    ('fmin', 'f', 'ff', lambda a, b: min(a, b)),
+    ('fmax', 'f', 'ff', lambda a, b: max(a, b)),
+    ('fma', 'f', 'dff', lambda d, a, b: d + a * b),
+    ('fabs', 'f', 'f', lambda a: abs(a)),
+    ('fneg', 'f', 'f', lambda a: -a),
+    ('flt', 'x', 'ff', lambda a, b: int(a < b)),
+    ('fle', 'x', 'ff', lambda a, b: int(a <= b)),
+    ('feq', 'x', 'ff', lambda a, b: int(a == b)),
+    ('fcvt_ws', 'x', 'f', lambda a: int(a)),
+    ('fcvt_sw', 'f', 'x', lambda a: float(a)),
 ]
 
+# Per-core SIMD against plain Python lists.  Same row shape; v is a SIMD
+# register, o a scratchpad word offset.  vl4/vs4 move four words between
+# the scratchpad and a SIMD register (the reference does it with slices).
+VREGS = [f'v{i}' for i in range(4)]
+PCV_DATA = 32  # scratchpad words the program may load from / store to
+PCV_OPS = [
+    ('vadd4', 'v', 'vv', lambda a, b: [x + y for x, y in zip(a, b)]),
+    ('vsub4', 'v', 'vv', lambda a, b: [x - y for x, y in zip(a, b)]),
+    ('vmul4', 'v', 'vv', lambda a, b: [x * y for x, y in zip(a, b)]),
+    ('vfma4', 'v', 'dvv',
+     lambda d, a, b: [acc + x * y for acc, x, y in zip(d, a, b)]),
+    ('vbcast', 'v', 'f', lambda s: [s] * 4),
+    ('vredsum4', 'f', 'v', lambda a: sum(a)),
+    ('vl4', 'v', 'o', None),
+    ('vs4', 'o', 'v', None),
+]
+
+_OPERAND = {
+    'x': st.sampled_from(XREGS + ['x0']),
+    'f': st.sampled_from(FREGS),
+    'h': st.just(SHAMT),
+    'i': st.integers(-64, 64),
+    'k': st.integers(0, 6),
+    'd': st.none(),
+    'v': st.sampled_from(VREGS),
+    'o': st.integers(0, PCV_DATA - 4),
+}
+
 
 @st.composite
-def int_programs(draw):
-    """A random straight-line integer program over x5..x12."""
-    regs = [f'x{i}' for i in range(5, 13)]
-    init = {r: draw(st.integers(-100, 100)) for r in regs}
-    ops = draw(st.lists(
-        st.tuples(st.sampled_from(INT_OPS), st.sampled_from(regs),
-                  st.sampled_from(regs), st.sampled_from(regs)),
-        min_size=1, max_size=25))
-    return init, ops
+def programs(draw, table):
+    """A random straight-line program over ``table``'s ops.
 
-
-@st.composite
-def fp_programs(draw):
-    regs = [f'f{i}' for i in range(1, 9)]
+    ``x0`` is a legal source and destination: it reads 0 and drops writes.
+    """
+    init = {r: draw(st.integers(-100, 100)) for r in XREGS}
+    init[SHAMT] = draw(st.integers(0, 6))
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    init = {r: draw(finite) for r in regs}
-    ops = draw(st.lists(
-        st.tuples(st.sampled_from(FP_OPS), st.sampled_from(regs),
-                  st.sampled_from(regs), st.sampled_from(regs)),
-        min_size=1, max_size=25))
-    return init, ops
+    init.update((r, draw(finite)) for r in FREGS)
+    return init, draw(op_lists(table))
 
 
-def run_program(init, ops, out_regs):
+@st.composite
+def op_lists(draw, table):
+    rows = draw(st.lists(st.sampled_from(table), min_size=1, max_size=25))
+    return [(row, draw(_OPERAND[row[1]]), [draw(_OPERAND[c]) for c in row[2]])
+            for row in rows]
+
+
+@st.composite
+def pcv_programs(draw):
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    spad = draw(st.lists(finite, min_size=PCV_DATA, max_size=PCV_DATA))
+    init = {r: draw(finite) for r in FREGS}
+    return spad, init, draw(op_lists(PCV_OPS))
+
+
+def run_program(init, ops, out_regs, spad=()):
+    """Run on core 0; returns (out_regs' final values, core 0's scratchpad
+    up to the dumped SIMD file).  ``spad`` preloads scratchpad words."""
     fabric = Fabric(small_config())
     out = fabric.alloc(len(out_regs))
     a = Assembler()
@@ -66,53 +133,105 @@ def run_program(init, ops, out_regs):
     a.beq('x1', 'x0', 'main')
     a.halt()
     a.bind('main')
+    for off, val in enumerate(spad):
+        a.li('f31', val)
+        a.swsp('f31', 'x0', off)
     for reg, val in init.items():
         a.li(reg, val)
-    for (name, _, _), rd, rs1, rs2 in ops:
-        getattr(a, name)(rd, rs1, rs2)
+    for (name, _, _, _), rd, srcs in ops:
+        if name == 'vl4':
+            a.vl4(rd, 'x0', srcs[0])
+        elif name == 'vs4':
+            a.vs4(srcs[0], 'x0', rd)
+        else:
+            getattr(a, name)(rd, *[s for s in srcs if s is not None])
+    for i, v in enumerate(VREGS):  # dump the SIMD file behind the data
+        a.vs4(v, 'x0', len(spad) + 4 * i)
     a.li('x30', out)
     for i, reg in enumerate(out_regs):
         a.sw(reg, 'x30', i)
     a.halt()
     fabric.load_program(a.finish())
     fabric.run()
-    return fabric.read_array(out, len(out_regs))
+    return (fabric.read_array(out, len(out_regs)),
+            fabric.tiles[0].spad.data[:len(spad) + 4 * len(VREGS)])
 
 
-def reference(init, ops):
-    env = dict(init)
-    for (name, _, fn), rd, rs1, rs2 in ops:
-        env[rd] = fn(env[rs1], env[rs2])
-    return env
+def _in_domain(v) -> bool:
+    """Where Python arithmetic means the same thing on both sides: no
+    ints that overflow a float division, no NaN/inf, no complex roots."""
+    return (isinstance(v, (int, float)) and math.isfinite(v)
+            and abs(v) < 2 ** 64)
+
+
+def reference(init, ops, spad=()):
+    """Evaluate in plain Python; returns (register env, scratchpad)."""
+    env = dict(init, x0=0)
+    env.update((v, [0.0] * 4) for v in VREGS)
+    spad = list(spad)
+    for (name, _, sig, fn), rd, srcs in ops:
+        if name == 'vl4':
+            env[rd] = spad[srcs[0]:srcs[0] + 4]
+            continue
+        if name == 'vs4':
+            spad[rd:rd + 4] = env[srcs[0]]
+            continue
+        args = [env[rd] if c == 'd' else env[s] if c in 'xfhv' else s
+                for c, s in zip(sig, srcs)]
+        try:
+            v = fn(*args)
+        except (ZeroDivisionError, OverflowError):
+            assume(False)
+        assume(all(map(_in_domain, v if isinstance(v, list) else [v])))
+        if rd != 'x0':
+            env[rd] = v
+    for v in VREGS:
+        spad += env.pop(v)
+    return env, spad
 
 
 class TestDifferential:
-    @given(int_programs())
-    @settings(max_examples=40, deadline=None)
+    @given(programs(INT_OPS))
+    @settings(max_examples=60, deadline=None)
     def test_integer_programs_match_python(self, prog):
         init, ops = prog
-        regs = sorted(init)
-        got = run_program(init, ops, regs)
-        env = reference(init, ops)
-        assert got == [env[r] for r in regs]
+        env, _ = reference(init, ops)
+        regs = sorted(env)
+        assert run_program(init, ops, regs)[0] == [env[r] for r in regs]
 
-    @given(fp_programs())
-    @settings(max_examples=40, deadline=None)
+    @given(programs(INT_OPS + FP_OPS))
+    @settings(max_examples=60, deadline=None)
     def test_fp_programs_match_python(self, prog):
         init, ops = prog
-        regs = sorted(init)
-        got = run_program(init, ops, regs)
-        env = reference(init, ops)
-        for g, r in zip(got, (env[r] for r in regs)):
-            assert g == pytest.approx(r, rel=1e-12, abs=1e-12)
+        env, _ = reference(init, ops)
+        regs = sorted(env)
+        assert run_program(init, ops, regs)[0] == [env[r] for r in regs]
+
+    @given(pcv_programs())
+    @settings(max_examples=40, deadline=None)
+    def test_pcv_programs_match_python_lists(self, prog):
+        spad, init, ops = prog
+        env, want_spad = reference(init, ops, spad)
+        regs = sorted(env)
+        got, got_spad = run_program(init, ops, regs, spad)
+        assert got == [env[r] for r in regs]
+        assert got_spad == want_spad
+
+    def test_x0_destination_still_evaluates_the_expression(self):
+        """A write to x0 is dropped, but not the work: shifting by a
+        negative amount raises whether or not the result is kept."""
+        init = {'x5': 1, 'x6': -1}
+        row = ('sll', 'x', 'xx', None)
+        with pytest.raises(ValueError):
+            run_program(init, [(row, 'x0', ['x5', 'x6'])], ['x0'])
+        add = ('add', 'x', 'xx', None)
+        assert run_program(init, [(add, 'x0', ['x5', 'x5'])],
+                           ['x0', 'x5'])[0] == [0, 1]
 
     @given(st.integers(-1000, 1000), st.integers(1, 50))
     @settings(max_examples=30, deadline=None)
     def test_div_rem_identity(self, a_val, b_val):
         """C-style truncating division: a == b*(a/b) + a%b."""
-        init = {'x5': a_val, 'x6': b_val}
-        ops = [(('div', 2, None), 'x7', 'x5', 'x6'),
-               (('rem', 2, None), 'x8', 'x5', 'x6')]
         fabric = Fabric(small_config())
         out = fabric.alloc(2)
         asm = Assembler()
@@ -160,3 +279,35 @@ class TestDifferential:
         fabric.load_program(a.finish())
         fabric.run()
         assert fabric.read_array(dst, len(values)) == values
+
+
+def _decoded(opcode):
+    return Program([Instr(opcode)], {}).instrs[0]
+
+
+class TestExecutorCoverage:
+    NO_EXECUTOR = [o for o in op.NAMES if o not in EXECUTORS]
+
+    def test_every_opcode_has_exactly_one_home(self):
+        """The execute table, the tile's sequencer, or the GPU only."""
+        for o in op.NAMES:
+            homes = (o in EXECUTORS, _decoded(o).seq > SEQ_FRAME,
+                     op.is_gpu_only(o))
+            assert sum(homes) == 1, (op.name(o), homes)
+
+    @pytest.mark.parametrize('opcode', NO_EXECUTOR,
+                             ids=[op.name(o) for o in NO_EXECUTOR])
+    def test_unsupported_opcode_raises_when_executed(self, opcode):
+        """Binding never fails (GPU programs assemble and load); running
+        the instruction on a tile's datapath names what went wrong."""
+        prog = Program([Instr(opcode)], {})
+        bind_program(prog)
+        tile = Fabric(small_config()).tiles[3]
+        with pytest.raises(SimError, match=rf'cannot execute '
+                           rf'{op.name(opcode)} here \(core 3, mode \d+\)'):
+            prog.instrs[0].run(tile, 0)
+
+    def test_gpu_only_opcode_loads_and_faults_at_issue(self):
+        with pytest.raises(SimError, match=r'vote_any here \(core 0, mode'):
+            run_program({'x6': 1}, [(('vote_any', 'x', 'x', None), 'x5',
+                                     ['x6'])], ['x5'])

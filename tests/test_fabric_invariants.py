@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness import run_benchmark
 from repro.kernels import registry
+from repro.kernels.base import VectorParams
 from repro.manycore import Fabric, small_config
 
 SMALL = small_config()
@@ -82,6 +83,26 @@ class TestAccountingInvariants:
                 assert consumed == 0
             else:
                 assert consumed > 0, (b, c)
+
+
+class TestInetOccupancy:
+    @pytest.mark.parametrize('name', ['gemm', 'bicg', '2dconv'])
+    @pytest.mark.parametrize('pcv', [False, True])
+    def test_inet_queues_never_exceed_capacity(self, name, pcv):
+        """The paper's 2-entry inet input queues bound the run-ahead the
+        implicit synchronization relies on.  The tile's forwarding path
+        appends to its successor's queue directly (after its own capacity
+        check), so the high-water mark is what shows the check holds."""
+        bench = registry.make(name)
+        fabric = Fabric(SMALL)
+        ws = bench.setup(fabric, bench.test_params)
+        fabric.load_program(bench.build_vector(
+            fabric, ws, bench.test_params, VectorParams(lanes=4, pcv=pcv)))
+        fabric.run()
+        peaks = [t.inet_in.peak_depth for t in fabric.tiles]
+        assert max(peaks) > 0  # instructions did travel the inet
+        for t in fabric.tiles:
+            assert t.inet_in.peak_depth <= t.inet_in.capacity == 2, t
 
 
 class TestDeterminism:

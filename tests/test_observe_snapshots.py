@@ -79,3 +79,23 @@ def test_monotone_without_sink(tmp_path):
     ServeScheduler(fabric).run(_requests())
     assert plane.snapshots >= 2
     assert plane._last_cycle == fabric.cycle
+
+
+def test_unwatched_plane_defers_its_drains_but_ends_identical():
+    """With no sink and no callback, periodic snapshots only stamp their
+    cycle; finalize folds the queued records in one batch."""
+    def run(on_snapshot):
+        plane = ObservePlane(snapshot_interval=500, on_snapshot=on_snapshot)
+        fabric = Fabric()
+        plane.attach(fabric)
+        ServeScheduler(fabric).run(_requests())
+        return plane
+
+    seen = []
+    watched = run(lambda plane, now: seen.append(
+        plane.registry.snapshot()['noc_words_total']))
+    idle = run(None)
+    assert seen == sorted(seen) and seen[-1] > seen[0]  # live mid-run
+    assert idle.snapshots == watched.snapshots == len(seen)
+    assert idle.registry.snapshot() == watched.registry.snapshot()
+    assert idle.heatmaps_dict() == watched.heatmaps_dict()
