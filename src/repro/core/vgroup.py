@@ -37,9 +37,6 @@ class GroupDescriptor:
 
     group_id: int
     tiles: List[int]
-    frame_size: int = 16
-    num_frame_slots: int = 8
-    frame_base: int = 0
     #: groups in this descriptor's program/job (what CSR_NGROUPS reports);
     #: None falls back to the fabric-wide registered-group count, which is
     #: only correct for the classic one-program-per-fabric flow.

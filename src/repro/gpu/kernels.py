@@ -11,6 +11,11 @@ Each benchmark produces a list of kernel launches ``(program, entry)``;
 sequentially-dependent algorithms (gramschm's k loop, bfs levels, fdtd
 timesteps) become sequences of launches and pay the per-launch overhead,
 which is exactly why they do poorly on the GPU.
+
+:func:`build_launches` walks the kernel's own phase list
+(:meth:`repro.kernels.base.Benchmark.phases`) through ``GPU_EMITTERS``,
+one launch per phase with loops unrolled; only the two kernels without a
+phase list (gramschm, bfs) have a hand-written launch builder here.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from ..isa import Assembler, Program, opcodes as op
 from ..kernels import registry
-from ..kernels.base import Workspace
+from ..kernels.base import Workspace, emitter_for
 from ..kernels.vector_templates import MatTerm, StencilSection
 from .config import GpuConfig
 
@@ -248,176 +253,20 @@ def k_stencil(cfg: GpuConfig, *, n_out_rows: int, row0: int, ncols: int,
     return _kernel(build)
 
 
-# -------------------------------------------------------- benchmark adapters
-def build_launches(bench_name: str, ws: Workspace, params: dict,
-                   cfg: GpuConfig) -> List[Launch]:
-    """GPU kernel-launch sequence for one benchmark."""
-    fn = _BUILDERS.get(bench_name)
-    if fn is None:
-        raise KeyError(f'no GPU port for benchmark {bench_name!r}')
-    return fn(ws, params, cfg)
+# ------------------------------------------------------------- SPMD fix-ups
+def _k_fict(cfg: GpuConfig, t: int, *, fict: int, ey: int, m: int) -> Launch:
+    """fdtd-2d's boundary row for unrolled time step ``t``."""
+    def build(a: Assembler):
+        def body(a: Assembler):
+            a.li('x5', fict + t)
+            a.lw('f1', 'x5', 0)
+            a.li('x31', ey)
+            a.add('x6', 'x3', 'x31')
+            pred_store(a, 'f1', 'x6')
 
+        each_item(a, m, cfg.total_threads, body)
 
-def _gemm(ws, p, cfg):
-    from ..kernels.gemm import ALPHA, BETA
-    ni, nj, nk = p['ni'], p['nj'], p['nk']
-    return [k_matmul(cfg, ni=ni, nj=nj, nk=nk,
-                     terms=[MatTerm(ws.base('A'), nk, ws.base('B'), nj)],
-                     out_base=ws.base('C'), out_stride=nj,
-                     alpha=ALPHA, beta=BETA)]
-
-
-def _mm2(ws, p, cfg):
-    ni, nj, nk, nl = p['ni'], p['nj'], p['nk'], p['nl']
-    return [
-        k_matmul(cfg, ni=ni, nj=nj, nk=nk,
-                 terms=[MatTerm(ws.base('A'), nk, ws.base('B'), nj)],
-                 out_base=ws.base('tmp'), out_stride=nj),
-        k_matmul(cfg, ni=ni, nj=nl, nk=nj,
-                 terms=[MatTerm(ws.base('tmp'), nj, ws.base('C'), nl)],
-                 out_base=ws.base('E'), out_stride=nl),
-    ]
-
-
-def _mm3(ws, p, cfg):
-    n = p['n']
-    pairs = [('A', 'B', 'E'), ('C', 'D', 'F'), ('E', 'F', 'G')]
-    return [k_matmul(cfg, ni=n, nj=n, nk=n,
-                     terms=[MatTerm(ws.base(x), n, ws.base(y), n)],
-                     out_base=ws.base(o), out_stride=n)
-            for x, y, o in pairs]
-
-
-def _syrk(ws, p, cfg):
-    from ..kernels.syrk import ALPHA, BETA
-    n, m = p['n'], p['m']
-    return [
-        k_transpose(cfg, src=ws.base('A'), dst=ws.base('AT'), n=n, m=m),
-        k_matmul(cfg, ni=n, nj=n, nk=m,
-                 terms=[MatTerm(ws.base('A'), m, ws.base('AT'), n)],
-                 out_base=ws.base('C'), out_stride=n,
-                 alpha=ALPHA, beta=BETA),
-    ]
-
-
-def _syr2k(ws, p, cfg):
-    from ..kernels.syr2k import ALPHA, BETA
-    n, m = p['n'], p['m']
-    return [
-        k_transpose(cfg, src=ws.base('A'), dst=ws.base('AT'), n=n, m=m),
-        k_transpose(cfg, src=ws.base('B'), dst=ws.base('BT'), n=n, m=m),
-        k_matmul(cfg, ni=n, nj=n, nk=m,
-                 terms=[MatTerm(ws.base('A'), m, ws.base('BT'), n),
-                        MatTerm(ws.base('B'), m, ws.base('AT'), n)],
-                 out_base=ws.base('C'), out_stride=n,
-                 alpha=ALPHA, beta=BETA),
-    ]
-
-
-def _atax(ws, p, cfg):
-    n = p['n']
-    return [
-        k_rowdot(cfg, nrows=n, ncols=n, mats=[(ws.base('A'), n)],
-                 vec_base=ws.base('x'), out_base=ws.base('tmp'),
-                 coeffs=[1.0]),
-        k_matmul(cfg, ni=1, nj=n, nk=n,
-                 terms=[MatTerm(ws.base('tmp'), 0, ws.base('A'), n)],
-                 out_base=ws.base('y'), out_stride=n),
-    ]
-
-
-def _bicg(ws, p, cfg):
-    n = p['n']
-    return [
-        k_matmul(cfg, ni=1, nj=n, nk=n,
-                 terms=[MatTerm(ws.base('r'), 0, ws.base('A'), n)],
-                 out_base=ws.base('s'), out_stride=n),
-        k_rowdot(cfg, nrows=n, ncols=n, mats=[(ws.base('A'), n)],
-                 vec_base=ws.base('p'), out_base=ws.base('q'),
-                 coeffs=[1.0]),
-    ]
-
-
-def _mvt(ws, p, cfg):
-    n = p['n']
-    return [
-        k_rowdot(cfg, nrows=n, ncols=n, mats=[(ws.base('A'), n)],
-                 vec_base=ws.base('y1'), out_base=ws.base('x1'),
-                 coeffs=[1.0], accumulate=True),
-        k_matmul(cfg, ni=1, nj=n, nk=n,
-                 terms=[MatTerm(ws.base('y2'), 0, ws.base('A'), n)],
-                 out_base=ws.base('x2'), out_stride=n, beta=1.0),
-    ]
-
-
-def _gesummv(ws, p, cfg):
-    from ..kernels.gesummv import ALPHA, BETA
-    n = p['n']
-    return [k_rowdot(cfg, nrows=n, ncols=n,
-                     mats=[(ws.base('A'), n), (ws.base('B'), n)],
-                     vec_base=ws.base('x'), out_base=ws.base('y'),
-                     coeffs=[ALPHA, BETA])]
-
-
-def _conv2d(ws, p, cfg):
-    from ..kernels.conv2d import conv2d_sections
-    n, m = p['n'], p['m']
-    sections, coeffs = conv2d_sections(ws.base('A'), m)
-    return [k_stencil(cfg, n_out_rows=n - 2, row0=1, ncols=m,
-                      sections=sections, coeffs=coeffs,
-                      out_base=ws.base('B'), out_stride=m,
-                      jlo=1, jhi=m - 1)]
-
-
-def _conv3d(ws, p, cfg):
-    from ..kernels.conv3d import conv3d_sections
-    pl, n, m = p['p'], p['n'], p['m']
-    sections, coeffs = conv3d_sections(ws.base('A'), n, m)
-    row0 = n + 1
-    n_out = (pl - 1) * n - 2 - row0 + 1
-    return [k_stencil(cfg, n_out_rows=n_out, row0=row0, ncols=m,
-                      sections=sections, coeffs=coeffs,
-                      out_base=ws.base('B'), out_stride=m,
-                      jlo=1, jhi=m - 1, row_valid=(n, 1, n - 1))]
-
-
-def _fdtd2d(ws, p, cfg):
-    from ..kernels.fdtd2d import Fdtd2d
-    bench = Fdtd2d()
-    n, m, tmax = p['n'], p['m'], p['tmax']
-    launches = []
-    for t in range(tmax):
-        fict, ey = ws.base('fict'), ws.base('ey')
-
-        def fict_kernel(a: Assembler, t=t):
-            def body(a: Assembler):
-                a.li('x5', fict + t)
-                a.lw('f1', 'x5', 0)
-                a.li('x31', ey)
-                a.add('x6', 'x3', 'x31')
-                pred_store(a, 'f1', 'x6')
-
-            each_item(a, m, cfg.total_threads, body)
-
-        launches.append(_kernel(fict_kernel))
-        for st in bench._stencils(ws, p):
-            st = dict(st)
-            st.pop('name')
-            launches.append(k_stencil(cfg, **st))
-    return launches
-
-
-def _corr_family(ws, p, cfg, scale: bool):
-    m, n = p['m'], p['n']
-    data, dt, out = ws.base('data'), ws.base('DT'), ws.base('out')
-    launches = [_k_column_stats(cfg, data=data, m=m, n=n, scale=scale),
-                k_transpose(cfg, src=data, dst=dt, n=m, m=n),
-                k_matmul(cfg, ni=n, nj=n, nk=m,
-                         terms=[MatTerm(dt, m, data, n)],
-                         out_base=out, out_stride=n)]
-    if scale:
-        launches.append(_k_fix_diag(cfg, out=out, n=n))
-    return launches
+    return _kernel(build)
 
 
 def _k_column_stats(cfg, *, data: int, m: int, n: int,
@@ -483,6 +332,7 @@ def _k_fix_diag(cfg, *, out: int, n: int) -> Launch:
     return _kernel(build)
 
 
+# ---------------------------------------------- hand-written launch builders
 def _gramschm(ws, p, cfg):
     m, n = p['m'], p['n']
     A, Q, R = ws.base('A'), ws.base('Q'), ws.base('R')
@@ -634,21 +484,41 @@ def _k_bfs_level(cfg, *, v, rp, col, depth, maxdeg, level) -> Launch:
     return _kernel(build)
 
 
-_BUILDERS = {
-    'gemm': _gemm,
-    '2mm': _mm2,
-    '3mm': _mm3,
-    'syrk': _syrk,
-    'syr2k': _syr2k,
-    'atax': _atax,
-    'bicg': _bicg,
-    'mvt': _mvt,
-    'gesummv': _gesummv,
-    '2dconv': _conv2d,
-    '3dconv': _conv3d,
-    'fdtd-2d': _fdtd2d,
-    'corr': lambda ws, p, cfg: _corr_family(ws, p, cfg, True),
-    'covar': lambda ws, p, cfg: _corr_family(ws, p, cfg, False),
-    'gramschm': _gramschm,
-    'bfs': _bfs,
+# ----------------------------------------------------------- the phase walk
+#: ``emit(cfg, t, **kwargs) -> Launch``; ``t`` is the unrolled iteration
+#: of the enclosing ``loop`` (None outside one) — a launch starts with
+#: fresh registers, so it cannot read a run-time loop index as x19
+GPU_EMITTERS = {
+    'matmul': lambda cfg, t, *, name, **kw: k_matmul(cfg, **kw),
+    'rowdot': lambda cfg, t, *, name, partials_bases, **kw: k_rowdot(
+        cfg, **kw),
+    'stencil': lambda cfg, t, *, name, fit_rows, **kw: k_stencil(cfg, **kw),
+    'transpose': lambda cfg, t, **kw: k_transpose(cfg, **kw),
+    'fict': _k_fict,
+    'column_stats': lambda cfg, t, **kw: _k_column_stats(cfg, **kw),
+    'fix_diagonal': lambda cfg, t, **kw: _k_fix_diag(cfg, **kw),
 }
+
+#: the kernels that declare no phase list
+_HANDWRITTEN = {'gramschm': _gramschm, 'bfs': _bfs}
+
+
+def _unrolled(records, t=None):
+    """``(kind, kwargs, t)`` in launch order, loops unrolled."""
+    for kind, kw in records:
+        if kind == 'loop':
+            for i in range(kw['count']):
+                yield from _unrolled(kw['phases'], i)
+        else:
+            yield kind, kw, t
+
+
+def build_launches(bench_name: str, ws: Workspace, params: dict,
+                   cfg: GpuConfig) -> List[Launch]:
+    """GPU kernel-launch sequence for one benchmark."""
+    build = _HANDWRITTEN.get(bench_name)
+    if build is not None:
+        return build(ws, params, cfg)
+    records = registry.make(bench_name).phases(ws, params)
+    return [emitter_for(GPU_EMITTERS, bench_name, kind, 'GPU')(cfg, t, **kw)
+            for kind, kw, t in _unrolled(records)]

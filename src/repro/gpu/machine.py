@@ -17,7 +17,7 @@ the manycore model uses for its LLC banks.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class _TagArray:
         self.accesses = 0
         self.misses = 0
 
-    def access(self, line: int, now: float) -> (bool, float):
+    def access(self, line: int, now: float) -> Tuple[bool, float]:
         """Returns (hit, time_after_this_level)."""
         start = max(now, self._port_free)
         self._port_free = start + 1.0

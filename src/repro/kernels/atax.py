@@ -11,16 +11,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like, mimd_rowdot
-from .vector_templates import (MatTerm, emit_matmul_like, emit_rowdot,
-                               emit_rowdot_reduce)
-
-MAX_LANES = 16
+from .base import MAX_LANES, Benchmark, Workspace
+from .vector_templates import MatTerm
 
 
 class Atax(Benchmark):
@@ -43,37 +37,19 @@ class Atax(Benchmark):
         tmp, y = refs.atax(ws.inputs['A'], ws.inputs['x'])
         return {'tmp': tmp, 'y': y}
 
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
+    def phases(self, ws: Workspace, params):
         n = params['n']
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_rowdot(
-            a, nrows=n, ncols=n, mats=[(ws.base('A'), n)],
-            vec_base=ws.base('x'), out_base=ws.base('tmp'), coeffs=[1.0],
-            cfg=fabric.cfg, prefetch=prefetch, pcv=pcv))
-        mb.add_kernel(lambda a: mimd_matmul_like(
-            a, ni=1, nj=n, nk=n,
-            terms=[MatTerm(ws.base('tmp'), 0, ws.base('A'), n)],
-            out_base=ws.base('y'), out_stride=n, cfg=fabric.cfg,
-            prefetch=prefetch, pcv=pcv, kb=min(4, n)))
-        return mb.build()
+        return [
+            ('rowdot', dict(
+                name='atax_r', nrows=n, ncols=n, mats=[(ws.base('A'), n)],
+                vec_base=ws.base('x'), partials_bases=[ws.base('p0')],
+                coeffs=[1.0], out_base=ws.base('tmp'))),
+            ('matmul', dict(
+                name='atax_m', ni=1, nj=n, nk=n,
+                terms=[MatTerm(ws.base('tmp'), 0, ws.base('A'), n)],
+                out_base=ws.base('y'), out_stride=n)),
+        ]
 
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
+    def footprint_words(self, params, lanes: int) -> int:
         n = params['n']
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        flen = self.matvec_flen(fabric, vp.lanes, vp.pcv, n)
-        mflen, mpcv = self.fitted_flen(fabric, vp.lanes, vp.pcv, n, ni=1)
-        emit_rowdot(p, name='atax1', nrows=n, ncols=n,
-                    mats=[(ws.base('A'), n)], vec_base=ws.base('x'),
-                    partials_bases=[ws.base('p0')], flen=flen, pcv=vp.pcv)
-        emit_rowdot_reduce(p, nrows=n, lanes=vp.lanes,
-                           partials_bases=[ws.base('p0')], coeffs=[1.0],
-                           out_base=ws.base('tmp'))
-        emit_matmul_like(p, name='atax2', ni=1, nj=n, nk=n,
-                         terms=[MatTerm(ws.base('tmp'), 0, ws.base('A'), n)],
-                         out_base=ws.base('y'), out_stride=n,
-                         kb=min(4, n), flen=mflen, pcv=mpcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 4 * self.flen_for(fabric, lanes, pcv) + 4
+        return n * n + 6 * n + n * lanes

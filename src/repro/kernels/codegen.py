@@ -179,7 +179,8 @@ class VectorKernelBuilder:
     lanes:
         Vector length (lanes per group, excluding the scalar core).
     frame_size, num_slots:
-        DAE frame configuration applied on every lane.
+        DAE frame configuration applied on every lane.  May be left out
+        when every ``vector_phase`` names its own frame size.
     max_groups:
         Optionally cap the number of groups (else pack the whole mesh).
     mt_body_instrs:
@@ -191,16 +192,16 @@ class VectorKernelBuilder:
         mesh.  Group ids and the NGROUPS CSR are scoped to this region.
     """
 
-    def __init__(self, fabric, lanes: int, frame_size: int,
+    def __init__(self, fabric, lanes: int, frame_size: Optional[int] = None,
                  num_slots: int = None, max_groups: int = None,
                  mt_body_instrs: int = 16,
                  tiles: Optional[Sequence[int]] = None):
         cfg = fabric.cfg
         self.fabric = fabric
         self.lanes = lanes
-        self.frame_size = frame_size
-        self.num_slots = num_slots
-        self.set_frame_size(frame_size, num_slots)
+        self.frame_size = self.num_slots = None
+        if frame_size is not None:
+            self.set_frame_size(frame_size, num_slots)
         if tiles is not None:
             self.groups, self.idle = plan_groups_in(tiles, lanes,
                                                     max_groups)
@@ -213,8 +214,6 @@ class VectorKernelBuilder:
             raise ValueError(f'no {lanes}-lane group fits the {where}')
         self.handles = {}
         for g in self.groups:
-            g.frame_size = frame_size
-            g.num_frame_slots = num_slots
             self.handles[g.group_id] = fabric.register_group(g)
         # Static DAE pacing needs room in the frame-counter window for the
         # runahead distance plus every microthread launch the inet can
@@ -369,6 +368,9 @@ class VectorProgram:
         b = self.b
         if frame_size is not None:
             b.set_frame_size(frame_size)
+        if b.frame_size is None:
+            raise ValueError('vector_phase needs a frame_size: none was '
+                             'given here or to the builder')
         n = self._phase_n
         self._phase_n += 1
         resume = f'.resume_{n}'

@@ -11,13 +11,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_stencil_rows
-from .vector_templates import StencilSection, emit_stencil_rows
+from .base import Benchmark, Workspace
+from .vector_templates import StencilSection
 
 
 def conv2d_sections(base: int, stride: int):
@@ -46,28 +43,13 @@ class Conv2d(Benchmark):
     def expected(self, ws: Workspace, params) -> Dict[str, np.ndarray]:
         return {'B': refs.conv2d(ws.inputs['A'])}
 
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
+    def phases(self, ws: Workspace, params):
         n, m = params['n'], params['m']
         sections, coeffs = conv2d_sections(ws.base('A'), m)
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_stencil_rows(
-            a, n_out_rows=n - 2, row0=1, ncols=m, sections=sections,
-            coeffs=coeffs, out_base=ws.base('B'), out_stride=m,
-            jlo=1, jhi=m - 1, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        n, m = params['n'], params['m']
-        sections, coeffs = conv2d_sections(ws.base('A'), m)
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        flen, _ = self.fitted_flen(fabric, vp.lanes, vp.pcv, m, ni=n - 2,
-                                   cap=4)
-        emit_stencil_rows(
-            p, name='conv2d', n_out_rows=n - 2, row0=1, ncols=m,
+        return [('stencil', dict(
+            name='conv2d', n_out_rows=n - 2, row0=1, ncols=m,
             sections=sections, coeffs=coeffs, out_base=ws.base('B'),
-            out_stride=m, jlo=1, jhi=m - 1, flen=flen)
-        return p.finish()
+            out_stride=m, jlo=1, jhi=m - 1, fit_rows=n - 2))]
 
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 9 * self.flen_for(fabric, lanes, pcv)
+    def footprint_words(self, params, lanes: int) -> int:
+        return 2 * params['n'] * params['m']

@@ -12,13 +12,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_stencil_rows
-from .vector_templates import StencilSection, emit_stencil_rows
+from .base import Benchmark, Workspace
+from .vector_templates import StencilSection
 
 
 def conv3d_sections(base: int, n: int, m: int):
@@ -49,38 +46,14 @@ class Conv3d(Benchmark):
     def expected(self, ws: Workspace, params) -> Dict[str, np.ndarray]:
         return {'B': refs.conv3d(ws.inputs['A'])}
 
-    def _geometry(self, params):
-        p, n = params['p'], params['n']
+    def phases(self, ws: Workspace, params):
+        p, n, m = params['p'], params['n'], params['m']
+        sections, coeffs = conv3d_sections(ws.base('A'), n, m)
         row0 = n + 1                        # first interior (plane 1, row 1)
         last = (p - 1) * n - 2              # last interior (plane p-2, n-2)
-        return row0, last - row0 + 1
-
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
-        p, n, m = params['p'], params['n'], params['m']
-        sections, coeffs = conv3d_sections(ws.base('A'), n, m)
-        row0, n_out = self._geometry(params)
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_stencil_rows(
-            a, n_out_rows=n_out, row0=row0, ncols=m, sections=sections,
-            coeffs=coeffs, out_base=ws.base('B'), out_stride=m,
-            jlo=1, jhi=m - 1, row_valid=(n, 1, n - 1), cfg=fabric.cfg,
-            prefetch=prefetch, pcv=pcv))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        p, n, m = params['p'], params['n'], params['m']
-        sections, coeffs = conv3d_sections(ws.base('A'), n, m)
-        row0, n_out = self._geometry(params)
-        b = self.make_vector_builder(fabric, vp, params)
-        prog = b.program()
-        flen, _ = self.fitted_flen(fabric, vp.lanes, vp.pcv, m, ni=n_out,
-                                   cap=4)
-        emit_stencil_rows(
-            prog, name='conv3d', n_out_rows=n_out, row0=row0, ncols=m,
+        n_out = last - row0 + 1
+        return [('stencil', dict(
+            name='conv3d', n_out_rows=n_out, row0=row0, ncols=m,
             sections=sections, coeffs=coeffs, out_base=ws.base('B'),
             out_stride=m, jlo=1, jhi=m - 1, row_valid=(n, 1, n - 1),
-            flen=flen)
-        return prog.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 27 * self.flen_for(fabric, lanes, pcv)
+            fit_rows=n_out))]

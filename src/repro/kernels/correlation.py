@@ -14,73 +14,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Assembler, Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import _strided_tiles, mimd_matmul_like, mimd_transpose
-from .vector_templates import MatTerm, emit_fconst, emit_fp_zero, \
-    emit_matmul_like
-
-
-def _emit_column_stats(a: Assembler, *, data: int, m: int, n: int,
-                       scale: bool) -> None:
-    """Center (and for corr: scale) every column of an m x n matrix.
-
-    covar: D[k][j] -= mean_j.
-    corr:  D[k][j] = (D[k][j] - mean_j) / (sqrt(m) * std_j), with the
-    PolyBench epsilon guard (std <= 0.1 -> 1.0).
-    """
-    emit_fconst(a, 'f12', float(m))
-    if scale:
-        emit_fconst(a, 'f13', 0.1)
-        emit_fconst(a, 'f14', 1.0)
-        emit_fconst(a, 'f15', float(np.sqrt(float(m))))
-    with _strided_tiles(a, n):
-        # x3 = column j; walk addresses with stride n
-        a.li('x5', data)
-        a.add('x5', 'x5', 'x3')
-        emit_fp_zero(a, 'f8')   # sum
-        emit_fp_zero(a, 'f9')   # sum of squares
-        a.mv('x6', 'x5')
-        with a.for_count('x7', m):
-            a.lw('f1', 'x6', 0)
-            a.fadd('f8', 'f8', 'f1')
-            if scale:
-                a.fma('f9', 'f1', 'f1')
-            a.addi('x6', 'x6', n)
-        a.fdiv('f10', 'f8', 'f12')          # mean
-        if scale:
-            a.fdiv('f9', 'f9', 'f12')       # E[x^2]
-            a.fmul('f2', 'f10', 'f10')
-            a.fsub('f9', 'f9', 'f2')        # variance
-            a.fsqrt('f11', 'f9')            # std
-            skip = a.label()
-            a.flt('x8', 'f13', 'f11')       # std > 0.1 ?
-            a.bne('x8', 'x0', skip.name)
-            a.mv('f11', 'f14')              # epsilon guard
-            a.bind(skip)
-            a.fmul('f11', 'f11', 'f15')     # sqrt(m) * std
-        a.mv('x6', 'x5')
-        with a.for_count('x7', m):
-            a.lw('f1', 'x6', 0)
-            a.fsub('f1', 'f1', 'f10')
-            if scale:
-                a.fdiv('f1', 'f1', 'f11')
-            a.sw('f1', 'x6', 0)
-            a.addi('x6', 'x6', n)
-
-
-def _emit_fix_diagonal(a: Assembler, *, out: int, n: int) -> None:
-    """corr[i][i] = 1.0 (PolyBench sets the diagonal explicitly)."""
-    emit_fconst(a, 'f14', 1.0)
-    with _strided_tiles(a, n):
-        a.li('x5', n + 1)
-        a.mul('x5', 'x5', 'x3')
-        a.li('x6', out)
-        a.add('x6', 'x6', 'x5')
-        a.sw('f14', 'x6', 0)
+from .base import Benchmark, Workspace
+from .vector_templates import MatTerm
 
 
 class _CorrBase(Benchmark):
@@ -95,45 +32,19 @@ class _CorrBase(Benchmark):
         self.alloc_zeros(fabric, ws, 'out', n * n)
         return ws
 
-    def _main(self, ws, params):
+    def phases(self, ws: Workspace, params):
         m, n = params['m'], params['n']
-        return dict(ni=n, nj=n, nk=m,
-                    terms=[MatTerm(ws.base('DT'), m, ws.base('data'), n)],
-                    out_base=ws.base('out'), out_stride=n)
-
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
-        m, n = params['m'], params['n']
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: _emit_column_stats(
-            a, data=ws.base('data'), m=m, n=n, scale=self.scale))
-        mb.add_kernel(lambda a: mimd_transpose(
-            a, src=ws.base('data'), dst=ws.base('DT'), n=m, m=n))
-        st = self._main(ws, params)
-        mb.add_kernel(lambda a: mimd_matmul_like(
-            a, **st, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv,
-            kb=min(4, st['nk'])))
+        data, dt, out = ws.base('data'), ws.base('DT'), ws.base('out')
+        records = [
+            ('column_stats', dict(data=data, m=m, n=n, scale=self.scale)),
+            ('transpose', dict(src=data, dst=dt, n=m, m=n)),
+            ('matmul', dict(name=self.name, ni=n, nj=n, nk=m,
+                            terms=[MatTerm(dt, m, data, n)],
+                            out_base=out, out_stride=n)),
+        ]
         if self.scale:
-            mb.add_kernel(lambda a: _emit_fix_diagonal(
-                a, out=ws.base('out'), n=n))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        m, n = params['m'], params['n']
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        p.mimd_phase(lambda a: _emit_column_stats(
-            a, data=ws.base('data'), m=m, n=n, scale=self.scale))
-        p.mimd_phase(lambda a: mimd_transpose(
-            a, src=ws.base('data'), dst=ws.base('DT'), n=m, m=n))
-        st = self._main(ws, params)
-        flen, pcv = self.fitted_flen(fabric, vp.lanes, vp.pcv, st['nj'],
-                                     ni=st['ni'])
-        emit_matmul_like(p, name=self.name, **st, kb=min(4, st['nk']),
-                         flen=flen, pcv=pcv)
-        if self.scale:
-            p.mimd_phase(lambda a: _emit_fix_diagonal(
-                a, out=ws.base('out'), n=n))
-        return p.finish()
+            records.append(('fix_diagonal', dict(out=out, n=n)))
+        return records
 
 
 class Corr(_CorrBase):

@@ -12,13 +12,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import _strided_tiles, mimd_stencil_rows
-from .vector_templates import StencilSection, emit_stencil_rows
+from .base import Benchmark, Workspace
+from .vector_templates import StencilSection
 
 
 class Fdtd2d(Benchmark):
@@ -42,69 +39,36 @@ class Fdtd2d(Benchmark):
                                  params['tmax'])
         return {'ex': ex, 'ey': ey, 'hz': hz}
 
-    # -- kernel descriptions shared by MIMD and vector builds -----------------
-    def _stencils(self, ws, params):
+    def phases(self, ws: Workspace, params):
         n, m = params['n'], params['m']
         ex, ey, hz = ws.base('ex'), ws.base('ey'), ws.base('hz')
-        return [
-            dict(name='ey', n_out_rows=n - 1, row0=1, ncols=m,
-                 sections=[StencilSection(hz, m, 0, 0),
-                           StencilSection(hz, m, -1, 0)],
-                 coeffs=[-0.5, 0.5], out_base=ey, out_stride=m,
-                 jlo=0, jhi=m, out_coeff_old=1.0),
-            dict(name='ex', n_out_rows=n, row0=0, ncols=m,
-                 sections=[StencilSection(hz, m, 0, 0),
-                           StencilSection(hz, m, 0, -1)],
-                 coeffs=[-0.5, 0.5], out_base=ex, out_stride=m,
-                 jlo=1, jhi=m, out_coeff_old=1.0),
-            dict(name='hz', n_out_rows=n - 1, row0=0, ncols=m,
-                 sections=[StencilSection(ex, m, 0, 1),
-                           StencilSection(ex, m, 0, 0),
-                           StencilSection(ey, m, 1, 0),
-                           StencilSection(ey, m, 0, 0)],
-                 coeffs=[-0.7, 0.7, -0.7, 0.7], out_base=hz, out_stride=m,
-                 jlo=0, jhi=m - 1, out_coeff_old=1.0),
-        ]
 
-    def _fict_kernel(self, ws, params):
-        m = params['m']
-        fict, ey = ws.base('fict'), ws.base('ey')
+        def stencil(name, **kw):
+            # one FLEN for the whole time step: all three stencils are
+            # fitted to the grid height, not to their own row counts
+            return ('stencil', dict(name='fdtd_' + name, ncols=m,
+                                    out_stride=m, out_coeff_old=1.0,
+                                    fit_rows=n, **kw))
 
-        def body(a):
-            # ey[0][j] = fict[t] for all j (t in x19)
-            a.li('x5', fict)
-            a.add('x5', 'x5', 'x19')
-            a.lw('f1', 'x5', 0)
-            with _strided_tiles(a, m):
-                a.li('x6', ey)
-                a.add('x6', 'x6', 'x3')
-                a.sw('f1', 'x6', 0)
+        return [('loop', dict(count=params['tmax'], phases=[
+            ('fict', dict(fict=ws.base('fict'), ey=ey, m=m)),
+            stencil('ey', n_out_rows=n - 1, row0=1,
+                    sections=[StencilSection(hz, m, 0, 0),
+                              StencilSection(hz, m, -1, 0)],
+                    coeffs=[-0.5, 0.5], out_base=ey, jlo=0, jhi=m),
+            stencil('ex', n_out_rows=n, row0=0,
+                    sections=[StencilSection(hz, m, 0, 0),
+                              StencilSection(hz, m, 0, -1)],
+                    coeffs=[-0.5, 0.5], out_base=ex, jlo=1, jhi=m),
+            stencil('hz', n_out_rows=n - 1, row0=0,
+                    sections=[StencilSection(ex, m, 0, 1),
+                              StencilSection(ex, m, 0, 0),
+                              StencilSection(ey, m, 1, 0),
+                              StencilSection(ey, m, 0, 0)],
+                    coeffs=[-0.7, 0.7, -0.7, 0.7], out_base=hz,
+                    jlo=0, jhi=m - 1),
+        ]))]
 
-        return body
-
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
-        mb = MimdKernelBuilder()
-        with mb.loop(params['tmax']):
-            mb.add_kernel(self._fict_kernel(ws, params))
-            for st in self._stencils(ws, params):
-                st = dict(st)
-                st.pop('name')
-                mb.add_kernel(lambda a, st=st: mimd_stencil_rows(
-                    a, **st, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        flen, _ = self.fitted_flen(fabric, vp.lanes, vp.pcv,
-                                   params['m'], ni=params['n'], cap=4)
-        with p.loop(params['tmax']):
-            p.mimd_phase(self._fict_kernel(ws, params))
-            for st in self._stencils(ws, params):
-                st = dict(st)
-                st['name'] = 'fdtd_' + st['name']
-                emit_stencil_rows(p, **st, flen=flen)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 5 * self.flen_for(fabric, lanes, pcv)
+    def footprint_words(self, params, lanes: int) -> int:
+        n, m, tmax = params['n'], params['m'], params['tmax']
+        return 3 * n * m + m + tmax

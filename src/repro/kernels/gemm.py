@@ -11,13 +11,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like
-from .vector_templates import MatTerm, emit_matmul_like
+from .base import Benchmark, Workspace
+from .vector_templates import MatTerm
 
 ALPHA = 1.5
 BETA = 1.2
@@ -42,39 +39,17 @@ class Gemm(Benchmark):
                       ALPHA, BETA)
         return {'C': c}
 
-    def _terms(self, ws: Workspace, params):
-        nj, nk = params['nj'], params['nk']
-        return [MatTerm(bcast_base=ws.base('A'), bcast_stride=nk,
-                        group_base=ws.base('B'), group_stride=nj)]
-
-    def build_mimd(self, fabric: Fabric, ws: Workspace, params, *,
-                   prefetch: bool, pcv: bool = False) -> Program:
+    def phases(self, ws: Workspace, params):
         ni, nj, nk = params['ni'], params['nj'], params['nk']
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_matmul_like(
-            a, ni=ni, nj=nj, nk=nk, terms=self._terms(ws, params),
-            out_base=ws.base('C'), out_stride=nj, alpha=ALPHA, beta=BETA,
-            cfg=fabric.cfg, prefetch=prefetch, pcv=pcv,
-            kb=min(4, nk)))
-        return mb.build()
+        return [('matmul', dict(
+            name='gemm', ni=ni, nj=nj, nk=nk,
+            terms=[MatTerm(bcast_base=ws.base('A'), bcast_stride=nk,
+                           group_base=ws.base('B'), group_stride=nj)],
+            out_base=ws.base('C'), out_stride=nj, alpha=ALPHA, beta=BETA))]
 
-    def build_vector(self, fabric: Fabric, ws: Workspace, params,
-                     vp: VectorParams) -> Program:
+    def footprint_words(self, params, lanes: int) -> int:
         ni, nj, nk = params['ni'], params['nj'], params['nk']
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        flen, pcv = self.fitted_flen(fabric, vp.lanes, vp.pcv, nj, ni=ni)
-        emit_matmul_like(
-            p, name='gemm', ni=ni, nj=nj, nk=nk,
-            terms=self._terms(ws, params), out_base=ws.base('C'),
-            out_stride=nj, alpha=ALPHA, beta=BETA, kb=min(4, nk),
-            flen=flen, pcv=pcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric: Fabric, lanes: int, pcv: bool) -> int:
-        flen = self.flen_for(fabric, lanes, pcv)
-        kb = 4
-        return kb * flen + kb
+        return ni * nk + nk * nj + 2 * ni * nj
 
     def mt_body_estimate(self, params, lanes: int) -> int:
         flen = 16 // lanes if lanes <= 16 else 1

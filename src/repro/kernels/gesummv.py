@@ -6,17 +6,12 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_rowdot
-from .vector_templates import emit_rowdot, emit_rowdot_reduce
+from .base import MAX_LANES, Benchmark, Workspace
 
 ALPHA = 1.5
 BETA = 1.2
-MAX_LANES = 16
 
 
 class Gesummv(Benchmark):
@@ -41,32 +36,15 @@ class Gesummv(Benchmark):
                          ALPHA, BETA)
         return {'y': y}
 
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
+    def phases(self, ws: Workspace, params):
         n = params['n']
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_rowdot(
-            a, nrows=n, ncols=n,
+        return [('rowdot', dict(
+            name='gesummv', nrows=n, ncols=n,
             mats=[(ws.base('A'), n), (ws.base('B'), n)],
-            vec_base=ws.base('x'), out_base=ws.base('y'),
-            coeffs=[ALPHA, BETA], cfg=fabric.cfg, prefetch=prefetch,
-            pcv=pcv))
-        return mb.build()
+            vec_base=ws.base('x'),
+            partials_bases=[ws.base('pA'), ws.base('pB')],
+            coeffs=[ALPHA, BETA], out_base=ws.base('y')))]
 
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
+    def footprint_words(self, params, lanes: int) -> int:
         n = params['n']
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        flen = self.matvec_flen(fabric, vp.lanes, vp.pcv, n)
-        emit_rowdot(p, name='gesummv', nrows=n, ncols=n,
-                    mats=[(ws.base('A'), n), (ws.base('B'), n)],
-                    vec_base=ws.base('x'),
-                    partials_bases=[ws.base('pA'), ws.base('pB')],
-                    flen=flen, pcv=vp.pcv)
-        emit_rowdot_reduce(p, nrows=n, lanes=vp.lanes,
-                           partials_bases=[ws.base('pA'), ws.base('pB')],
-                           coeffs=[ALPHA, BETA], out_base=ws.base('y'))
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        # three GROUP sections per frame: A chunk, B chunk, x chunk
-        return 3 * self.flen_for(fabric, lanes, pcv)
+        return 2 * n * n + 4 * n + 2 * n * lanes

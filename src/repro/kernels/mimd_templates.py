@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from ..isa import Assembler, VL_SELF, opcodes as op
 from .codegen import SelfDaeStream, pack_frame_cfg
 from .vector_templates import (MatTerm, StencilSection, emit_fconst,
@@ -502,3 +504,76 @@ def mimd_stencil_rows(a: Assembler, *, n_out_rows: int, row0: int,
         if prefetch:
             a.remem()
             stream.emit_advance_slot(a)
+
+
+# ------------------------------------------------------------- SPMD fix-ups
+# Small per-kernel bodies that are no template: they run unchanged as a
+# MIMD kernel and as a ``mimd_phase`` between vector phases.
+def mimd_fict_row(a: Assembler, *, fict: int, ey: int, m: int) -> None:
+    """fdtd-2d's boundary row: ey[0][j] = fict[t] for all j (t in x19)."""
+    a.li('x5', fict)
+    a.add('x5', 'x5', 'x19')
+    a.lw('f1', 'x5', 0)
+    with _strided_tiles(a, m):
+        a.li('x6', ey)
+        a.add('x6', 'x6', 'x3')
+        a.sw('f1', 'x6', 0)
+
+
+def mimd_column_stats(a: Assembler, *, data: int, m: int, n: int,
+                      scale: bool) -> None:
+    """Center (and for corr: scale) every column of an m x n matrix.
+
+    covar: D[k][j] -= mean_j.
+    corr:  D[k][j] = (D[k][j] - mean_j) / (sqrt(m) * std_j), with the
+    PolyBench epsilon guard (std <= 0.1 -> 1.0).
+    """
+    emit_fconst(a, 'f12', float(m))
+    if scale:
+        emit_fconst(a, 'f13', 0.1)
+        emit_fconst(a, 'f14', 1.0)
+        emit_fconst(a, 'f15', float(np.sqrt(float(m))))
+    with _strided_tiles(a, n):
+        # x3 = column j; walk addresses with stride n
+        a.li('x5', data)
+        a.add('x5', 'x5', 'x3')
+        emit_fp_zero(a, 'f8')   # sum
+        emit_fp_zero(a, 'f9')   # sum of squares
+        a.mv('x6', 'x5')
+        with a.for_count('x7', m):
+            a.lw('f1', 'x6', 0)
+            a.fadd('f8', 'f8', 'f1')
+            if scale:
+                a.fma('f9', 'f1', 'f1')
+            a.addi('x6', 'x6', n)
+        a.fdiv('f10', 'f8', 'f12')          # mean
+        if scale:
+            a.fdiv('f9', 'f9', 'f12')       # E[x^2]
+            a.fmul('f2', 'f10', 'f10')
+            a.fsub('f9', 'f9', 'f2')        # variance
+            a.fsqrt('f11', 'f9')            # std
+            skip = a.label()
+            a.flt('x8', 'f13', 'f11')       # std > 0.1 ?
+            a.bne('x8', 'x0', skip.name)
+            a.mv('f11', 'f14')              # epsilon guard
+            a.bind(skip)
+            a.fmul('f11', 'f11', 'f15')     # sqrt(m) * std
+        a.mv('x6', 'x5')
+        with a.for_count('x7', m):
+            a.lw('f1', 'x6', 0)
+            a.fsub('f1', 'f1', 'f10')
+            if scale:
+                a.fdiv('f1', 'f1', 'f11')
+            a.sw('f1', 'x6', 0)
+            a.addi('x6', 'x6', n)
+
+
+def mimd_fix_diagonal(a: Assembler, *, out: int, n: int) -> None:
+    """corr[i][i] = 1.0 (PolyBench sets the diagonal explicitly)."""
+    emit_fconst(a, 'f14', 1.0)
+    with _strided_tiles(a, n):
+        a.li('x5', n + 1)
+        a.mul('x5', 'x5', 'x3')
+        a.li('x6', out)
+        a.add('x6', 'x6', 'x5')
+        a.sw('f14', 'x6', 0)

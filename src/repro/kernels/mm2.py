@@ -6,13 +6,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like
-from .vector_templates import MatTerm, emit_matmul_like
+from .base import Benchmark, Workspace
+from .vector_templates import MatTerm
 
 
 class Mm2(Benchmark):
@@ -35,35 +32,15 @@ class Mm2(Benchmark):
         tmp, e = refs.mm2(ws.inputs['A'], ws.inputs['B'], ws.inputs['C'])
         return {'tmp': tmp, 'E': e}
 
-    def _stages(self, ws, params):
+    def phases(self, ws: Workspace, params):
         ni, nj, nk, nl = (params[k] for k in ('ni', 'nj', 'nk', 'nl'))
         return [
-            dict(ni=ni, nj=nj, nk=nk,
-                 terms=[MatTerm(ws.base('A'), nk, ws.base('B'), nj)],
-                 out_base=ws.base('tmp'), out_stride=nj),
-            dict(ni=ni, nj=nl, nk=nj,
-                 terms=[MatTerm(ws.base('tmp'), nj, ws.base('C'), nl)],
-                 out_base=ws.base('E'), out_stride=nl),
+            ('matmul', dict(
+                name='mm2_0', ni=ni, nj=nj, nk=nk,
+                terms=[MatTerm(ws.base('A'), nk, ws.base('B'), nj)],
+                out_base=ws.base('tmp'), out_stride=nj)),
+            ('matmul', dict(
+                name='mm2_1', ni=ni, nj=nl, nk=nj,
+                terms=[MatTerm(ws.base('tmp'), nj, ws.base('C'), nl)],
+                out_base=ws.base('E'), out_stride=nl)),
         ]
-
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
-        mb = MimdKernelBuilder()
-        for st in self._stages(ws, params):
-            mb.add_kernel(lambda a, st=st: mimd_matmul_like(
-                a, **st, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv,
-                kb=min(4, st['nk'])))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        for i, st in enumerate(self._stages(ws, params)):
-            flen, pcv = self.fitted_flen(fabric, vp.lanes, vp.pcv,
-                                         st['nj'], ni=st['ni'])
-            emit_matmul_like(p, name=f'mm2_{i}', **st, kb=min(4, st['nk']),
-                             flen=flen, pcv=pcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        flen = self.flen_for(fabric, lanes, pcv)
-        return 4 * flen + 4

@@ -6,13 +6,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like
-from .vector_templates import MatTerm, emit_matmul_like
+from .base import Benchmark, Workspace
+from .vector_templates import MatTerm
 
 
 class Mm3(Benchmark):
@@ -35,31 +32,11 @@ class Mm3(Benchmark):
                            ws.inputs['D'])
         return {'E': e, 'F': f, 'G': g}
 
-    def _stages(self, ws, params):
+    def phases(self, ws: Workspace, params):
         n = params['n']
         pairs = [('A', 'B', 'E'), ('C', 'D', 'F'), ('E', 'F', 'G')]
-        return [dict(ni=n, nj=n, nk=n,
-                     terms=[MatTerm(ws.base(x), n, ws.base(y), n)],
-                     out_base=ws.base(o), out_stride=n)
-                for x, y, o in pairs]
-
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
-        mb = MimdKernelBuilder()
-        for st in self._stages(ws, params):
-            mb.add_kernel(lambda a, st=st: mimd_matmul_like(
-                a, **st, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv,
-                kb=min(4, st['nk'])))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        for i, st in enumerate(self._stages(ws, params)):
-            flen, pcv = self.fitted_flen(fabric, vp.lanes, vp.pcv,
-                                         st['nj'], ni=st['ni'])
-            emit_matmul_like(p, name=f'mm3_{i}', **st, kb=min(4, st['nk']),
-                             flen=flen, pcv=pcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 4 * self.flen_for(fabric, lanes, pcv) + 4
+        return [('matmul', dict(
+            name=f'mm3_{i}', ni=n, nj=n, nk=n,
+            terms=[MatTerm(ws.base(x), n, ws.base(y), n)],
+            out_base=ws.base(o), out_stride=n))
+            for i, (x, y, o) in enumerate(pairs)]

@@ -6,16 +6,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like, mimd_rowdot
-from .vector_templates import (MatTerm, emit_matmul_like, emit_rowdot,
-                               emit_rowdot_reduce)
-
-MAX_LANES = 16
+from .base import MAX_LANES, Benchmark, Workspace
+from .vector_templates import MatTerm
 
 
 class Mvt(Benchmark):
@@ -40,37 +34,19 @@ class Mvt(Benchmark):
                           ws.inputs['y1'], ws.inputs['y2'])
         return {'x1': x1, 'x2': x2}
 
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
+    def phases(self, ws: Workspace, params):
         n = params['n']
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_rowdot(
-            a, nrows=n, ncols=n, mats=[(ws.base('A'), n)],
-            vec_base=ws.base('y1'), out_base=ws.base('x1'), coeffs=[1.0],
-            accumulate=True, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv))
-        mb.add_kernel(lambda a: mimd_matmul_like(
-            a, ni=1, nj=n, nk=n,
-            terms=[MatTerm(ws.base('y2'), 0, ws.base('A'), n)],
-            out_base=ws.base('x2'), out_stride=n, beta=1.0,
-            cfg=fabric.cfg, prefetch=prefetch, pcv=pcv, kb=min(4, n)))
-        return mb.build()
+        return [
+            ('rowdot', dict(
+                name='mvt_r', nrows=n, ncols=n, mats=[(ws.base('A'), n)],
+                vec_base=ws.base('y1'), partials_bases=[ws.base('p1')],
+                coeffs=[1.0], out_base=ws.base('x1'), accumulate=True)),
+            ('matmul', dict(
+                name='mvt_m', ni=1, nj=n, nk=n,
+                terms=[MatTerm(ws.base('y2'), 0, ws.base('A'), n)],
+                out_base=ws.base('x2'), out_stride=n, beta=1.0)),
+        ]
 
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
+    def footprint_words(self, params, lanes: int) -> int:
         n = params['n']
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        flen = self.matvec_flen(fabric, vp.lanes, vp.pcv, n)
-        mflen, mpcv = self.fitted_flen(fabric, vp.lanes, vp.pcv, n, ni=1)
-        emit_rowdot(p, name='mvt1', nrows=n, ncols=n,
-                    mats=[(ws.base('A'), n)], vec_base=ws.base('y1'),
-                    partials_bases=[ws.base('p1')], flen=flen, pcv=vp.pcv)
-        emit_rowdot_reduce(p, nrows=n, lanes=vp.lanes,
-                           partials_bases=[ws.base('p1')], coeffs=[1.0],
-                           out_base=ws.base('x1'), accumulate=True)
-        emit_matmul_like(p, name='mvt2', ni=1, nj=n, nk=n,
-                         terms=[MatTerm(ws.base('y2'), 0, ws.base('A'), n)],
-                         out_base=ws.base('x2'), out_stride=n, beta=1.0,
-                         kb=min(4, n), flen=mflen, pcv=mpcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 4 * self.flen_for(fabric, lanes, pcv) + 4
+        return n * n + 6 * n + n * lanes

@@ -10,13 +10,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like, mimd_transpose
-from .vector_templates import MatTerm, emit_matmul_like
+from .base import Benchmark, Workspace
+from .vector_templates import MatTerm
 
 ALPHA = 1.5
 BETA = 1.2
@@ -43,41 +40,21 @@ class Syr2k(Benchmark):
                        ALPHA, BETA)
         return {'C': c}
 
-    def _main(self, ws, params):
+    def phases(self, ws: Workspace, params):
         n, m = params['n'], params['m']
-        return dict(ni=n, nj=n, nk=m,
-                    terms=[MatTerm(ws.base('A'), m, ws.base('BT'), n),
-                           MatTerm(ws.base('B'), m, ws.base('AT'), n)],
-                    out_base=ws.base('C'), out_stride=n,
-                    alpha=ALPHA, beta=BETA)
+        return [
+            ('transpose', dict(src=ws.base('A'), dst=ws.base('AT'),
+                               n=n, m=m)),
+            ('transpose', dict(src=ws.base('B'), dst=ws.base('BT'),
+                               n=n, m=m)),
+            ('matmul', dict(
+                name='syr2k', ni=n, nj=n, nk=m,
+                terms=[MatTerm(ws.base('A'), m, ws.base('BT'), n),
+                       MatTerm(ws.base('B'), m, ws.base('AT'), n)],
+                out_base=ws.base('C'), out_stride=n,
+                alpha=ALPHA, beta=BETA)),
+        ]
 
-    def _transposes(self, ws, params):
+    def footprint_words(self, params, lanes: int) -> int:
         n, m = params['n'], params['m']
-        return [dict(src=ws.base('A'), dst=ws.base('AT'), n=n, m=m),
-                dict(src=ws.base('B'), dst=ws.base('BT'), n=n, m=m)]
-
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
-        mb = MimdKernelBuilder()
-        for tr in self._transposes(ws, params):
-            mb.add_kernel(lambda a, tr=tr: mimd_transpose(a, **tr))
-        st = self._main(ws, params)
-        mb.add_kernel(lambda a: mimd_matmul_like(
-            a, **st, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv,
-            kb=min(4, st['nk'])))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        for tr in self._transposes(ws, params):
-            p.mimd_phase(lambda a, tr=tr: mimd_transpose(a, **tr))
-        st = self._main(ws, params)
-        flen, pcv = self.fitted_flen(fabric, vp.lanes, vp.pcv, st['nj'],
-                                     ni=st['ni'])
-        emit_matmul_like(p, name='syr2k', **st, kb=min(4, st['nk']),
-                         flen=flen, pcv=pcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        # two terms: 2*(kb*flen) group words + 2*kb broadcast words
-        return 2 * 4 * self.flen_for(fabric, lanes, pcv) + 2 * 4
+        return 6 * n * m + 2 * n * n

@@ -10,13 +10,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..isa import Program
 from ..manycore import Fabric
 from . import refs
-from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import mimd_matmul_like, mimd_transpose
-from .vector_templates import MatTerm, emit_matmul_like
+from .base import Benchmark, Workspace
+from .vector_templates import MatTerm
 
 ALPHA = 1.5
 BETA = 1.2
@@ -39,36 +36,18 @@ class Syrk(Benchmark):
     def expected(self, ws: Workspace, params) -> Dict[str, np.ndarray]:
         return {'C': refs.syrk(ws.inputs['A'], ws.inputs['C'], ALPHA, BETA)}
 
-    def _main(self, ws, params):
+    def phases(self, ws: Workspace, params):
         n, m = params['n'], params['m']
-        return dict(ni=n, nj=n, nk=m,
-                    terms=[MatTerm(ws.base('A'), m, ws.base('AT'), n)],
-                    out_base=ws.base('C'), out_stride=n,
-                    alpha=ALPHA, beta=BETA)
+        return [
+            ('transpose', dict(src=ws.base('A'), dst=ws.base('AT'),
+                               n=n, m=m)),
+            ('matmul', dict(
+                name='syrk', ni=n, nj=n, nk=m,
+                terms=[MatTerm(ws.base('A'), m, ws.base('AT'), n)],
+                out_base=ws.base('C'), out_stride=n,
+                alpha=ALPHA, beta=BETA)),
+        ]
 
-    def build_mimd(self, fabric, ws, params, *, prefetch, pcv=False):
+    def footprint_words(self, params, lanes: int) -> int:
         n, m = params['n'], params['m']
-        mb = MimdKernelBuilder()
-        mb.add_kernel(lambda a: mimd_transpose(
-            a, src=ws.base('A'), dst=ws.base('AT'), n=n, m=m))
-        st = self._main(ws, params)
-        mb.add_kernel(lambda a: mimd_matmul_like(
-            a, **st, cfg=fabric.cfg, prefetch=prefetch, pcv=pcv,
-            kb=min(4, st['nk'])))
-        return mb.build()
-
-    def build_vector(self, fabric, ws, params, vp: VectorParams) -> Program:
-        n, m = params['n'], params['m']
-        b = self.make_vector_builder(fabric, vp, params)
-        p = b.program()
-        p.mimd_phase(lambda a: mimd_transpose(
-            a, src=ws.base('A'), dst=ws.base('AT'), n=n, m=m))
-        st = self._main(ws, params)
-        flen, pcv = self.fitted_flen(fabric, vp.lanes, vp.pcv, st['nj'],
-                                     ni=st['ni'])
-        emit_matmul_like(p, name='syrk', **st, kb=min(4, st['nk']),
-                         flen=flen, pcv=pcv)
-        return p.finish()
-
-    def frame_size_for(self, fabric, lanes, pcv):
-        return 4 * self.flen_for(fabric, lanes, pcv) + 4
+        return 3 * n * m + 2 * n * n

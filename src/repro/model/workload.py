@@ -1,15 +1,16 @@
 """Closed-form per-kernel workload descriptions.
 
-Each modeled benchmark gets a builder that mirrors the *geometry* of its
-vector-template code generation (:mod:`repro.kernels.vector_templates`)
-without assembling a program or touching a fabric: how many tiles the
-work divides into, how many DAE frames each tile consumes, how many
-scalar-stream and microthread instructions one frame costs, and how many
-response packets the LLC must emit to fill it.  The builders reuse the
-benchmarks' own FLEN-selection methods (``fitted_flen`` /
-``matvec_flen`` / ``flen_for``, which read only ``fabric.cfg``) through
-a config shim, so the modeled frame shapes match what the code generator
-would actually emit for the same machine.
+:func:`build_workload` walks a modeled benchmark's own phase list
+(:meth:`repro.kernels.base.Benchmark.phases`, handed a base-less
+workspace: no program is assembled and no fabric touched) and costs each
+phase with the geometry of its vector template
+(:mod:`repro.kernels.vector_templates`): how many tiles the work divides
+into, how many DAE frames each tile consumes, how many scalar-stream and
+microthread instructions one frame costs, and how many response packets
+the LLC must emit to fill it.  FLEN and k-block come from the benchmark's
+``matmul_shape`` / ``rowdot_shape`` / ``stencil_shape`` — the same calls
+the vector code generator makes — so the modeled frame shapes match what
+would actually be emitted for the same machine.
 
 Counts here are first-order estimates: exact for the structural
 quantities (tiles, frames, frame words, packets) and approximate for
@@ -20,21 +21,18 @@ factors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+import itertools
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Sequence, Tuple
 
+from ..kernels import registry
+from ..kernels.base import Benchmark, Workspace, emitter_for
 from ..manycore.config import MachineConfig
 
 
 class WorkloadError(ValueError):
     """The kernel/config/machine combination cannot be code-generated."""
-
-
-class _CfgView:
-    """Duck-types the one attribute the flen helpers read (``.cfg``)."""
-
-    def __init__(self, cfg: MachineConfig):
-        self.cfg = cfg
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -231,133 +229,71 @@ def _reduce_phase(nrows: int, nterms: int, lanes: int,
         stores_per_item=1)
 
 
-# ------------------------------------------------------------ kernel models
-def _wl_gemm(bench, params, cfg, lanes, pcv) -> Workload:
-    ni, nj, nk = params['ni'], params['nj'], params['nk']
-    shim = _CfgView(cfg)
-    flen, use_pcv = bench.fitted_flen(shim, lanes, pcv, nj, ni=ni)
-    phase = _matmul_phase('gemm', ni=ni, nj=nj, nk=nk, nterms=1,
-                          kb=min(4, nk), flen=flen, pcv=use_pcv,
-                          lanes=lanes, cfg=cfg, alpha=1.5, beta=1.2)
-    return Workload('gemm', lanes, pcv, phases=(phase,),
-                    footprint_words=ni * nk + nk * nj + 2 * ni * nj)
+# ------------------------------------------------------------ the phase walk
+def _model_matmul(bench: Benchmark, cfg: MachineConfig, lanes: int,
+                  pcv: bool, *, name: str, ni: int, nj: int, nk: int,
+                  terms: Sequence, alpha: float = 1.0, beta: float = 0.0,
+                  **_) -> List[VectorPhase]:
+    return [_matmul_phase(
+        name, ni=ni, nj=nj, nk=nk, nterms=len(terms), lanes=lanes, cfg=cfg,
+        alpha=alpha, beta=beta,
+        **bench.matmul_shape(cfg, lanes, pcv, ni=ni, nj=nj, nk=nk))]
 
 
-def _wl_matvec(name, params, bench, cfg, lanes, pcv, order) -> Workload:
-    """Shared shape of mvt / atax / bicg: rowdot + reduce + matmul(ni=1)."""
-    n = params['n']
-    shim = _CfgView(cfg)
-    rflen = bench.matvec_flen(shim, lanes, pcv, n)
-    mflen, mpcv = bench.fitted_flen(shim, lanes, pcv, n, ni=1)
-    rowdot = _rowdot_phase(f'{name}_r', nrows=n, ncols=n, nterms=1,
-                           flen=rflen, pcv=pcv, lanes=lanes, cfg=cfg)
-    reduce_ = _reduce_phase(n, 1, lanes, accumulate=(name == 'mvt'))
-    matmul = _matmul_phase(f'{name}_m', ni=1, nj=n, nk=n, nterms=1,
-                           kb=min(4, n), flen=mflen, pcv=mpcv, lanes=lanes,
-                           cfg=cfg, beta=(1.0 if name == 'mvt' else 0.0))
-    by_key = {'r': rowdot, 'd': reduce_, 'm': matmul}
-    return Workload(name, lanes, pcv,
-                    phases=tuple(by_key[k] for k in order),
-                    footprint_words=n * n + 6 * n + n * lanes)
+def _model_rowdot(bench: Benchmark, cfg: MachineConfig, lanes: int,
+                  pcv: bool, *, name: str, nrows: int, ncols: int,
+                  mats: Sequence, accumulate: bool = False, **_) -> List:
+    return [_rowdot_phase(name, nrows=nrows, ncols=ncols, nterms=len(mats),
+                          lanes=lanes, cfg=cfg,
+                          **bench.rowdot_shape(cfg, lanes, pcv, ncols=ncols)),
+            _reduce_phase(nrows, len(mats), lanes, accumulate=accumulate)]
 
 
-def _wl_mvt(bench, params, cfg, lanes, pcv):
-    return _wl_matvec('mvt', params, bench, cfg, lanes, pcv, 'rdm')
+def _model_stencil(bench: Benchmark, cfg: MachineConfig, lanes: int,
+                   pcv: bool, *, name: str, n_out_rows: int, ncols: int,
+                   sections: Sequence, fit_rows: int, out_coeff_old=None,
+                   **_) -> List[VectorPhase]:
+    n_unaligned = sum(1 for sec in sections if sec.dj != 0)
+    return [_stencil_phase(
+        name, n_out_rows=n_out_rows, ncols=ncols,
+        n_aligned=len(sections) - n_unaligned, n_unaligned=n_unaligned,
+        has_old=out_coeff_old is not None, lanes=lanes, cfg=cfg,
+        **bench.stencil_shape(cfg, lanes, pcv, ncols=ncols,
+                              fit_rows=fit_rows))]
 
 
-def _wl_atax(bench, params, cfg, lanes, pcv):
-    return _wl_matvec('atax', params, bench, cfg, lanes, pcv, 'rdm')
+def _spmd_model(kind: str, items: Callable[..., int],
+                instrs_per_item: int) -> Callable:
+    """A one-load one-store SPMD phase named after its kind."""
+    return lambda bench, cfg, lanes, pcv, **kw: [MimdPhase(
+        kind, items=items(**kw), instrs_per_item=instrs_per_item,
+        loads_per_item=1, stores_per_item=1)]
 
 
-def _wl_bicg(bench, params, cfg, lanes, pcv):
-    return _wl_matvec('bicg', params, bench, cfg, lanes, pcv, 'mrd')
-
-
-def _wl_gesummv(bench, params, cfg, lanes, pcv) -> Workload:
-    n = params['n']
-    shim = _CfgView(cfg)
-    flen = bench.matvec_flen(shim, lanes, pcv, n)
-    rowdot = _rowdot_phase('gesummv', nrows=n, ncols=n, nterms=2,
-                           flen=flen, pcv=pcv, lanes=lanes, cfg=cfg)
-    reduce_ = _reduce_phase(n, 2, lanes)
-    return Workload('gesummv', lanes, pcv, phases=(rowdot, reduce_),
-                    footprint_words=2 * n * n + 4 * n + 2 * n * lanes)
-
-
-def _wl_syrk(bench, params, cfg, lanes, pcv) -> Workload:
-    n, m = params['n'], params['m']
-    shim = _CfgView(cfg)
-    flen, use_pcv = bench.fitted_flen(shim, lanes, pcv, n, ni=n)
-    transpose = MimdPhase('transpose', items=n * m, instrs_per_item=8,
-                          loads_per_item=1, stores_per_item=1)
-    matmul = _matmul_phase('syrk', ni=n, nj=n, nk=m, nterms=1,
-                           kb=min(4, m), flen=flen, pcv=use_pcv,
-                           lanes=lanes, cfg=cfg, alpha=1.5, beta=1.2)
-    return Workload('syrk', lanes, pcv, phases=(transpose, matmul),
-                    footprint_words=3 * n * m + 2 * n * n)
-
-
-def _wl_syr2k(bench, params, cfg, lanes, pcv) -> Workload:
-    n, m = params['n'], params['m']
-    shim = _CfgView(cfg)
-    flen, use_pcv = bench.fitted_flen(shim, lanes, pcv, n, ni=n)
-    transposes = tuple(
-        MimdPhase(f'transpose{i}', items=n * m, instrs_per_item=8,
-                  loads_per_item=1, stores_per_item=1) for i in range(2))
-    matmul = _matmul_phase('syr2k', ni=n, nj=n, nk=m, nterms=2,
-                           kb=min(4, m), flen=flen, pcv=use_pcv,
-                           lanes=lanes, cfg=cfg, alpha=1.5, beta=1.2)
-    return Workload('syr2k', lanes, pcv, phases=transposes + (matmul,),
-                    footprint_words=6 * n * m + 2 * n * n)
-
-
-def _wl_conv2d(bench, params, cfg, lanes, pcv) -> Workload:
-    n, m = params['n'], params['m']
-    shim = _CfgView(cfg)
-    flen, _ = bench.fitted_flen(shim, lanes, pcv, m, ni=n - 2, cap=4)
-    # 3x3 taps: the dj == 0 column (3 sections) is aligned, 6 are shifted
-    phase = _stencil_phase('conv2d', n_out_rows=n - 2, ncols=m,
-                           n_aligned=3, n_unaligned=6, has_old=False,
-                           flen=flen, lanes=lanes, cfg=cfg)
-    return Workload('2dconv', lanes, pcv, phases=(phase,),
-                    footprint_words=2 * n * m)
-
-
-def _wl_fdtd2d(bench, params, cfg, lanes, pcv) -> Workload:
-    n, m, tmax = params['n'], params['m'], params['tmax']
-    shim = _CfgView(cfg)
-    flen, _ = bench.fitted_flen(shim, lanes, pcv, m, ni=n, cap=4)
-    fict = MimdPhase('fict', items=m, instrs_per_item=6,
-                     loads_per_item=1, stores_per_item=1)
-    ey = _stencil_phase('fdtd_ey', n_out_rows=n - 1, ncols=m,
-                        n_aligned=2, n_unaligned=0, has_old=True,
-                        flen=flen, lanes=lanes, cfg=cfg)
-    ex = _stencil_phase('fdtd_ex', n_out_rows=n, ncols=m,
-                        n_aligned=1, n_unaligned=1, has_old=True,
-                        flen=flen, lanes=lanes, cfg=cfg)
-    hz = _stencil_phase('fdtd_hz', n_out_rows=n - 1, ncols=m,
-                        n_aligned=3, n_unaligned=1, has_old=True,
-                        flen=flen, lanes=lanes, cfg=cfg)
-    return Workload('fdtd-2d', lanes, pcv, phases=(fict, ey, ex, hz),
-                    repeat=tmax, footprint_words=3 * n * m + m + tmax)
-
-
-_BUILDERS: Dict[str, Callable] = {
-    'gemm': _wl_gemm,
-    'mvt': _wl_mvt,
-    'atax': _wl_atax,
-    'bicg': _wl_bicg,
-    'gesummv': _wl_gesummv,
-    'syrk': _wl_syrk,
-    'syr2k': _wl_syr2k,
-    '2dconv': _wl_conv2d,
-    'fdtd-2d': _wl_fdtd2d,
+#: ``model(bench, cfg, lanes, pcv, **kwargs) -> [phase, ...]``
+MODEL_EMITTERS: Dict[str, Callable] = {
+    'matmul': _model_matmul,
+    'rowdot': _model_rowdot,
+    'stencil': _model_stencil,
+    'transpose': _spmd_model('transpose', lambda n, m, **_: n * m, 8),
+    'fict': _spmd_model('fict', lambda m, **_: m, 6),
 }
 
 #: Benchmarks the analytical model covers: the matvec family (mvt, atax,
 #: bicg, gesummv), the matmul family (gemm, syrk, syr2k) and the stencil
-#: family (2dconv, fdtd-2d).
-MODELED_KERNELS: Tuple[str, ...] = tuple(sorted(_BUILDERS))
+#: family (2dconv, fdtd-2d).  Each declares ``footprint_words``.
+MODELED_KERNELS: Tuple[str, ...] = (
+    '2dconv', 'atax', 'bicg', 'fdtd-2d', 'gemm', 'gesummv', 'mvt', 'syr2k',
+    'syrk')
+
+
+def _number_repeats(phases: List) -> Tuple:
+    """Phases sharing a name get a running index (syr2k's two transposes
+    are ``transpose0``/``transpose1``; syrk's one stays ``transpose``)."""
+    names = [p.name for p in phases]
+    index = {n: itertools.count() for n in names if names.count(n) > 1}
+    return tuple(replace(p, name=f'{p.name}{next(index[p.name])}')
+                 if p.name in index else p for p in phases)
 
 
 def build_workload(bench_name: str, params: Dict[str, int],
@@ -367,14 +303,24 @@ def build_workload(bench_name: str, params: Dict[str, int],
     Raises :class:`WorkloadError` for un-modeled benchmarks or infeasible
     geometry (the same combinations the code generator would reject).
     """
-    builder = _BUILDERS.get(bench_name)
-    if builder is None:
+    if bench_name not in MODELED_KERNELS:
         raise WorkloadError(
             f'benchmark {bench_name!r} is not analytically modeled '
             f'(modeled: {", ".join(MODELED_KERNELS)})')
-    from ..kernels import registry
     bench = registry.make(bench_name)
+    # every array at base 0: the model reads shapes, never addresses
+    records = bench.phases(Workspace(bases=defaultdict(int)), params)
+    repeat = 1
+    if len(records) == 1 and records[0][0] == 'loop':
+        # Workload.repeat is whole-program: only an outermost loop maps
+        loop = records[0][1]
+        repeat, records = loop['count'], loop['phases']
     try:
-        return builder(bench, params, cfg, lanes, pcv)
+        phases = [p for kind, kw in records
+                  for p in emitter_for(MODEL_EMITTERS, bench_name, kind,
+                                       'model')(bench, cfg, lanes, pcv, **kw)]
     except ValueError as e:
         raise WorkloadError(str(e))
+    return Workload(bench_name, lanes, pcv, phases=_number_repeats(phases),
+                    repeat=repeat,
+                    footprint_words=bench.footprint_words(params, lanes))

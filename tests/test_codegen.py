@@ -32,7 +32,17 @@ class TestVectorKernelBuilder:
     def test_groups_registered_with_fabric(self):
         fabric, b = self._builder()
         assert len(fabric.group_descs) == len(b.groups)
-        assert all(g.frame_size == 16 for g in b.groups)
+        assert b.frame_size == 16
+
+    def test_frame_size_may_wait_for_the_phase(self):
+        """A builder needs no frame size; a vector phase does."""
+        fabric, b = self._builder(frame_size=None)
+        assert b.frame_size is None and b.num_slots is None
+        with pytest.raises(ValueError, match='frame_size'):
+            b.program().vector_phase(lambda a, g: a.vissue('.mt'))
+        b.program().vector_phase(lambda a, g: a.vissue('.mt'), frame_size=8)
+        assert b.frame_size == 8
+        assert b.num_slots >= fabric.cfg.frame_counters
 
     def test_too_large_frame_region_rejected(self):
         fabric = Fabric(small_config())

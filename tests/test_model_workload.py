@@ -3,9 +3,21 @@
 The workload numbers are derived from the vector-template geometry
 (`repro.kernels.vector_templates`) on paper and pinned here; if the
 templates change shape, the model must be re-derived with them.
+
+``tests/data/workload_golden.json`` pins every modeled kernel's whole
+``Workload`` (``dataclasses.asdict``) at test and bench scale under the
+four vector group shapes on five machines, compared with ==; a point the
+model rejects records the error text.  Regenerate it only when a PR
+*means* to change what the model is fed, and says so:
+
+    PYTHONPATH=src python tests/test_model_workload.py --regenerate
 """
 
+import dataclasses
+import json
 import math
+import os
+import sys
 
 import pytest
 
@@ -17,7 +29,34 @@ from repro.model import AnalyticModel, MODELED_KERNELS, build_workload, \
 from repro.model.analytic import (FEATURES, InfeasiblePointError,
                                   UnsupportedConfigError,
                                   estimate_energy_pj)
-from repro.model.workload import MimdPhase, VectorPhase, Workload
+from repro.model.workload import (MimdPhase, VectorPhase, Workload,
+                                  WorkloadError)
+
+WORKLOAD_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), 'data',
+                                    'workload_golden.json')
+#: the default machine plus one excursion along each axis a workload reads
+GOLDEN_MACHINES = {
+    'default': {},
+    'frame_counters=8': {'frame_counters': 8},
+    'llc_banks=4': {'llc_banks': 4},
+    'noc_width_words=2': {'noc_width_words': 2},
+    'cache_line_bytes=128': {'cache_line_bytes': 128},
+}
+GOLDEN_CASES = [(k, c, s, m) for k in MODELED_KERNELS
+                for c in ('V4', 'V16', 'V4_PCV', 'V16_PCV')
+                for s in ('test', 'bench') for m in GOLDEN_MACHINES]
+
+
+def workload_record(kernel, cfg_name, scale, machine_name):
+    cfg = CONFIGS[cfg_name]
+    eff = cfg.machine(DEFAULT_CONFIG.scaled(**GOLDEN_MACHINES[machine_name]))
+    params = registry.make(kernel).params_for(scale)
+    try:
+        wl = build_workload(kernel, params, eff, cfg.lanes, cfg.pcv)
+    except WorkloadError as e:
+        return f'WorkloadError: {e}'
+    # through JSON, so tuples compare equal to the lists in the file
+    return json.loads(json.dumps(dataclasses.asdict(wl)))
 
 
 def _wl(bench, cfg_name, machine=DEFAULT_CONFIG):
@@ -25,6 +64,22 @@ def _wl(bench, cfg_name, machine=DEFAULT_CONFIG):
     eff = cfg.machine(machine)
     params = registry.make(bench).params_for('test')
     return build_workload(bench, params, eff, cfg.lanes, cfg.pcv), eff
+
+
+@pytest.fixture(scope='module')
+def workload_golden():
+    with open(WORKLOAD_GOLDEN_PATH) as f:
+        return json.load(f)
+
+
+class TestWorkloadGolden:
+    def test_golden_file_covers_every_case(self, workload_golden):
+        assert sorted(workload_golden) == sorted(
+            '/'.join(case) for case in GOLDEN_CASES)
+
+    @pytest.mark.parametrize('case', GOLDEN_CASES, ids='/'.join)
+    def test_workload_matches_golden(self, workload_golden, case):
+        assert workload_record(*case) == workload_golden['/'.join(case)]
 
 
 class TestWorkloadGeometry:
@@ -139,3 +194,13 @@ class TestFeasibility:
         for cfg in ('NV', 'GPU', 'nope'):
             with pytest.raises(UnsupportedConfigError):
                 model.predict('gemm', cfg, scale='test')
+
+
+if __name__ == '__main__':
+    if sys.argv[1:] != ['--regenerate']:
+        sys.exit(__doc__)
+    doc = {'/'.join(case): workload_record(*case) for case in GOLDEN_CASES}
+    with open(WORKLOAD_GOLDEN_PATH, 'w') as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write('\n')
+    print(f'wrote {len(doc)} workloads to {WORKLOAD_GOLDEN_PATH}')

@@ -45,12 +45,10 @@ def vector_program(build_scalar, build_microthreads, group_tiles,
     return a.finish()
 
 
-def make_group_fabric(lanes=3, frame_size=4, num_slots=8):
+def make_group_fabric(lanes=3):
     fabric = Fabric(small_config())
     tiles = list(range(lanes + 1))
-    desc = GroupDescriptor(0, tiles, frame_size=frame_size,
-                           num_frame_slots=num_slots)
-    handle = fabric.register_group(desc)
+    handle = fabric.register_group(GroupDescriptor(0, tiles))
     return fabric, tiles, handle
 
 
@@ -259,7 +257,7 @@ class TestPredication:
 class TestDAE:
     def test_group_vload_feeds_frames(self):
         """Scalar issues one group load; each lane consumes its chunk."""
-        fabric, tiles, handle = make_group_fabric(lanes=3, frame_size=4)
+        fabric, tiles, handle = make_group_fabric(lanes=3)
         data = [float(i + 1) for i in range(12)]  # 3 lanes x 4 words
         src = fabric.alloc(data)
         out = fabric.alloc(16)
@@ -294,7 +292,7 @@ class TestDAE:
         assert fabric.memory[out:out + 3] == pytest.approx(expect)
 
     def test_single_vload_targets_one_lane(self):
-        fabric, tiles, handle = make_group_fabric(lanes=2, frame_size=2)
+        fabric, tiles, handle = make_group_fabric(lanes=2)
         src = fabric.alloc([5.0, 6.0, 7.0, 8.0])
         out = fabric.alloc(16)
 
@@ -328,7 +326,7 @@ class TestDAE:
         """Scalar runs ahead filling future frames while lanes consume."""
         lanes = 2
         iters = 6
-        fabric, tiles, handle = make_group_fabric(lanes=lanes, frame_size=2)
+        fabric, tiles, handle = make_group_fabric(lanes=lanes)
         data = [float(i) for i in range(lanes * 2 * iters)]
         src = fabric.alloc(data)
         out = fabric.alloc(16)

@@ -48,8 +48,7 @@ ITERS = 240  # scalar-loop iterations: ~60ms runs average over the
 
 
 def build_workload():
-    fabric, tiles, handle = make_group_fabric(lanes=LANES,
-                                              frame_size=FRAME_SIZE)
+    fabric, tiles, handle = make_group_fabric(lanes=LANES)
     # one cache line per iteration keeps every group vload line-aligned
     stride = fabric.cfg.line_words
     assert stride >= LANES * FRAME_SIZE
