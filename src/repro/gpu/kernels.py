@@ -29,7 +29,8 @@ import numpy as np
 from ..isa import Assembler, Program, opcodes as op
 from ..kernels import registry
 from ..kernels.base import Workspace, emitter_for
-from ..kernels.vector_templates import MatTerm, StencilSection
+from ..kernels.vector_templates import (MatTerm, StencilSection,
+                                        emit_fconst)
 from .config import GpuConfig
 
 Launch = Tuple[Program, int]
@@ -72,10 +73,6 @@ def _kernel(build: Callable[[Assembler], None]) -> Launch:
     return a.finish(), 0
 
 
-def fconst(a: Assembler, reg: str, v: float) -> None:
-    a.li(reg, float(v))
-
-
 # --------------------------------------------------------------- matmul-like
 def k_matmul(cfg: GpuConfig, *, ni: int, nj: int, nk: int,
              terms: Sequence[MatTerm], out_base: int, out_stride: int,
@@ -84,15 +81,15 @@ def k_matmul(cfg: GpuConfig, *, ni: int, nj: int, nk: int,
 
     def build(a: Assembler):
         if alpha != 1.0:
-            fconst(a, 'f10', alpha)
+            emit_fconst(a, 'f10', alpha)
         if beta and beta != 1.0:
-            fconst(a, 'f11', beta)
+            emit_fconst(a, 'f11', beta)
 
         def body(a: Assembler):
             a.li('x31', nj)
             a.div('x5', 'x3', 'x31')    # i
             a.rem('x6', 'x3', 'x31')    # j
-            fconst(a, 'f8', 0.0)
+            emit_fconst(a, 'f8', 0.0)
             # per-term base addresses
             for t, term in enumerate(terms):
                 a.li('x31', term.bcast_stride)
@@ -163,7 +160,7 @@ def k_rowdot(cfg: GpuConfig, *, nrows: int, ncols: int,
     def build(a: Assembler):
         for t, c in enumerate(coeffs):
             if c != 1.0:
-                fconst(a, f'f{10 + t}', c)
+                emit_fconst(a, f'f{10 + t}', c)
 
         def body(a: Assembler):
             for t, (base, stride) in enumerate(mats):
@@ -171,7 +168,7 @@ def k_rowdot(cfg: GpuConfig, *, nrows: int, ncols: int,
                 a.mul(f'x{8 + t}', 'x3', 'x31')
                 a.li('x31', base)
                 a.add(f'x{8 + t}', f'x{8 + t}', 'x31')
-                fconst(a, f'f{20 + t}', 0.0)  # accumulator
+                emit_fconst(a, f'f{20 + t}', 0.0)  # accumulator
             a.li('x10', vec_base)
             with a.for_range('x12', 0, ncols):
                 a.lw('f1', 'x10', 0)
@@ -180,7 +177,7 @@ def k_rowdot(cfg: GpuConfig, *, nrows: int, ncols: int,
                     a.fma(f'f{20 + t}', 'f1', 'f2')
                     a.addi(f'x{8 + t}', f'x{8 + t}', 1)
                 a.addi('x10', 'x10', 1)
-            fconst(a, 'f8', 0.0)
+            emit_fconst(a, 'f8', 0.0)
             for t, c in enumerate(coeffs):
                 if c != 1.0:
                     a.fmul(f'f{20 + t}', f'f{20 + t}', f'f{10 + t}')
@@ -224,7 +221,7 @@ def k_stencil(cfg: GpuConfig, *, n_out_rows: int, row0: int, ncols: int,
                 a.or_('x8', 'x8', 'x11')
             a.slti('x8', 'x8', 1)       # invert: 1 = interior
             a.and_('x7', 'x7', 'x8')
-            fconst(a, 'f8', 0.0)
+            emit_fconst(a, 'f8', 0.0)
             for sec, c in zip(sections, coeffs):
                 a.li('x31', sec.stride)
                 a.mul('x12', 'x5', 'x31')
@@ -233,7 +230,7 @@ def k_stencil(cfg: GpuConfig, *, n_out_rows: int, row0: int, ncols: int,
                      sec.dj)
                 a.add('x12', 'x12', 'x31')
                 a.lw('f1', 'x12', 0)
-                fconst(a, 'f6', c)
+                emit_fconst(a, 'f6', c)
                 a.fma('f8', 'f1', 'f6')
             a.li('x31', out_stride)
             a.mul('x13', 'x5', 'x31')
@@ -243,7 +240,7 @@ def k_stencil(cfg: GpuConfig, *, n_out_rows: int, row0: int, ncols: int,
             if out_coeff_old is not None:
                 a.lw('f2', 'x13', 0)
                 if out_coeff_old != 1.0:
-                    fconst(a, 'f6', out_coeff_old)
+                    emit_fconst(a, 'f6', out_coeff_old)
                     a.fmul('f2', 'f2', 'f6')
                 a.fadd('f8', 'f8', 'f2')
             pred_store(a, 'f8', 'x13')
@@ -272,17 +269,17 @@ def _k_fict(cfg: GpuConfig, t: int, *, fict: int, ey: int, m: int) -> Launch:
 def _k_column_stats(cfg, *, data: int, m: int, n: int,
                     scale: bool) -> Launch:
     def build(a: Assembler):
-        fconst(a, 'f12', float(m))
+        emit_fconst(a, 'f12', float(m))
         if scale:
-            fconst(a, 'f13', 0.1)
-            fconst(a, 'f14', 1.0)
-            fconst(a, 'f15', float(np.sqrt(float(m))))
+            emit_fconst(a, 'f13', 0.1)
+            emit_fconst(a, 'f14', 1.0)
+            emit_fconst(a, 'f15', float(np.sqrt(float(m))))
 
         def body(a: Assembler):
             a.li('x31', data)
             a.add('x5', 'x3', 'x31')
-            fconst(a, 'f8', 0.0)
-            fconst(a, 'f9', 0.0)
+            emit_fconst(a, 'f8', 0.0)
+            emit_fconst(a, 'f9', 0.0)
             a.mv('x6', 'x5')
             with a.for_range('x12', 0, m):
                 a.lw('f1', 'x6', 0)
@@ -318,7 +315,7 @@ def _k_column_stats(cfg, *, data: int, m: int, n: int,
 
 def _k_fix_diag(cfg, *, out: int, n: int) -> Launch:
     def build(a: Assembler):
-        fconst(a, 'f14', 1.0)
+        emit_fconst(a, 'f14', 1.0)
 
         def body(a: Assembler):
             a.li('x31', n + 1)
@@ -351,7 +348,7 @@ def _k_gs_norm(cfg, *, A, R, m, n, k) -> Launch:
         def body(a: Assembler):
             a.slti('x8', 'x3', 1)
             a.and_('x7', 'x7', 'x8')
-            fconst(a, 'f8', 0.0)
+            emit_fconst(a, 'f8', 0.0)
             a.li('x5', A + k)
             with a.for_range('x12', 0, m):
                 a.lw('f1', 'x5', 0)
@@ -405,7 +402,7 @@ def _k_gs_update(cfg, *, A, Q, R, m, n, k) -> Launch:
             a.slti('x10', 'x9', 1)
             a.mul('x5', 'x5', 'x10')
             a.add('x5', 'x5', 'x9')
-            fconst(a, 'f8', 0.0)
+            emit_fconst(a, 'f8', 0.0)
             a.li('x11', Q + k)
             a.li('x12', A)
             a.add('x12', 'x12', 'x5')

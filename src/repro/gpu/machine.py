@@ -32,6 +32,49 @@ class GpuError(Exception):
     """Divergent control flow or an unsupported instruction on the GPU."""
 
 
+def _trunc_div(a, b):
+    with np.errstate(divide='ignore', invalid='ignore'):
+        return np.nan_to_num(np.trunc(a / b))
+
+
+#: ALU semantics, one numpy expression per opcode: ``rd <- expr`` under the
+#: lane mask, ``valu_latency`` after issue.  ``a``/``b``/``d`` are the
+#: ``rs1``/``rs2``/``rd`` wavefront registers (float vectors, one element
+#: per thread).  This is the GPU's own column; docs/isa.md says where it
+#: deliberately differs from the tile's (``repro.manycore.execute``).
+_ALU_RESULT = {
+    op.LI: 'np.full(len(d), float(imm))',
+    op.MV: 'a',
+    op.ADD: 'a + b',
+    op.FADD: 'a + b',
+    op.SUB: 'a - b',
+    op.FSUB: 'a - b',
+    op.MUL: 'a * b',
+    op.FMUL: 'a * b',
+    op.FMA: 'd + a * b',
+    op.FDIV: 'a / b',
+    op.DIV: '_trunc_div(a, b)',
+    op.REM: 'a - _trunc_div(a, b) * b',
+    op.FSQRT: 'np.sqrt(np.abs(a))',
+    op.FMIN: 'np.minimum(a, b)',
+    op.FMAX: 'np.maximum(a, b)',
+    op.FABS: 'np.abs(a)',
+    op.FNEG: '-a',
+    op.ADDI: 'a + imm',
+    op.SLT: '(a < b).astype(float)',
+    op.SLTI: '(a < imm).astype(float)',
+    op.FLT: '(a < b).astype(float)',
+    op.FLE: '(a <= b).astype(float)',
+    op.FEQ: '(a == b).astype(float)',
+    op.AND: '(a.astype(int) & b.astype(int)).astype(float)',
+    op.OR: '(a.astype(int) | b.astype(int)).astype(float)',
+    op.FCVT_WS: 'np.trunc(a)',
+    op.FCVT_SW: 'a.astype(float)',
+}
+_ALU = {o: eval(f'lambda a, b, d, imm: {expr}')
+        for o, expr in _ALU_RESULT.items()}
+
+
 class _TagArray:
     """Set-associative tag array with LRU and a 1-line/cycle port."""
 
@@ -243,11 +286,10 @@ class GpuMachine:
         wb = now + cfg.valu_latency
         rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
 
-        if o == op.LI:
-            self._writeback(wf, rd, np.full(cfg.wavefront_size,
-                                            float(inst.imm)), wb)
-        elif o == op.MV:
-            self._writeback(wf, rd, regs[rs1], wb)
+        alu = _ALU.get(o)
+        if alu is not None:
+            self._writeback(wf, rd, alu(regs[rs1], regs[rs2], regs[rd],
+                                        inst.imm), wb)
         elif o == op.CSRR:
             if inst.imm == op.CSR_TID:
                 self._writeback(wf, rd, wf.tid.copy(), wb)
@@ -257,63 +299,6 @@ class GpuMachine:
                                 wb)
             else:
                 raise GpuError(f'unsupported CSR {inst.imm} on GPU')
-        elif o in (op.ADD, op.FADD):
-            self._writeback(wf, rd, regs[rs1] + regs[rs2], wb)
-        elif o in (op.SUB, op.FSUB):
-            self._writeback(wf, rd, regs[rs1] - regs[rs2], wb)
-        elif o in (op.MUL, op.FMUL):
-            self._writeback(wf, rd, regs[rs1] * regs[rs2], wb)
-        elif o == op.FMA:
-            self._writeback(wf, rd, regs[rd] + regs[rs1] * regs[rs2], wb)
-        elif o == op.FDIV:
-            self._writeback(wf, rd, regs[rs1] / regs[rs2], wb)
-        elif o == op.DIV:
-            with np.errstate(divide='ignore', invalid='ignore'):
-                q = np.nan_to_num(np.trunc(regs[rs1] / regs[rs2]))
-            self._writeback(wf, rd, q, wb)
-        elif o == op.REM:
-            with np.errstate(divide='ignore', invalid='ignore'):
-                q = np.nan_to_num(np.trunc(regs[rs1] / regs[rs2]))
-            self._writeback(wf, rd, regs[rs1] - q * regs[rs2], wb)
-        elif o == op.FSQRT:
-            self._writeback(wf, rd, np.sqrt(np.abs(regs[rs1])), wb)
-        elif o == op.FMIN:
-            self._writeback(wf, rd, np.minimum(regs[rs1], regs[rs2]), wb)
-        elif o == op.FMAX:
-            self._writeback(wf, rd, np.maximum(regs[rs1], regs[rs2]), wb)
-        elif o in (op.FABS,):
-            self._writeback(wf, rd, np.abs(regs[rs1]), wb)
-        elif o in (op.FNEG,):
-            self._writeback(wf, rd, -regs[rs1], wb)
-        elif o == op.ADDI:
-            self._writeback(wf, rd, regs[rs1] + inst.imm, wb)
-        elif o == op.SLT:
-            self._writeback(wf, rd,
-                            (regs[rs1] < regs[rs2]).astype(float), wb)
-        elif o == op.SLTI:
-            self._writeback(wf, rd, (regs[rs1] < inst.imm).astype(float),
-                            wb)
-        elif o in (op.FLT,):
-            self._writeback(wf, rd,
-                            (regs[rs1] < regs[rs2]).astype(float), wb)
-        elif o in (op.FLE,):
-            self._writeback(wf, rd,
-                            (regs[rs1] <= regs[rs2]).astype(float), wb)
-        elif o in (op.FEQ,):
-            self._writeback(wf, rd,
-                            (regs[rs1] == regs[rs2]).astype(float), wb)
-        elif o == op.AND:
-            self._writeback(wf, rd, (regs[rs1].astype(int) &
-                                     regs[rs2].astype(int)).astype(float),
-                            wb)
-        elif o == op.OR:
-            self._writeback(wf, rd, (regs[rs1].astype(int) |
-                                     regs[rs2].astype(int)).astype(float),
-                            wb)
-        elif o in (op.FCVT_WS,):
-            self._writeback(wf, rd, np.trunc(regs[rs1]), wb)
-        elif o in (op.FCVT_SW,):
-            self._writeback(wf, rd, regs[rs1].astype(float), wb)
 
         elif o == op.LW:
             addrs = (regs[rs1].astype(int) + inst.imm)

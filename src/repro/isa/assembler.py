@@ -19,6 +19,7 @@ Example
 
 from __future__ import annotations
 
+import keyword
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Union
 
@@ -77,7 +78,13 @@ class Program:
 
 
 class Assembler:
-    """Emit instructions one at a time; labels may be used before binding."""
+    """Emit instructions one at a time; labels may be used before binding.
+
+    There is one method per mnemonic (``a.add('x7', 'x5', 'x6')``,
+    ``a.lw('f1', 'x5', imm=4)``, ``a.and_``/``a.or_`` for the keywords),
+    taking the arguments its operand format lists in
+    :mod:`repro.isa.opcodes`; they are stamped at the bottom of this module.
+    """
 
     def __init__(self):
         self._instrs: List[Instr] = []
@@ -133,194 +140,6 @@ class Assembler:
                   if lab.pc is not None}
         return Program(self._instrs, labels)
 
-    # -- integer ALU -----------------------------------------------------------
-    def _rrr(self, opcode, rd: Reg, rs1: Reg, rs2: Reg):
-        self._emit(opcode, parse_reg(rd), parse_reg(rs1), parse_reg(rs2))
-
-    def _rri(self, opcode, rd: Reg, rs1: Reg, imm: int):
-        self._emit(opcode, parse_reg(rd), parse_reg(rs1), 0, imm)
-
-    def add(self, rd, rs1, rs2):
-        self._rrr(op.ADD, rd, rs1, rs2)
-
-    def sub(self, rd, rs1, rs2):
-        self._rrr(op.SUB, rd, rs1, rs2)
-
-    def mul(self, rd, rs1, rs2):
-        self._rrr(op.MUL, rd, rs1, rs2)
-
-    def div(self, rd, rs1, rs2):
-        self._rrr(op.DIV, rd, rs1, rs2)
-
-    def rem(self, rd, rs1, rs2):
-        self._rrr(op.REM, rd, rs1, rs2)
-
-    def and_(self, rd, rs1, rs2):
-        self._rrr(op.AND, rd, rs1, rs2)
-
-    def or_(self, rd, rs1, rs2):
-        self._rrr(op.OR, rd, rs1, rs2)
-
-    def xor(self, rd, rs1, rs2):
-        self._rrr(op.XOR, rd, rs1, rs2)
-
-    def sll(self, rd, rs1, rs2):
-        self._rrr(op.SLL, rd, rs1, rs2)
-
-    def srl(self, rd, rs1, rs2):
-        self._rrr(op.SRL, rd, rs1, rs2)
-
-    def slt(self, rd, rs1, rs2):
-        self._rrr(op.SLT, rd, rs1, rs2)
-
-    def addi(self, rd, rs1, imm):
-        self._rri(op.ADDI, rd, rs1, imm)
-
-    def andi(self, rd, rs1, imm):
-        self._rri(op.ANDI, rd, rs1, imm)
-
-    def ori(self, rd, rs1, imm):
-        self._rri(op.ORI, rd, rs1, imm)
-
-    def xori(self, rd, rs1, imm):
-        self._rri(op.XORI, rd, rs1, imm)
-
-    def slli(self, rd, rs1, imm):
-        self._rri(op.SLLI, rd, rs1, imm)
-
-    def srli(self, rd, rs1, imm):
-        self._rri(op.SRLI, rd, rs1, imm)
-
-    def slti(self, rd, rs1, imm):
-        self._rri(op.SLTI, rd, rs1, imm)
-
-    def li(self, rd, imm):
-        self._emit(op.LI, parse_reg(rd), 0, 0, imm)
-
-    def mv(self, rd, rs1):
-        self._emit(op.MV, parse_reg(rd), parse_reg(rs1))
-
-    # -- floating point ---------------------------------------------------------
-    def fadd(self, rd, rs1, rs2):
-        self._rrr(op.FADD, rd, rs1, rs2)
-
-    def fsub(self, rd, rs1, rs2):
-        self._rrr(op.FSUB, rd, rs1, rs2)
-
-    def fmul(self, rd, rs1, rs2):
-        self._rrr(op.FMUL, rd, rs1, rs2)
-
-    def fdiv(self, rd, rs1, rs2):
-        self._rrr(op.FDIV, rd, rs1, rs2)
-
-    def fsqrt(self, rd, rs1):
-        self._emit(op.FSQRT, parse_reg(rd), parse_reg(rs1))
-
-    def fmin(self, rd, rs1, rs2):
-        self._rrr(op.FMIN, rd, rs1, rs2)
-
-    def fmax(self, rd, rs1, rs2):
-        self._rrr(op.FMAX, rd, rs1, rs2)
-
-    def fma(self, rd, rs1, rs2):
-        """rd += rs1 * rs2 (fused multiply-add, rd is both source and dest)."""
-        self._rrr(op.FMA, rd, rs1, rs2)
-
-    def fabs(self, rd, rs1):
-        self._emit(op.FABS, parse_reg(rd), parse_reg(rs1))
-
-    def fneg(self, rd, rs1):
-        self._emit(op.FNEG, parse_reg(rd), parse_reg(rs1))
-
-    def flt(self, rd, rs1, rs2):
-        self._rrr(op.FLT, rd, rs1, rs2)
-
-    def fle(self, rd, rs1, rs2):
-        self._rrr(op.FLE, rd, rs1, rs2)
-
-    def feq(self, rd, rs1, rs2):
-        self._rrr(op.FEQ, rd, rs1, rs2)
-
-    def fcvt_ws(self, rd, rs1):
-        self._emit(op.FCVT_WS, parse_reg(rd), parse_reg(rs1))
-
-    def fcvt_sw(self, rd, rs1):
-        self._emit(op.FCVT_SW, parse_reg(rd), parse_reg(rs1))
-
-    # -- memory -------------------------------------------------------------
-    def lw(self, rd, rs1, imm=0):
-        self._emit(op.LW, parse_reg(rd), parse_reg(rs1), 0, imm)
-
-    def sw(self, rs2, rs1, imm=0):
-        self._emit(op.SW, 0, parse_reg(rs1), parse_reg(rs2), imm)
-
-    def lwsp(self, rd, rs1, imm=0):
-        self._emit(op.LWSP, parse_reg(rd), parse_reg(rs1), 0, imm)
-
-    def swsp(self, rs2, rs1, imm=0):
-        self._emit(op.SWSP, 0, parse_reg(rs1), parse_reg(rs2), imm)
-
-    def swrem(self, value, core, offset, imm=0):
-        """Remote store: core[core].spad[offset + imm] <- value."""
-        self._emit(op.SWREM, parse_reg(offset), parse_reg(value),
-                   parse_reg(core), imm)
-
-    # -- control ---------------------------------------------------------------
-    def beq(self, rs1, rs2, target):
-        self._emit(op.BEQ, 0, parse_reg(rs1), parse_reg(rs2),
-                   self._imm(target))
-
-    def bne(self, rs1, rs2, target):
-        self._emit(op.BNE, 0, parse_reg(rs1), parse_reg(rs2),
-                   self._imm(target))
-
-    def blt(self, rs1, rs2, target):
-        self._emit(op.BLT, 0, parse_reg(rs1), parse_reg(rs2),
-                   self._imm(target))
-
-    def bge(self, rs1, rs2, target):
-        self._emit(op.BGE, 0, parse_reg(rs1), parse_reg(rs2),
-                   self._imm(target))
-
-    def j(self, target):
-        self._emit(op.J, 0, 0, 0, self._imm(target))
-
-    def jal(self, rd, target):
-        self._emit(op.JAL, parse_reg(rd), 0, 0, self._imm(target))
-
-    def jr(self, rs1):
-        self._emit(op.JR, 0, parse_reg(rs1))
-
-    # -- system ---------------------------------------------------------------
-    def nop(self):
-        self._emit(op.NOP)
-
-    def halt(self):
-        self._emit(op.HALT)
-
-    def barrier(self):
-        self._emit(op.BARRIER)
-
-    def csrw(self, csr, rs1):
-        self._emit(op.CSRW, 0, parse_reg(rs1), 0, csr)
-
-    def csrr(self, rd, csr):
-        self._emit(op.CSRR, parse_reg(rd), 0, 0, csr)
-
-    # -- SDV extension --------------------------------------------------------
-    def vconfig(self, rs1):
-        """Enter vector mode; rs1 holds a group-descriptor handle."""
-        self._emit(op.VCONFIG, 0, parse_reg(rs1))
-
-    def devec(self, target):
-        self._emit(op.DEVEC, 0, 0, 0, self._imm(target))
-
-    def vissue(self, target):
-        self._emit(op.VISSUE, 0, 0, 0, self._imm(target))
-
-    def vend(self):
-        self._emit(op.VEND)
-
     def vload(self, spad_off, addr, core_off=0, width=1, variant=VL_GROUP,
               part=VL_ALIGNED):
         """Wide vector load (paper Section 2.3.2).
@@ -330,47 +149,6 @@ class Assembler:
         """
         self._emit(op.VLOAD, 0, parse_reg(addr), parse_reg(spad_off),
                    ex=(core_off, width, variant, part, True))
-
-    def frame_start(self, rd):
-        self._emit(op.FRAME_START, parse_reg(rd))
-
-    def remem(self):
-        self._emit(op.REMEM)
-
-    def pred_eq(self, rs1, rs2):
-        self._emit(op.PRED_EQ, 0, parse_reg(rs1), parse_reg(rs2))
-
-    def pred_neq(self, rs1, rs2):
-        self._emit(op.PRED_NEQ, 0, parse_reg(rs1), parse_reg(rs2))
-
-    # -- per-core SIMD (PCV) ----------------------------------------------------
-    def vl4(self, vrd, rs1, imm=0):
-        self._emit(op.VL4, parse_reg(vrd), parse_reg(rs1), 0, imm)
-
-    def vs4(self, vrs, rs1, imm=0):
-        self._emit(op.VS4, parse_reg(vrs), parse_reg(rs1), 0, imm)
-
-    def vadd4(self, vrd, vrs1, vrs2):
-        self._emit(op.VADD4, parse_reg(vrd), parse_reg(vrs1), parse_reg(vrs2))
-
-    def vsub4(self, vrd, vrs1, vrs2):
-        self._emit(op.VSUB4, parse_reg(vrd), parse_reg(vrs1), parse_reg(vrs2))
-
-    def vmul4(self, vrd, vrs1, vrs2):
-        self._emit(op.VMUL4, parse_reg(vrd), parse_reg(vrs1), parse_reg(vrs2))
-
-    def vfma4(self, vrd, vrs1, vrs2):
-        self._emit(op.VFMA4, parse_reg(vrd), parse_reg(vrs1), parse_reg(vrs2))
-
-    def vbcast(self, vrd, rs1):
-        self._emit(op.VBCAST, parse_reg(vrd), parse_reg(rs1))
-
-    def vredsum4(self, rd, vrs1):
-        self._emit(op.VREDSUM4, parse_reg(rd), parse_reg(vrs1))
-
-    def vote_any(self, rd, rs1):
-        """GPU-only warp vote: rd <- 1 if any active lane's rs1 != 0."""
-        self._emit(op.VOTE_ANY, parse_reg(rd), parse_reg(rs1))
 
     # -- structured helpers -------------------------------------------------------
     @contextmanager
@@ -420,6 +198,40 @@ class Assembler:
         self.addi(counter, counter, step)
         self.j(top.name)
         self.bind(end)
+
+
+# -- mnemonic methods ---------------------------------------------------------
+# One per opcode row, stamped from its operand format once at import (the
+# ``namedtuple`` technique); nothing is generated per instruction.
+_METHOD = '''
+def {name}({params}):
+    """Emit ``{syntax}``."""
+    self._emit({number}, {rd}, {rs1}, {rs2}, {imm})
+'''
+
+
+def _stamp(row: op.Op):
+    name = row.mnemonic + '_' * keyword.iskeyword(row.mnemonic)
+    slots = dict(rd='0', rs1='0', rs2='0', imm='0')
+    params = ['self']
+    for param, slot, default in row.fmt.params():
+        params.append(f'{param}={default}' if default else param)
+        if slot == 'label':
+            slots['imm'] = f'self._imm({param})'
+        else:
+            slots[slot] = param if slot == 'imm' else f'parse_reg({param})'
+    ns = {}
+    exec(compile(_METHOD.format(
+        name=name, params=', '.join(params), number=row.number,
+        syntax=f'{row.mnemonic} {row.fmt.text}'.rstrip(), **slots),
+        f'<repro.isa.assembler:{name}>', 'exec'), globals(), ns)
+    ns[name].__qualname__ = f'Assembler.{name}'
+    setattr(Assembler, name, ns[name])
+
+
+for _row in op.ROWS.values():
+    if _row.fmt is not op.WIDE_LOAD:  # vload is written by hand, above
+        _stamp(_row)
 
 
 __all__ = ['Assembler', 'Program', 'Label', 'VL_SINGLE', 'VL_GROUP',

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from . import opcodes as op
 
-NUM_REGS = 64
 NUM_VREGS = 8
-
-X0 = 0
 
 
 def xreg(n: int) -> int:
@@ -99,60 +96,16 @@ class Instr:
     def __repr__(self):
         return f'<{disasm(self)}>'
 
-    def is_control(self) -> bool:
-        return op.is_control(self.op)
-
 
 def disasm(inst: Instr) -> str:
     """Render one instruction as assembly-ish text (for debugging/tests)."""
-    o = inst.op
-    n = op.name(o)
+    row = op.ROWS[inst.op]
     rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-    r = reg_name
-    if o in (op.LI,):
-        return f'{n} {r(rd)}, {inst.imm}'
-    if o in (op.MV, op.FABS, op.FNEG, op.FCVT_WS, op.FCVT_SW):
-        return f'{n} {r(rd)}, {r(rs1)}'
-    if o in (op.ADDI, op.ANDI, op.ORI, op.XORI, op.SLLI, op.SRLI, op.SLTI):
-        return f'{n} {r(rd)}, {r(rs1)}, {inst.imm}'
-    if o in (op.LW, op.LWSP):
-        return f'{n} {r(rd)}, {inst.imm}({r(rs1)})'
-    if o in (op.SW, op.SWSP):
-        return f'{n} {r(rs2)}, {inst.imm}({r(rs1)})'
-    if o == op.SWREM:
-        return f'{n} {r(rs1)} -> core[{r(rs2)}].spad[{r(rd)}+{inst.imm}]'
-    if op.is_branch(o):
-        return f'{n} {r(rs1)}, {r(rs2)}, @{inst.imm}'
-    if o == op.J:
-        return f'{n} @{inst.imm}'
-    if o == op.JAL:
-        return f'{n} {r(rd)}, @{inst.imm}'
-    if o == op.JR:
-        return f'{n} {r(rs1)}'
-    if o == op.VISSUE:
-        return f'{n} @{inst.imm}'
-    if o == op.VLOAD:
-        core_off, width, variant, part, _ = inst.ex
-        return (f'{n} spad[{r(rs2)}], mem[{r(rs1)}], off={core_off}, '
-                f'w={width}, {VARIANT_NAMES[variant]}')
-    if o == op.FRAME_START:
-        return f'{n} {r(rd)}'
-    if o in (op.CSRW,):
-        return f'{n} csr{inst.imm}, {r(rs1)}'
-    if o in (op.CSRR,):
-        return f'{n} {r(rd)}, csr{inst.imm}'
-    if o in (op.PRED_EQ, op.PRED_NEQ):
-        return f'{n} {r(rs1)}, {r(rs2)}'
-    if o in (op.VL4,):
-        return f'{n} v{rd}, {inst.imm}({r(rs1)})'
-    if o in (op.VS4,):
-        return f'{n} v{rd}, {inst.imm}({r(rs1)})'
-    if o in (op.VADD4, op.VSUB4, op.VMUL4, op.VFMA4):
-        return f'{n} v{rd}, v{rs1}, v{rs2}'
-    if o == op.VBCAST:
-        return f'{n} v{rd}, {r(rs1)}'
-    if o == op.VREDSUM4:
-        return f'{n} {r(rd)}, v{rs1}'
-    if o == op.FMA:
-        return f'{n} {r(rd)}, {r(rs1)}, {r(rs2)}'
-    return f'{n} {r(rd)}, {r(rs1)}, {r(rs2)}'
+    fields = {'rd': reg_name(rd), 'rs1': reg_name(rs1), 'rs2': reg_name(rs2),
+              'vrd': f'v{rd}', 'vrs1': f'v{rs1}', 'vrs2': f'v{rs2}',
+              'imm': inst.imm}
+    if inst.ex is not None:  # vload's extended operands
+        core_off, width, variant, _, _ = inst.ex
+        fields.update(core_off=core_off, width=width,
+                      variant=VARIANT_NAMES[variant])
+    return f'{row.mnemonic} {row.fmt.text.format_map(fields)}'.rstrip()

@@ -21,8 +21,7 @@ from ..isa import Assembler, Program, opcodes as op
 from ..manycore import Fabric
 from . import refs
 from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import _strided_tiles
+from .codegen import MimdKernelBuilder, strided_loop
 
 
 class Bfs(Benchmark):
@@ -56,7 +55,7 @@ class Bfs(Benchmark):
         mb = MimdKernelBuilder()
 
         def explore(a: Assembler):
-            with _strided_tiles(a, v):
+            with strided_loop(a, v):
                 skip = a.label()
                 a.li('x5', depth)
                 a.add('x5', 'x5', 'x3')

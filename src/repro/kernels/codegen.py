@@ -35,6 +35,7 @@ f0..f31    free for benchmark code
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -74,26 +75,21 @@ class MimdKernelBuilder:
         body(self.asm)
         self.asm.barrier()
 
+    @contextmanager
     def loop(self, n_iters: int):
         """Repeat the enclosed kernels ``n_iters`` times (index in x19)."""
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _loop():
-            if self._in_loop:
-                raise ValueError('kernel loops do not nest')
-            self._in_loop = True
-            a = self.asm
-            a.li('x19', 0)
-            top = a.label()
-            a.bind(top)
-            yield
-            a.addi('x19', 'x19', 1)
-            a.li('x18', n_iters)
-            a.blt('x19', 'x18', top.name)
-            self._in_loop = False
-
-        return _loop()
+        if self._in_loop:
+            raise ValueError('kernel loops do not nest')
+        self._in_loop = True
+        a = self.asm
+        a.li('x19', 0)
+        top = a.label()
+        a.bind(top)
+        yield
+        a.addi('x19', 'x19', 1)
+        a.li('x18', n_iters)
+        a.blt('x19', 'x18', top.name)
+        self._in_loop = False
 
     def build(self) -> Program:
         self.asm.halt()
@@ -422,26 +418,21 @@ class VectorProgram:
         body(a)
         a.barrier()
 
+    @contextmanager
     def loop(self, n_iters: int):
         """Repeat the enclosed phases ``n_iters`` times (index in x19)."""
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _loop():
-            if self._loop_depth:
-                raise ValueError('phase loops do not nest')
-            self._loop_depth += 1
-            a = self.asm
-            a.li('x19', 0)
-            top = a.label()
-            a.bind(top)
-            yield
-            a.addi('x19', 'x19', 1)
-            a.li('x18', n_iters)
-            a.blt('x19', 'x18', top.name)
-            self._loop_depth -= 1
-
-        return _loop()
+        if self._loop_depth:
+            raise ValueError('phase loops do not nest')
+        self._loop_depth += 1
+        a = self.asm
+        a.li('x19', 0)
+        top = a.label()
+        a.bind(top)
+        yield
+        a.addi('x19', 'x19', 1)
+        a.li('x18', n_iters)
+        a.blt('x19', 'x18', top.name)
+        self._loop_depth -= 1
 
     def finish(self,
                microthreads: Optional[Callable[[Assembler], None]] = None,
@@ -467,3 +458,18 @@ def emit_fp_zero(a: Assembler, freg: str) -> None:
     """Zero a floating-point register."""
     a.li(freg, 0)
     a.fcvt_sw(freg, freg)
+
+
+@contextmanager
+def strided_loop(a: Assembler, total: int, counter: str = 'x3'):
+    """for counter in range(tid, total, ncores) — x1/x2 hold tid/ncores."""
+    a.mv(counter, 'x1')
+    top = a.label()
+    end = a.label()
+    a.bind(top)
+    a.li('x31', total)
+    a.bge(counter, 'x31', end.name)
+    yield
+    a.add(counter, counter, 'x2')
+    a.j(top.name)
+    a.bind(end)

@@ -18,8 +18,7 @@ from ..isa import Assembler, Program, opcodes as op
 from ..manycore import Fabric
 from . import refs
 from .base import Benchmark, VectorParams, Workspace
-from .codegen import MimdKernelBuilder
-from .mimd_templates import _strided_tiles
+from .codegen import MimdKernelBuilder, strided_loop
 from .vector_templates import emit_fp_zero
 
 
@@ -51,7 +50,7 @@ class Gramschm(Benchmark):
         def body(a: Assembler):
             # pd[tid] = sum over strided i of A[i][k]^2   (k in x19)
             emit_fp_zero(a, 'f8')
-            with _strided_tiles(a, m):
+            with strided_loop(a, m):
                 a.li('x5', n)
                 a.mul('x5', 'x5', 'x3')
                 a.add('x5', 'x5', 'x19')
@@ -105,7 +104,7 @@ class Gramschm(Benchmark):
         def body(a: Assembler):
             a.li('x9', nrm)
             a.lw('f9', 'x9', 0)
-            with _strided_tiles(a, m):
+            with strided_loop(a, m):
                 a.li('x5', n)
                 a.mul('x5', 'x5', 'x3')
                 a.add('x5', 'x5', 'x19')

@@ -23,29 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..isa import Assembler, VL_SELF, opcodes as op
-from .codegen import SelfDaeStream, pack_frame_cfg
+from .codegen import SelfDaeStream, pack_frame_cfg, strided_loop
 from .vector_templates import (MatTerm, StencilSection, emit_fconst,
                                emit_fp_zero)
-
-
-def _strided_tiles(a: Assembler, total: int, counter: str = 'x3'):
-    """for t in range(tid, total, ncores)."""
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _loop():
-        a.mv(counter, 'x1')
-        top = a.label()
-        end = a.label()
-        a.bind(top)
-        a.li('x31', total)
-        a.bge(counter, 'x31', end.name)
-        yield
-        a.add(counter, counter, 'x2')
-        a.j(top.name)
-        a.bind(end)
-
-    return _loop()
 
 
 def _emit_tile_coords(a: Assembler, njc: int, t_reg: str = 'x3',
@@ -82,7 +62,7 @@ def mimd_transpose(a: Assembler, *, src: int, dst: int, n: int,
                    m: int) -> None:
     """dst[j][i] = src[i][j] for an n x m source (the paper's "Transpose"
     memory optimization, run as a MIMD pre-kernel)."""
-    with _strided_tiles(a, n):
+    with strided_loop(a, n):
         # x3 = source row i
         a.li('x4', m)
         a.mul('x4', 'x4', 'x3')
@@ -128,7 +108,7 @@ def mimd_matmul_like(a: Assembler, *, ni: int, nj: int, nk: int,
         stream = SelfDaeStream(frame_words, slots, cfg.frame_counters - 2)
         stream.emit_config(a)
 
-    with _strided_tiles(a, total):
+    with strided_loop(a, total):
         _emit_tile_coords(a, njc)
         # x6+t = group stream addr; x10+t = bcast stream addr
         a.li('x30', cw)
@@ -248,7 +228,7 @@ def mimd_rowdot(a: Assembler, *, nrows: int, ncols: int,
         stream = SelfDaeStream(frame_words, slots, cfg.frame_counters - 2)
         stream.emit_config(a)
 
-    with _strided_tiles(a, nrows):
+    with strided_loop(a, nrows):
         # x4+t = matrix row address; x9 = vec address
         for t, (base, stride) in enumerate(mats):
             a.li('x31', stride)
@@ -409,7 +389,7 @@ def mimd_stencil_rows(a: Assembler, *, n_out_rows: int, row0: int,
         return (root_reg[(sec.base, sec.stride)],
                 sec.di * sec.stride + sec.dj)
 
-    with _strided_tiles(a, total):
+    with strided_loop(a, total):
         _emit_tile_coords(a, njc)  # x4 = row offset, x5 = jc index
         a.li('x6', cw)
         a.mul('x6', 'x6', 'x5')  # j0 of this chunk
@@ -514,7 +494,7 @@ def mimd_fict_row(a: Assembler, *, fict: int, ey: int, m: int) -> None:
     a.li('x5', fict)
     a.add('x5', 'x5', 'x19')
     a.lw('f1', 'x5', 0)
-    with _strided_tiles(a, m):
+    with strided_loop(a, m):
         a.li('x6', ey)
         a.add('x6', 'x6', 'x3')
         a.sw('f1', 'x6', 0)
@@ -533,7 +513,7 @@ def mimd_column_stats(a: Assembler, *, data: int, m: int, n: int,
         emit_fconst(a, 'f13', 0.1)
         emit_fconst(a, 'f14', 1.0)
         emit_fconst(a, 'f15', float(np.sqrt(float(m))))
-    with _strided_tiles(a, n):
+    with strided_loop(a, n):
         # x3 = column j; walk addresses with stride n
         a.li('x5', data)
         a.add('x5', 'x5', 'x3')
@@ -571,7 +551,7 @@ def mimd_column_stats(a: Assembler, *, data: int, m: int, n: int,
 def mimd_fix_diagonal(a: Assembler, *, out: int, n: int) -> None:
     """corr[i][i] = 1.0 (PolyBench sets the diagonal explicitly)."""
     emit_fconst(a, 'f14', 1.0)
-    with _strided_tiles(a, n):
+    with strided_loop(a, n):
         a.li('x5', n + 1)
         a.mul('x5', 'x5', 'x3')
         a.li('x6', out)

@@ -36,11 +36,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..isa import Assembler, VL_GROUP, VL_SINGLE, opcodes as op
 from .codegen import GroupCtx, VectorKernelBuilder, VectorProgram, \
-    emit_fp_zero
+    emit_fp_zero, strided_loop
 
 
-def emit_fconst(a: Assembler, freg: str, value: float,
-                scratch: str = 'f7') -> None:
+def emit_fconst(a: Assembler, freg: str, value: float) -> None:
     """Materialize a float constant.
 
     Modeled as a single constant-pool load (one instruction); the simulator
@@ -459,26 +458,6 @@ def emit_rowdot(p: VectorProgram, *, name: str, nrows: int, ncols: int,
     p.add_microthreads(microthreads)
 
 
-def _strided_rows(a: Assembler, nrows: int, counter: str = 'x3'):
-    """for r in range(tid, nrows, ncores) — x1/x2 hold tid/ncores."""
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _loop():
-        a.mv(counter, 'x1')
-        top = a.label()
-        end = a.label()
-        a.bind(top)
-        a.li('x31', nrows)
-        a.bge(counter, 'x31', end.name)
-        yield
-        a.add(counter, counter, 'x2')
-        a.j(top.name)
-        a.bind(end)
-
-    return _loop()
-
-
 def emit_rowdot_reduce(p: VectorProgram, *, nrows: int, lanes: int,
                        partials_bases: Sequence[int],
                        coeffs: Sequence[float], out_base: int,
@@ -489,7 +468,7 @@ def emit_rowdot_reduce(p: VectorProgram, *, nrows: int, lanes: int,
         for t, c in enumerate(coeffs):
             if c != 1.0:
                 emit_fconst(a, f'f{8 + t}', c)
-        with _strided_rows(a, nrows):
+        with strided_loop(a, nrows):
             a.li('x5', lanes)
             a.mul('x5', 'x5', 'x3')
             emit_fp_zero(a, 'f20')

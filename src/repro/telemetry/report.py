@@ -46,22 +46,6 @@ SAMPLE_SCHEMA = {
     },
 }
 
-HISTOGRAM_SCHEMA = {
-    'type': 'object',
-    'required': ['name', 'unit', 'count', 'mean', 'buckets'],
-    'properties': {
-        'name': {'type': 'string'},
-        'unit': {'type': 'string'},
-        'count': _COUNTER,
-        'min': _NUMBER,
-        'max': _NUMBER,
-        'mean': _NUMBER,
-        'p50': _NUMBER,
-        'p99': _NUMBER,
-        'buckets': {'type': 'object'},
-    },
-}
-
 _BODY_SCHEMA = {
     'required': ['benchmark', 'config', 'cycles', 'instrs', 'counters',
                  'telemetry'],

@@ -8,6 +8,7 @@ of the same instructions.  This guards the ALU semantics (every opcode in
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -227,6 +228,17 @@ class TestDifferential:
         add = ('add', 'x', 'xx', None)
         assert run_program(init, [(add, 'x0', ['x5', 'x5'])],
                            ['x0', 'x5'])[0] == [0, 1]
+
+    def test_print_reports_a_register_and_changes_nothing(self, capsys):
+        """The one opcode whose effect is on stdout, not on the machine."""
+        row = ('print', None, '', None)  # a.print('x5'): no destination
+        got = run_program({'x5': 42, 'x6': 7},
+                          [(row, 'x5', []), (row, 'x0', [])],
+                          ['x0', 'x5', 'x6'])[0]
+        assert got == [0, 42, 7]
+        assert re.fullmatch(r'\[core 0 @ \d+\] r5 = 42\n'
+                            r'\[core 0 @ \d+\] r0 = 0\n',
+                            capsys.readouterr().out)
 
     @given(st.integers(-1000, 1000), st.integers(1, 50))
     @settings(max_examples=30, deadline=None)

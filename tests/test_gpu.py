@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.gpu import GpuConfig, GpuError, GpuMachine
-from repro.gpu.machine import GpuMemSystem, _TagArray
+from repro.gpu import DEFAULT_GPU, GpuConfig, GpuError, GpuMachine
+from repro.gpu.kernels import build_launches
+from repro.gpu.machine import GpuMemSystem, Wavefront, _TagArray
 from repro.isa import Assembler, opcodes as op
+from repro.kernels import registry
 
 SMALL_GPU = GpuConfig(kernel_launch_overhead=10)
 
@@ -116,6 +118,28 @@ class TestWavefrontExecution:
 
         with pytest.raises(GpuError, match='unsupported'):
             run(build, {'out': 4})
+
+    def test_every_opcode_the_kernels_launch_has_a_gpu_arm(self):
+        """Each opcode in any of the 16 kernels' launches (test scale)
+        executes on a wavefront: none falls through to the no-arm error."""
+        first = {}
+        for cls in registry.ALL:
+            bench = cls()
+            params = bench.params_for('test')
+            ws = bench.setup(GpuMachine(DEFAULT_GPU), params)
+            for program, _ in build_launches(cls.name, ws, params,
+                                             DEFAULT_GPU):
+                for inst in program.instrs:
+                    first.setdefault(inst.op, inst)
+        assert len(registry.ALL) == 16 and len(first) > 20
+        gm = GpuMachine(SMALL_GPU)
+        gm.alloc(64)
+        gm._freeze_memory()
+        for inst in first.values():
+            wf = Wavefront(0, 0, SMALL_GPU)
+            wf.tid = np.arange(SMALL_GPU.wavefront_size, dtype=float)
+            wf.regs = [np.ones_like(wf.tid) for _ in wf.regs]  # no 0/0
+            gm._execute(wf, inst, 0.0)  # GpuError: opcode has no arm
 
 
 class TestGpuMemory:
