@@ -99,16 +99,14 @@ def run_shard_batch(batch: ShardBatch) -> dict:
                          build_serve_report, request_outputs)
     requests = [KernelRequest.from_dict(d) for d in batch.requests]
     fabric = Fabric()
-    plane = None
     if batch.metrics_out is not None:
+        # the run's own finalize writes the `final` line and closes the sink
         from ..observe import ObservePlane
-        plane = ObservePlane(snapshot_interval=batch.snapshot_interval,
-                             metrics_out=batch.metrics_out, append=True)
-        plane.attach(fabric)
+        ObservePlane(snapshot_interval=batch.snapshot_interval,
+                     metrics_out=batch.metrics_out,
+                     append=True).attach(fabric)
     scheduler = ServeScheduler(fabric, verify=batch.verify)
     result = scheduler.run(requests, max_cycles=batch.max_cycles)
-    if plane is not None:
-        plane.finalize(fabric.cycle)
     report = build_serve_report(result)
     digests: Dict[str, str] = {}
     if batch.digests:

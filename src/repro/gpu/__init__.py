@@ -21,7 +21,7 @@ def run_gpu_benchmark(bench, params: Dict[str, int], verify: bool = True,
 
     gm = GpuMachine(cfg)
     if telemetry is not None:
-        telemetry.attach_gpu(gm)
+        telemetry.attach(gm)
     ws = bench.setup(gm, params)
     launches = build_launches(bench.name, ws, params, cfg)
     for program, entry in launches:

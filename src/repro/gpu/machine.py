@@ -23,6 +23,7 @@ import numpy as np
 
 from ..isa import Program, opcodes as op
 from ..isa.instruction import Instr
+from ..manycore.probes import Probes
 from .config import DEFAULT_GPU, GpuConfig
 
 INF = 1 << 60
@@ -174,7 +175,7 @@ class GpuMachine:
         self.mem = GpuMemSystem(cfg)
         self.cycle = 0
         self.total_instrs = 0
-        self.telemetry = None  # optional Telemetry (see repro.telemetry)
+        self.probes = Probes()  # reports `gpu_mem` (see manycore.probes)
 
     # -- Fabric-compatible allocation ----------------------------------------
     def alloc(self, data_or_size, fill=0.0) -> int:
@@ -279,6 +280,14 @@ class GpuMachine:
         wf.regs[rd] = np.where(wf.mask, value, old)
         wf.busy[rd] = at
 
+    def _mem_access(self, wf: Wavefront, lines, now: float) -> float:
+        """Service one coalesced access; returns its completion time."""
+        done = self.mem.access_lines(wf.cu, lines.tolist(), now)
+        q = self.probes.gpu_mem
+        if q is not None:
+            q((now, done - now))
+        return done
+
     def _execute(self, wf: Wavefront, inst: Instr, now: float) -> None:
         o = inst.op
         cfg = self.cfg
@@ -307,10 +316,8 @@ class GpuMachine:
             values = self.memory[safe]
             lines = np.unique(safe[active] // cfg.line_words) \
                 if active.any() else np.empty(0, dtype=int)
-            done = self.mem.access_lines(wf.cu, lines.tolist(), now)
-            if self.telemetry is not None:
-                self.telemetry.on_gpu_mem(done - now)
-            self._writeback(wf, rd, values, done)
+            self._writeback(wf, rd, values,
+                            self._mem_access(wf, lines, now))
         elif o == op.SW:
             addrs = (regs[rs1].astype(int) + inst.imm)
             active = wf.mask
@@ -318,9 +325,7 @@ class GpuMachine:
                 safe = np.clip(addrs, 0, len(self.memory) - 1)
                 self.memory[safe[active]] = regs[rs2][active]
                 lines = np.unique(safe[active] // cfg.line_words)
-                done = self.mem.access_lines(wf.cu, lines.tolist(), now)
-                if self.telemetry is not None:
-                    self.telemetry.on_gpu_mem(done - now)
+                self._mem_access(wf, lines, now)
 
         elif o == op.VOTE_ANY:
             any_set = bool(np.any(wf.mask & (regs[rs1] != 0)))

@@ -218,23 +218,21 @@ def _vload(inst):
 
     def run(tile, now):
         regs = tile.regs
-        fabric = tile.fabric
         lanes = tile.group.lanes if tile.group is not None else []
         expansion = expand_vload(int(regs[rs1]), int(regs[rs2]), core_off,
                                  width, variant, part, lanes, tile.core_id,
                                  tile.cfg.line_words)
         tile.stats.vloads_issued += 1
-        job = tile.job
-        if job is not None and job.rtrace is not None:
-            job.rtrace.wide_issued += 1
+        q = tile.probes.wide_issue
+        if q is not None:
+            q((now, tile.core_id, tile.job))
         if expansion is None:
             return
         start, chunks = expansion
         req = MemRequest(KIND_WIDE, start, sum(c[1] for c in chunks),
                          tile.core_id, chunks=chunks, is_frame=True)
-        if fabric.telemetry is not None:
-            req.t_issue = now
-        fabric.send_to_bank(req, now)
+        req.t_issue = now
+        tile.fabric.send_to_bank(req, now)
     return run
 
 
@@ -244,9 +242,9 @@ def _frame_start(inst):
 
     def run(tile, now):
         fq = tile.spad.frames  # the sequencer saw the head frame ready
-        tel = tile.fabric.telemetry
-        if tel is not None:
-            tel.on_frame_start((tile.core_id, fq.head, now))
+        q = tile.probes.frame_start
+        if q is not None:
+            q((now, tile.core_id, fq.head))
         if rd:
             tile.regs[rd] = fq.head_offset()
             tile._busy[rd] = now + lat
@@ -257,9 +255,9 @@ def _frame_start(inst):
 def _remem(inst):
     def run(tile, now):
         fq = tile.spad.frames
-        tel = tile.fabric.telemetry
-        if tel is not None:
-            tel.on_frame_free((tile.core_id, fq.head, 0, now))
+        q = tile.probes.frame_free
+        if q is not None:
+            q((now, tile.core_id, fq.head))
         fq.free_head()
         tile.stats.frames_consumed += 1
     return run

@@ -18,8 +18,9 @@ from ..isa.assembler import Program
 from .config import DEFAULT_CONFIG, MachineConfig
 from .dram import Dram
 from .execute import bind_program
-from .llc import KIND_STORE, KIND_WIDE, LLCBank, MemRequest
+from .llc import KIND_STORE, LLCBank, MemRequest
 from .noc import NocModel
+from .probes import Probes
 from .stats import RunStats
 from .tile import HALTED, INF, RUN, Tile, WAIT_BARRIER, WAIT_VCONFIG
 
@@ -61,8 +62,7 @@ class FabricJob:
 
     __slots__ = ('job_id', 'name', 'tiles', 'core_ids', 'state',
                  'pending_ops', 'fence_waiting', 'launched_at',
-                 'finished_at', 'on_complete', '_drain_kind', 'rid',
-                 'rtrace')
+                 'finished_at', 'on_complete', '_drain_kind')
 
     def __init__(self, job_id: int, name: str, tiles: List[Tile],
                  on_complete: Optional[Callable] = None):
@@ -77,8 +77,6 @@ class FabricJob:
         self.finished_at: Optional[int] = None
         self.on_complete = on_complete
         self._drain_kind = JOB_DONE  # final state once pending ops land
-        self.rid: Optional[int] = None  # serving request id, if any
-        self.rtrace = None  # per-request causal trace (repro.observe)
 
     @property
     def finished(self) -> bool:
@@ -95,6 +93,11 @@ class Fabric:
 
     def __init__(self, cfg: MachineConfig = DEFAULT_CONFIG):
         self.cfg = cfg
+        #: the two observer attributes: every fact the machine reports
+        #: goes through ``probes`` (see manycore.probes); ``profiler`` is
+        #: the optional HostProfiler (see repro.perf) timing the run loop
+        self.probes = Probes()
+        self.profiler = None
         self.run_stats = RunStats()
         self.noc = NocModel(cfg.mesh_width, cfg.mesh_height, cfg.llc_banks,
                             cfg.router_hop_latency)
@@ -137,10 +140,6 @@ class Fabric:
         #: the trace_id links these in-fabric windows to the fleet-level
         #: distributed trace (repro.flight)
         self.serve_spans: List[dict] = []
-        self.trace = None  # optional Tracer (see manycore.trace)
-        self.telemetry = None  # optional Telemetry (see repro.telemetry)
-        self.observe = None  # optional ObservePlane (see repro.observe)
-        self.profiler = None  # optional HostProfiler (see repro.perf)
 
     # ------------------------------------------------------------- memory setup
     def alloc(self, data_or_size, fill=0.0) -> int:
@@ -246,13 +245,9 @@ class Fabric:
         hops = self.noc.bank_hops(req.core, bank_id)
         self.count_hops(hops)
         delay = self.noc.bank_delay(req.core, bank_id)
-        # wide requests are covered by the drain-time NoC derivation
-        # from the wide-access record (see Telemetry._drain_events)
-        if self.telemetry is not None and req.kind != KIND_WIDE:
-            self.telemetry.on_noc_traversal(delay)
-        obs = self.observe
-        if obs is not None:
-            obs.on_mem_req(req)  # routes/banks derived at drain time
+        q = self.probes.mem_req
+        if q is not None:
+            q((now, req.kind, req.core, bank_id, delay, req.chunks))
         self.banks[bank_id].access(req, now + delay)
 
     def send_store(self, core: int, addr: int, value, now: int) -> None:
@@ -266,9 +261,9 @@ class Fabric:
         job = self.tiles[src].job
         if job is not None:
             job.pending_ops += 1
-        obs = self.observe
-        if obs is not None:
-            obs.on_remote_store((src, dest))
+        q = self.probes.remote_store
+        if q is not None:
+            q((now, src, dest))
 
         def deliver(at, d=dest, o=offset, v=value, j=job):
             self.spad_deliver(d, o, [v], False)
@@ -307,16 +302,9 @@ class Fabric:
                      is_frame: bool) -> None:
         tile = self.tiles[core]
         tile.spad.deliver(offset, values, is_frame)
-        if is_frame:
-            if self.telemetry is not None:
-                self.telemetry.on_frame_words(
-                    (core, offset, len(values), self.cycle))
-            obs = self.observe
-            if obs is not None:
-                obs.on_frame_words((core, len(values)))
-            job = tile.job
-            if job is not None and job.rtrace is not None:
-                job.rtrace.frame_words += len(values)
+        q = self.probes.frame_words
+        if q is not None and is_frame:
+            q((self.cycle, core, offset, len(values), tile.job))
         self.wake_tile(tile, self.cycle)
 
     # --------------------------------------------------------------- formation
@@ -329,19 +317,20 @@ class Fabric:
                 f'core {tile.core_id} ran vconfig for group '
                 f'{desc.group_id} it does not belong to')
         tile.state = WAIT_VCONFIG
-        job = tile.job
-        if job is not None and job.rtrace is not None \
-                and tile is job.tiles[0]:
+        q = self.probes.formation_wait
+        if q is not None and tile.job is not None \
+                and tile is tile.job.tiles[0]:
             # the job's lead tile begins a formation wait; these cycles
             # are the request's "launch" phase (they land in idle() and
             # in no stall bucket, so the carve-out is exact)
-            job.rtrace.lead_wait_begin(now)
+            q((now, tile.job))
         desc._arrived.add(tile.core_id)
         if len(desc._arrived) == len(desc.tiles):
             desc._arrived.clear()
             self._form_group(desc, now)
 
     def _form_group(self, desc: GroupDescriptor, now: int) -> None:
+        q = self.probes.formation
         for i, cid in enumerate(desc.tiles):
             t = self.tiles[cid]
             t.group = desc
@@ -364,10 +353,8 @@ class Fabric:
             t.pred = True
             t._ready_at = now + 1
             self.wake_tile(t, now + 1)
-            job = t.job
-            if job is not None and job.rtrace is not None \
-                    and t is job.tiles[0]:
-                job.rtrace.lead_wait_end(now)
+            if q is not None and t.job is not None and t is t.job.tiles[0]:
+                q((now, t.job))
 
     # ----------------------------------------------------------------- barrier
     def barrier_arrive(self, tile: Tile, now: int) -> None:
@@ -543,9 +530,23 @@ class Fabric:
                 # also on timeout/deadlock: wake_tile must not keep
                 # feeding a wake heap no loop is draining
                 self._sched_heap_mode = False
-            return self._finish_run()
-        finally:
+            self._drain()
             if prof is not None:
+                prof.lap('drain')
+            self.run_stats.cycles = self.cycle
+            for t in self.tiles:
+                # a core issuing at the final cycle index C occupies cycle
+                # slot C, so the per-core elapsed count is C+1 slots; this
+                # keeps cycles == instrs + stall_total() + idle() exact
+                # (the headline run_stats.cycles keeps the last-index form)
+                t.stats.cycles = self.cycle + 1
+            return self.run_stats
+        finally:
+            # also when the loop raised: consumers get their closing
+            # sample and final record, and sinks are flushed and closed
+            self.probes.finalize(self.cycle)
+            if prof is not None:
+                prof.lap('finish')
                 prof.end_run()
 
     def _run_loop(self, max_cycles: int, serve: bool) -> None:
@@ -557,20 +558,8 @@ class Fabric:
         if self.profiler is not None:
             lap = self.profiler.lap
             classify = self.profiler.classify
-        tel = self.telemetry
-        sampler = None
-        next_sample = INF
-        if tel is not None:
-            tel.attach(self)  # idempotent; binds the sampler's baselines
-            sampler = tel.sampler
-            if sampler is not None:
-                next_sample = sampler.next_due
-        obs = self.observe
-        next_obs = INF
-        if obs is not None:
-            obs.bind(self)  # idempotent; sizes heatmaps, opens the sink
-            if obs.interval:
-                next_obs = obs.next_due
+        probes = self.probes
+        next_due = probes.next_due  # the one sample deadline (INF if bare)
         heap = self._heap
         wheap = self._wake_heap
         active = [t for t in self._active if not t.halted]
@@ -631,16 +620,8 @@ class Fabric:
             self.cycle = now
             if lap is not None:
                 lap('sched')
-            if now >= next_sample:
-                sampler.take(now)
-                next_sample = sampler.next_due
-                if lap is not None:
-                    lap('telemetry')
-            if now >= next_obs:
-                obs.take(now)
-                next_obs = obs.next_due
-                if lap is not None:
-                    lap('observe')
+            if now >= next_due:
+                next_due = probes.tick(now, lap)
             pending = self._pending_events
             while heap and heap[0][0] <= now:
                 _, seq, fn = heapq.heappop(heap)
@@ -701,26 +682,6 @@ class Fabric:
                     streak = 0
             if lap is not None:
                 lap('tile_step')
-
-    def _finish_run(self) -> RunStats:
-        prof = self.profiler
-        self._drain()
-        if prof is not None:
-            prof.lap('drain')
-        self.run_stats.cycles = self.cycle
-        for t in self.tiles:
-            # a core issuing at the final cycle index C occupies cycle
-            # slot C, so the per-core elapsed count is C+1 slots; this
-            # keeps cycles == instrs + stall_total() + idle() exact
-            # (the headline run_stats.cycles keeps the last-index form)
-            t.stats.cycles = self.cycle + 1
-        if self.telemetry is not None:
-            self.telemetry.finalize(self.cycle)
-        if self.observe is not None:
-            self.observe.finalize(self.cycle)
-        if prof is not None:
-            prof.lap('finish')
-        return self.run_stats
 
     def _drain(self) -> None:
         """Flush in-flight memory events so final memory state is visible."""

@@ -39,7 +39,7 @@ class MemRequest:
         self.on_data = on_data
         self.value = value
         self.is_frame = is_frame
-        self.t_issue = None  # issue cycle, set only when telemetry is on
+        self.t_issue = None  # issue cycle (wide accesses)
         self.job = None  # issuing FabricJob (serve mode); None classically
 
 
@@ -49,6 +49,7 @@ class LLCBank:
     def __init__(self, bank_id: int, fabric, cfg, stats):
         self.bank_id = bank_id
         self.fabric = fabric
+        self.probes = fabric.probes
         self.cfg = cfg
         self.stats = stats
         self.line_words = cfg.line_words
@@ -97,29 +98,19 @@ class LLCBank:
         """Accept a request; the bank port serializes at 1/cycle."""
         start = max(float(arrive), self._req_free)
         self._req_free = start + 1.0
-        tel = self.fabric.telemetry
-        if tel is not None:
-            tel.on_llc_queue(start - arrive)
-        obs = self.fabric.observe
-        if obs is not None:
-            obs.on_llc_wait((self.bank_id, start - arrive))
-        rt = req.job.rtrace if req.job is not None else None
-        if rt is not None:
-            rt.llc_wait += start - arrive
-            rt.llc_accesses += 1
         t = int(math.ceil(start)) + self.hit_latency
         self.stats.llc_accesses += 1
         if req.kind == KIND_WIDE:
             self.stats.wide_requests += 1
         line = req.addr // self.line_words
-        if self._lookup(line):
+        hit = self._lookup(line)
+        q = self.probes.llc_access
+        if q is not None:
+            q((self.bank_id, start, start - arrive, not hit, req.job))
+        if hit:
             self._complete(req, t)
         else:
             self.stats.llc_misses += 1
-            if obs is not None:
-                obs.on_llc_miss(self.bank_id)
-            if rt is not None:
-                rt.llc_misses += 1
             waiting = self._mshr.get(line)
             if waiting is None:
                 self._mshr[line] = [req]
@@ -136,7 +127,6 @@ class LLCBank:
     def _complete(self, req: MemRequest, ready: int) -> None:
         mem = self.fabric.memory
         noc = self.fabric.noc
-        tel = self.fabric.telemetry
         if req.kind == KIND_STORE:
             mem[req.addr] = req.value
             self._dirty.add(req.addr // self.line_words)
@@ -152,8 +142,9 @@ class LLCBank:
             delay = noc.delay_for_hops(hops)
             arrival = emit + delay
             self.fabric.count_hops(hops)
-            if tel is not None:
-                tel.on_noc_traversal(delay)
+            q = self.probes.load_reply
+            if q is not None:
+                q((emit, req.core, self.bank_id, delay))
             self.fabric.post(arrival,
                              lambda now, r=req, v=value: r.on_data(v, now))
             if req.job is not None:
@@ -163,10 +154,10 @@ class LLCBank:
                     arrival,
                     lambda now, r=req: self.fabric.job_op_done(r.job, now))
             return
-        # wide access: serialized response packets per chunk.  NoC
-        # traversal telemetry for these packets is *derived at drain
-        # time* from the chunk list (delays are a pure function of
-        # (dest core, bank)), so the hot loop carries no probes.
+        # wide access: serialized response packets per chunk.  Their NoC
+        # traversals are *derived* by whoever folds `wide_served` from
+        # the chunk list (delays are a pure function of (dest core,
+        # bank)), so the hot loop carries no probes.
         last_emit = ready
         last_arrival = ready
         for (addr, count, dest_core, dest_off) in req.chunks:
@@ -192,9 +183,10 @@ class LLCBank:
             self.fabric.post(
                 last_arrival,
                 lambda now, r=req: self.fabric.job_op_done(r.job, now))
-        if tel is not None:
-            tel.on_wide_served((req, ready, last_emit, last_arrival,
-                                self.bank_id))
+        q = self.probes.wide_served
+        if q is not None:
+            q((ready, last_emit, last_arrival, self.bank_id, req.core,
+               req.t_issue, req.nwords, req.chunks))
 
     def _emit_slot(self, ready: int) -> int:
         """Claim one cycle of the response port; returns the emit cycle."""

@@ -65,6 +65,7 @@ class Tile:
     def __init__(self, core_id: int, fabric, cfg):
         self.core_id = core_id
         self.fabric = fabric
+        self.probes = fabric.probes
         self.cfg = cfg
         self.stats = CoreStats()
         self.icache = ICache(cfg.icache_capacity_bytes, cfg.icache_ways,
@@ -224,9 +225,9 @@ class Tile:
             st.n_mul += 1
         else:
             st.n_div += 1
-        trace = self.fabric.trace
-        if trace is not None:
-            trace.record(self.core_id, now, inst, self.mode)
+        q = self.probes.issue
+        if q is not None:
+            q((now, self.core_id, inst, self.mode))
 
     def _charge_gap(self, now: int, cause: str) -> None:
         """Attribute idle time without an instruction issue (mode changes)."""
@@ -373,9 +374,9 @@ class Tile:
             self._forward(succ, inst, now)
         if inst.op == op.VEND:
             self.in_mt = False
-            tel = self.fabric.telemetry
-            if tel is not None:
-                tel.on_mt_end((self.core_id, now))
+            q = self.probes.mt_end
+            if q is not None:
+                q((now, self.core_id))
             return now + 1
         if ctrl:
             self._execute_control_mt(inst, now)
@@ -404,9 +405,9 @@ class Tile:
         self.stats.microthreads += 1
         self._charge_gap(now, 'inet_input')
         self._fetch_pc = -1
-        tel = self.fabric.telemetry
-        if tel is not None:
-            tel.on_mt_launch((self.core_id, now, payload))
+        q = self.probes.mt_launch
+        if q is not None:
+            q((now, self.core_id, payload))
         return now + 1
 
     def _execute_control_mt(self, inst: Instr, now: int) -> None:
@@ -541,8 +542,10 @@ class Tile:
             slots = (v >> 12) & 0xFFF
             fq = self.spad.configure_frames(frame_size, slots,
                                             self.cfg.frame_counters)
-            if self.fabric.telemetry is not None:
-                self.fabric.telemetry.watch_frames(self.core_id, fq)
+            q = self.probes.frame_cfg
+            if q is not None:
+                q((self.fabric.cycle, self.core_id, fq.base, fq.frame_size,
+                   fq.num_slots))
         elif csr == op.CSR_VCONFIG:
             pass  # modeled via the VCONFIG instruction
         else:

@@ -10,8 +10,9 @@ render the interleaved trace:
 >>> fabric.run()                              # doctest: +SKIP
 >>> print(tracer.render())                    # doctest: +SKIP
 
-Tracing costs one predicate per issued instruction when attached and
-nothing when not.
+The tracer is a consumer of the probe plane's ``issue`` fact: attached,
+every issued instruction costs one queued tuple and the filters run when
+the plane drains; detached, the issue site pays one attribute read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.vgroup import ROLE_NAMES
-from ..isa.instruction import Instr, disasm
+from ..isa.instruction import disasm
+from .probes import Consumer
 
 
 @dataclass
@@ -35,8 +37,10 @@ class TraceEntry:
         return f'{self.cycle:8d} c{self.core:02d}[{role}] {self.text}'
 
 
-class Tracer:
+class Tracer(Consumer):
     """Collects issued instructions from selected cores."""
+
+    facts = ('issue',)
 
     def __init__(self, cores: Optional[Sequence[int]] = None,
                  start: int = 0, stop: int = 1 << 60,
@@ -50,21 +54,20 @@ class Tracer:
         self.filtered = 0  # failed the core/cycle filters
 
     def attach(self, fabric) -> 'Tracer':
-        fabric.trace = self
+        fabric.probes.attach(self)
         return self
 
-    def record(self, core: int, cycle: int, inst: Instr,
-               mode: int) -> None:
-        if self.cores is not None and core not in self.cores:
-            self.filtered += 1
-            return
-        if not self.start <= cycle < self.stop:
-            self.filtered += 1
-            return
-        if len(self.entries) >= self.limit:
-            self.dropped += 1
-            return
-        self.entries.append(TraceEntry(cycle, core, mode, disasm(inst)))
+    def fold(self, batches) -> None:
+        for cycle, core, inst, mode in batches.get('issue', ()):
+            if self.cores is not None and core not in self.cores:
+                self.filtered += 1
+            elif not self.start <= cycle < self.stop:
+                self.filtered += 1
+            elif len(self.entries) >= self.limit:
+                self.dropped += 1
+            else:
+                self.entries.append(
+                    TraceEntry(cycle, core, mode, disasm(inst)))
 
     def render(self, last: Optional[int] = None) -> str:
         entries = self.entries[-last:] if last else self.entries

@@ -1,20 +1,19 @@
 """The observability plane: probes -> registry + heatmaps + snapshots.
 
 :class:`ObservePlane` is the serving-time counterpart of
-:class:`~repro.telemetry.Telemetry`, and follows the same discipline so
-it can stay attached by default:
+:class:`~repro.telemetry.Telemetry`, and like it a consumer of the
+machine's probe plane (:mod:`repro.manycore.probes`), cheap enough to
+stay attached by default:
 
-* the fabric holds ``fabric.observe = None`` unless a plane is attached,
-  so the disabled path costs one attribute load and a None check per
-  probe site;
-* enabled probes are pre-bound ``list.append`` calls that record a
-  reference or a small tuple — no route walking, no dict lookups, no
-  label formatting on the hot path;
+* it declares five facts (:attr:`ObservePlane.facts`); the sites that
+  record them append one small tuple — no route walking, no dict
+  lookups, no label formatting on the hot path — and an unattached
+  fabric pays one attribute read per site;
 * everything expensive (XY route enumeration, per-bank labeling,
-  histogram bucketing, JSONL serialization) happens at *drain* time,
-  on snapshot boundaries driven by the fabric's clock the same way the
-  telemetry sampler is (no events are posted, so the barrier
-  memory-fence check and therefore simulated cycle counts are
+  histogram bucketing, JSONL serialization) happens when the probe
+  plane drains, on snapshot boundaries driven by the fabric's clock the
+  same way the telemetry sampler is (no events are posted, so the
+  barrier memory-fence check and therefore simulated cycle counts are
   bit-identical with the plane attached — enforced by test).
 
 The plane owns a :class:`~repro.observe.metrics.MetricsRegistry`, the
@@ -27,23 +26,23 @@ dashboard.
 from __future__ import annotations
 
 import json
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..manycore.llc import KIND_LOAD, KIND_STORE, MemRequest
-from ..manycore.noc import bank_coords, tile_coords
+from ..manycore.llc import KIND_LOAD, KIND_STORE
+from ..manycore.noc import bank_coords, route_xy, tile_coords
+from ..manycore.probes import INF, Consumer
 from .heatmap import Heatmap, LinkHeatmap
 from .metrics import MetricsRegistry
-
-_INF = 1 << 60
-#: probe records an unwatched plane lets queue up before it drains anyway
-#: (bounds the memory the queued ``MemRequest`` references keep alive)
-_BACKLOG = 1 << 12
 
 _KIND_NAME = {KIND_LOAD: 'load', KIND_STORE: 'store'}
 
 
-class ObservePlane:
+class ObservePlane(Consumer):
     """Attachable, side-effect-free observer of one fabric."""
+
+    facts = ('mem_req', 'remote_store', 'llc_access', 'frame_words',
+             'request_state')
+    lap = 'observe'
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  snapshot_interval: int = 5000,
@@ -58,24 +57,11 @@ class ObservePlane:
         # append mode lets several successive fabrics (fleet shard
         # batches) share one JSONL stream per shard
         self.append = append
-        self.next_due = _INF
         self.snapshots = 0
         self._fabric = None
         self._sink = None
         self._last_cycle = 0
         self._bp_base: List[int] = []  # per-tile backpressure baseline
-
-        # hot-path queues; probes are the bound append methods
-        self._mem_reqs: List[MemRequest] = []
-        self._llc_waits: List[Tuple[int, float]] = []
-        self._llc_misses: List[int] = []
-        self._remote: List[Tuple[int, int]] = []
-        self._frames: List[Tuple[int, int]] = []
-        self.on_mem_req = self._mem_reqs.append
-        self.on_llc_wait = self._llc_waits.append
-        self.on_llc_miss = self._llc_misses.append
-        self.on_remote_store = self._remote.append
-        self.on_frame_words = self._frames.append
 
         # heatmaps (sized at bind, when the mesh geometry is known)
         self.link_heat: Optional[LinkHeatmap] = None
@@ -109,7 +95,7 @@ class ObservePlane:
         self._g_cycle = reg.gauge('sim_cycle', 'current simulated cycle')
         self._g_tiles = reg.gauge(
             'tiles_active', 'tiles currently owned by a live job')
-        # serving-side families (fed by ServeScheduler on state changes)
+        # serving-side families (the scheduler's `request_state` fact)
         self._c_req_state = reg.counter(
             'serve_requests_total', 'request state transitions')
         self._g_queue = reg.gauge(
@@ -127,19 +113,11 @@ class ObservePlane:
 
     # ------------------------------------------------------------ attach/detach
     def attach(self, fabric) -> 'ObservePlane':
-        """Install this plane on ``fabric`` (idempotent)."""
-        fabric.observe = self
-        self.bind(fabric)
-        return self
-
-    def detach(self, fabric) -> None:
-        if fabric.observe is self:
-            fabric.observe = None
-
-    def bind(self, fabric) -> None:
-        """Capture geometry and counter baselines; idempotent per fabric."""
+        """Subscribe to ``fabric``'s probes; capture geometry and counter
+        baselines and open the sink (idempotent per fabric)."""
+        fabric.probes.attach(self)
         if self._fabric is fabric:
-            return
+            return self
         self._fabric = fabric
         cfg = fabric.cfg
         w, h = cfg.mesh_width, cfg.mesh_height
@@ -163,97 +141,94 @@ class ObservePlane:
                           for k in ('load', 'store', 'wide')}
         self._last_cycle = fabric.cycle
         self.next_due = (fabric.cycle + self.interval if self.interval
-                         else _INF)
+                         else INF)
         if self.metrics_out and self._sink is None:
             self._sink = open(self.metrics_out,
                               'a' if self.append else 'w')
+        return self
+
+    def detach(self, fabric) -> None:
+        fabric.probes.detach(self)
 
     # ----------------------------------------------------------------- routing
     def _route(self, src: int, dst: int, to_bank: bool):
         key = (src, dst, to_bank)
         links = self._routes.get(key)
         if links is None:
-            noc = self._fabric.noc
-            a = tile_coords(src, noc.width)
-            if to_bank:
-                b = bank_coords(dst, noc.num_banks, noc.width, noc.height)
-            else:
-                b = tile_coords(dst, noc.width)
-            from ..manycore.noc import route_xy
-            links = self._routes[key] = route_xy(a, b)
+            ends = self._bank_xy if to_bank else self._tile_xy
+            links = self._routes[key] = route_xy(self._tile_xy[src],
+                                                 ends[dst])
         return links
 
-    # ------------------------------------------------------------------- drain
+    # -------------------------------------------------------------------- fold
     def drain(self) -> None:
-        """Fold queued hot-path records into the registry and heatmaps.
+        """Have the probe plane fold everything recorded so far."""
+        if self._fabric is not None:
+            self._fabric.probes.drain()
+
+    def fold(self, batches: Dict[str, list]) -> None:
+        """Fold drained probe records into the registry and heatmaps.
 
         Records are first aggregated into word counts per *flow*
         ``(src, dst, to_bank)`` and per label child, so route walking
         and labeled-counter updates happen once per distinct flow/label
-        rather than once per record — drain cost tracks the traffic
+        rather than once per record — fold cost tracks the traffic
         *pattern*, not the traffic volume, which is what keeps the <5%
         overhead gate honest on wide-access-heavy workloads.
         """
-        fabric = self._fabric
-        if fabric is None:
-            return
-        lw = fabric.cfg.line_words
-        nbanks = fabric.cfg.llc_banks
+        nbanks = self._fabric.cfg.llc_banks
         heat = self.link_heat
-        if self._mem_reqs:
+        mem_reqs = batches.get('mem_req')
+        if mem_reqs:
             flows = {}
             kinds = {'load': 0, 'store': 0, 'wide': 0}
             words_total = 0
-            for req in self._mem_reqs:
-                bank = (req.addr // lw) % nbanks
-                kinds[_KIND_NAME.get(req.kind, 'wide')] += 1
+            for _now, kind, core, bank, _delay, chunks in mem_reqs:
+                kinds[_KIND_NAME.get(kind, 'wide')] += 1
                 # request packet toward the bank (+ response for loads)
-                words = 2 if req.kind == KIND_LOAD else 1
-                key = (req.core, bank, True)
+                words = 2 if kind == KIND_LOAD else 1
+                key = (core, bank, True)
                 flows[key] = flows.get(key, 0) + words
                 words_total += words
-                if req.chunks is not None:  # wide: per-chunk responses
-                    for (_, count, dest_core, _) in req.chunks:
+                if chunks is not None:  # wide: per-chunk responses
+                    for (_, count, dest_core, _) in chunks:
                         key = (dest_core, bank, True)
                         flows[key] = flows.get(key, 0) + count
                         words_total += count
-            del self._mem_reqs[:]
             for (src, dst, to_bank), words in flows.items():
                 heat.add_route(self._route(src, dst, to_bank), words)
             for kind, n in kinds.items():
                 if n:
                     self._kind_req[kind].inc(n)
             self._m_words.inc(words_total)
-        if self._remote:
+        remote = batches.get('remote_store')
+        if remote:
             flows = {}
-            for src, dst in self._remote:
+            for _now, src, dst in remote:
                 flows[(src, dst)] = flows.get((src, dst), 0) + 1
-            self._m_words.inc(len(self._remote))
-            self._m_remote.inc(len(self._remote))
-            del self._remote[:]
+            self._m_words.inc(len(remote))
+            self._m_remote.inc(len(remote))
             for (src, dst), words in flows.items():
                 heat.add_route(self._route(src, dst, False), words)
-        if self._llc_waits:
-            per_bank = [0] * nbanks
+        accesses = batches.get('llc_access')
+        if accesses:
+            acc = [0] * nbanks
+            misses = [0] * nbanks
             observe_wait = self._h_llc_wait.observe
-            for bank, wait in self._llc_waits:
-                per_bank[bank] += 1
+            for bank, _start, wait, miss, _job in accesses:
+                acc[bank] += 1
+                misses[bank] += miss
                 observe_wait(wait)
-            del self._llc_waits[:]
-            for bank, n in enumerate(per_bank):
-                if n:
-                    self._bank_acc[bank].inc(n)
-        if self._llc_misses:
-            per_bank = [0] * nbanks
-            for bank in self._llc_misses:
-                per_bank[bank] += 1
-            del self._llc_misses[:]
-            for bank, n in enumerate(per_bank):
-                if n:
-                    self._bank_miss[bank].inc(n)
-        if self._frames:
-            self._m_frames.inc(sum(n for _core, n in self._frames))
-            del self._frames[:]
+            for bank in range(nbanks):
+                if acc[bank]:
+                    self._bank_acc[bank].inc(acc[bank])
+                if misses[bank]:
+                    self._bank_miss[bank].inc(misses[bank])
+        frames = batches.get('frame_words')
+        if frames:
+            self._m_frames.inc(sum(rec[3] for rec in frames))
+        for record in batches.get('request_state', ()):
+            self._request_state(*record)
 
     # ---------------------------------------------------------------- snapshot
     def take(self, now: int) -> None:
@@ -267,10 +242,10 @@ class ObservePlane:
 
         Draining the probe queues and refreshing gauges/heatmaps is only
         worth doing when somebody can look.  With no JSONL sink and no
-        ``on_snapshot`` callback the records stay queued (at most
-        ``_BACKLOG`` of them) and :meth:`finalize` folds them in one
-        batch: the same final registry and heatmaps for far fewer route
-        walks and labelled-counter updates, which is what keeps an
+        ``on_snapshot`` callback the records stay queued (the probe
+        plane bounds the backlog) and :meth:`finalize` folds the rest in
+        one batch: the same final registry and heatmaps for far fewer
+        route walks and labelled-counter updates, which is what keeps an
         attached-but-unwatched plane inside the <5% overhead gate.
         """
         fabric = self._fabric
@@ -279,8 +254,7 @@ class ObservePlane:
         if self.interval:
             self.next_due = now - now % self.interval + self.interval
         duplicate = self.snapshots and now == self._last_cycle
-        if (self._sink is not None or self.on_snapshot is not None
-                or len(self._frames) + len(self._mem_reqs) > _BACKLOG):
+        if self._sink is not None or self.on_snapshot is not None:
             self.refresh(now)
         self._last_cycle = now
         if duplicate:
@@ -338,17 +312,17 @@ class ObservePlane:
             self._sink = None
 
     # ------------------------------------------------------------ serve events
-    def on_request_state(self, req, now: int, scheduler=None) -> None:
-        """A request changed state (rare; called by the scheduler)."""
-        self._c_req_state.labels(state=req.state).inc()
-        if scheduler is not None:
-            self._g_queue.set(len(scheduler.queue))
-            self._g_running.set(len(scheduler.running))
+    def _request_state(self, now: int, req, state: str, queue_depth: int,
+                       running: int) -> None:
+        """A request changed state (rare; recorded by the scheduler)."""
+        self._c_req_state.labels(state=state).inc()
+        self._g_queue.set(queue_depth)
+        self._g_running.set(running)
         row = {'req_id': req.req_id, 'kernel': req.kernel,
-               'state': req.state, 'tiles': req.tiles_needed,
+               'state': state, 'tiles': req.tiles_needed,
                'priority': req.priority, 'arrival': req.arrival,
                'since': now}
-        if req.state in ('queued', 'running'):
+        if state in ('queued', 'running'):
             self.inflight[req.req_id] = row
         else:
             self.inflight.pop(req.req_id, None)

@@ -1,15 +1,16 @@
 """Per-request causal tracing: from request id to a cycle breakdown.
 
-The serving scheduler hangs a :class:`RequestTrace` off each launched
-:class:`~repro.manycore.fabric.FabricJob` (``job.rtrace``).  The request
-id then travels with the job wherever the job already travels — into
-wide-access issue (the ``vload`` executor of ``manycore.execute``), LLC
-queue entries (:meth:`LLCBank.access` reads ``req.job``), frame fills
+The serving scheduler keeps a :class:`RequestTrace` per launched
+:class:`~repro.manycore.fabric.FabricJob`.  The job travels wherever the
+request's work already travels — into wide-access issue (the ``vload``
+executor of ``manycore.execute``), LLC queue entries
+(:meth:`LLCBank.access` reads ``req.job``), frame fills
 (:meth:`Fabric.spad_deliver`), and group formation
-(:meth:`Fabric.vconfig_arrive`) — and each site bumps a plain integer on
-the trace.  Every update is observation-only: no events are posted and
-no simulated state is read back, so cycle counts are bit-identical with
-tracing on or off (tested).
+(:meth:`Fabric.vconfig_arrive`) — whose probe records carry it, and the
+scheduler (a probe-plane consumer) folds each record into a plain
+integer on the owning trace.  Recording is observation-only: no events
+are posted and no simulated state is read back, so cycle counts are
+bit-identical with tracing on or off (tested).
 
 At completion the trace plus the request's per-tile counter deltas
 become a **phase breakdown** that sums *exactly* to the request's
@@ -35,7 +36,7 @@ instead of silently dropping cycles no category covers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 #: breakdown phase names, in presentation order
 BREAKDOWN_PHASES = ('queue', 'launch', 'execute', 'frame_stall', 'llc',
@@ -43,9 +44,9 @@ BREAKDOWN_PHASES = ('queue', 'launch', 'execute', 'frame_stall', 'llc',
 
 
 class RequestTrace:
-    """Causal counters for one in-flight request (hangs off its job)."""
+    """Causal counters for one in-flight request (keyed by its job)."""
 
-    __slots__ = ('req_id', 'launch_cycles', 'lead_wait_from', 'llc_wait',
+    __slots__ = ('req_id', 'launch_cycles', 'lead_waits', 'llc_wait',
                  'llc_accesses', 'llc_misses', 'frame_words',
                  'wide_issued', 'formations')
 
@@ -53,8 +54,8 @@ class RequestTrace:
         self.req_id = req_id
         #: cycles the rank-0 tile spent waiting for group formation
         self.launch_cycles = 0
-        #: cycle the rank-0 tile entered WAIT_VCONFIG (open episode)
-        self.lead_wait_from: Optional[int] = None
+        #: cycles the rank-0 tile entered WAIT_VCONFIG, formation pending
+        self.lead_waits: List[int] = []
         #: summed LLC bank-port queueing delay of this request's accesses
         self.llc_wait = 0.0
         self.llc_accesses = 0
@@ -66,15 +67,10 @@ class RequestTrace:
         #: vector-group formations completed for this request
         self.formations = 0
 
-    # ---------------------------------------------------- formation episodes
-    def lead_wait_begin(self, now: int) -> None:
-        self.lead_wait_from = now
-
-    def lead_wait_end(self, now: int) -> None:
-        if self.lead_wait_from is not None:
-            self.launch_cycles += now - self.lead_wait_from
-            self.lead_wait_from = None
-        self.formations += 1
+    @property
+    def lead_wait_from(self) -> Optional[int]:
+        """Start of the open formation-wait episode, if one is open."""
+        return self.lead_waits[0] if self.lead_waits else None
 
     def to_dict(self) -> dict:
         return {'req_id': self.req_id,

@@ -20,9 +20,10 @@ components of the event loop:
 ``sched``
     the clock advance itself (next-wake scan, event-heap peek),
 ``telemetry`` / ``observe``
-    sampler and observability-plane snapshot overhead,
+    sampler and observability-plane snapshot overhead (each probe-plane
+    consumer names the component its tick time is credited to),
 ``drain`` / ``finish``
-    end-of-run event flush and stats/telemetry finalization.
+    end-of-run event flush and stats/probe-plane finalization.
 
 Design constraints, in order:
 
@@ -38,8 +39,9 @@ Design constraints, in order:
    previous one, so consecutive segments *share* ``perf_counter()``
    boundaries and the components tile the measured window; the timer's
    own cost lands in the segment being closed.  The residual (the tail
-   after the last lap, or an aborted iteration on timeout/deadlock) is
-   computed, reported, and asserted small (< 10%) by test.
+   after the last lap) is computed, reported, and asserted small
+   (< 10%) by test; on timeout/deadlock the aborted iteration lands in
+   ``finish`` with the consumers' finalization.
 3. **Identical simulation.**  Laps read the clock and a dict; they touch
    no simulated state, so cycles, stats and outputs are bit-identical
    attached or detached (guarded by test).

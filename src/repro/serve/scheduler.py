@@ -37,6 +37,7 @@ from ..kernels import registry
 from ..kernels.base import VectorParams
 from ..manycore import Fabric, RunStats
 from ..manycore.fabric import JOB_DONE, FabricJob
+from ..manycore.probes import Consumer
 from ..observe import RequestTrace, build_breakdown
 from .allocator import Region, RegionAllocator
 from .request import (DONE, FAILED, KernelRequest, QUEUED, REJECTED,
@@ -69,8 +70,15 @@ class ServeResult:
         return [r for r in self.requests if r.state == DONE]
 
 
-class ServeScheduler:
-    """Schedules a stream of kernel requests onto one live fabric."""
+class ServeScheduler(Consumer):
+    """Schedules a stream of kernel requests onto one live fabric.
+
+    It is also the probe-plane consumer that routes per-job facts to the
+    owning request's :class:`~repro.observe.RequestTrace`.
+    """
+
+    facts = ('llc_access', 'frame_words', 'wide_issue', 'formation_wait',
+             'formation')
 
     def __init__(self, fabric: Fabric, verify: bool = True):
         self.fabric = fabric
@@ -83,7 +91,9 @@ class ServeScheduler:
         self.peak_queue_depth = 0
         self.peak_concurrent_jobs = 0
         self._spans: Dict[int, dict] = {}  # job_id -> open serve span
+        self._rtraces: Dict[FabricJob, RequestTrace] = {}  # live jobs
         fabric._stall_handler = self._on_stall
+        fabric.probes.attach(self)
 
     # -------------------------------------------------------------- admission
     def _admit(self, req: KernelRequest, now: int) -> None:
@@ -106,10 +116,40 @@ class ServeScheduler:
         self._dispatch(now)
 
     def _notify(self, req: KernelRequest, now: int) -> None:
-        """Tell the observability plane about a state change (rare)."""
-        obs = self.fabric.observe
-        if obs is not None:
-            obs.on_request_state(req, now, scheduler=self)
+        """Report a request's state change (rare)."""
+        q = self.fabric.probes.request_state
+        if q is not None:
+            q((now, req, req.state, len(self.queue), len(self.running)))
+
+    def fold(self, batches) -> None:
+        """Credit each job-tagged record to its request's causal trace."""
+        traces = self._rtraces
+        for _bank, _start, wait, miss, job in batches.get('llc_access', ()):
+            rt = traces.get(job)
+            if rt is not None:
+                rt.llc_wait += wait
+                rt.llc_accesses += 1
+                rt.llc_misses += miss
+        for rec in batches.get('frame_words', ()):
+            rt = traces.get(rec[4])
+            if rt is not None:
+                rt.frame_words += rec[3]
+        for _now, _core, job in batches.get('wide_issue', ()):
+            rt = traces.get(job)
+            if rt is not None:
+                rt.wide_issued += 1
+        # the lead tile's waits and the formations ending them alternate,
+        # so each formation closes the oldest open wait, however the two
+        # facts interleave inside one batch
+        for now, job in batches.get('formation_wait', ()):
+            rt = traces.get(job)
+            if rt is not None:
+                rt.lead_waits.append(now)
+        for now, job in batches.get('formation', ()):
+            rt = traces.get(job)
+            if rt is not None:
+                rt.launch_cycles += now - rt.lead_waits.pop(0)
+                rt.formations += 1
 
     # --------------------------------------------------------------- dispatch
     def _dispatch(self, now: int) -> None:
@@ -134,10 +174,9 @@ class ServeScheduler:
         job = fabric.launch_job(f'req{req.req_id}:{req.kernel}', prog,
                                 region.core_ids,
                                 on_complete=self._on_complete)
-        # request id + causal trace ride the job into wide-access issue,
-        # LLC queue entries, frame fills, and group formation
-        job.rid = req.req_id
-        job.rtrace = req._rtrace = RequestTrace(req.req_id)
+        # the job rides into wide-access issue, LLC queue entries, frame
+        # fills and group formation; `fold` maps it back to this trace
+        self._rtraces[job] = req._rtrace = RequestTrace(req.req_id)
         req.state = RUNNING
         req.launched_at = now
         req._bench = bench
@@ -158,6 +197,8 @@ class ServeScheduler:
 
     # ------------------------------------------------------------- completion
     def _on_complete(self, job: FabricJob, now: int) -> None:
+        self.fabric.probes.drain()  # the breakdown reads the folded trace
+        del self._rtraces[job]
         req, region, _ = self.running.pop(job.job_id)
         span = self._spans.pop(job.job_id, None)
         if span is not None:

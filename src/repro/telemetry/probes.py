@@ -1,47 +1,45 @@
-"""The telemetry hub: histograms, spans, and the sampler, behind probes.
+"""The telemetry hub: histograms, spans, and the sampler.
 
-A :class:`Telemetry` object attaches to a :class:`~repro.manycore.Fabric`
-exactly like the debug :class:`~repro.manycore.Tracer` does: the fabric
-holds ``fabric.telemetry = None`` by default and every instrumentation
-site is guarded by one attribute load and a ``None`` check, so a
-non-telemetry run pays nothing and — crucially — telemetry **never
-changes simulated timing**: all probes observe state, none post events
-or touch the event heap.  Cycle counts are bit-identical with telemetry
-attached or not (tested).
+A :class:`Telemetry` is a consumer of the machine's probe plane
+(:mod:`repro.manycore.probes`): ``attach`` declares the facts below, the
+sites that record them only append a tuple, and telemetry **never
+changes simulated timing** — cycle counts are bit-identical with
+telemetry attached or not (tested), and a run without it pays one
+attribute read per site.  Wall-clock overhead stays low (<5%, tested)
+because nothing is matched inside the run: histogram-only facts are
+bucketed when the plane drains, and the pairing facts are parked as
+plain tuples and matched into histograms and spans **lazily**, in one
+ordered replay on the first access to :attr:`hists` or :attr:`spans`.
+Pairing is keyed (per ``(core, frame-slot seq)`` or per expander core);
+only the three frame facts need their chronological order restored.
 
-Wall-clock overhead is kept low (<5%, tested) by making every probe a
-bare C-level list operation inside the run: each probe *is* the bound
-``extend`` of a flat per-family queue, and the instrumentation site
-passes one small tuple (or, for the stateless latency probes, one int
-via ``append``).  The tuple is transient — ``extend`` copies its
-items, already-live ints and object refs, into the flat queue and the
-tuple is freed immediately — so a probed run performs *no net heap
-allocation* and never tips the gen-0 GC threshold.  Queued raw events
-are matched into histograms and spans **lazily**, on the first access
-to :attr:`hists` or :attr:`spans` after the run.  Pairing across
-queues is keyed (per ``(core, frame-slot seq)`` or per expander core),
-so no global event order needs to be preserved.
+Histograms (the ISSUE's four latency histograms plus the GPU
+comparator's memory path) and the facts they fold:
 
-Probe inventory (the ISSUE's four latency histograms plus the GPU
-comparator's memory path):
+* ``vload_issue_to_last_word`` — ``wide_served``: a wide access from
+  ``vload`` issue to the arrival of its last response word;
+* ``frame_fill_to_start`` — ``frame_cfg`` / ``frame_words`` /
+  ``frame_free`` / ``frame_start``: slack between a DAE frame becoming
+  full and the ``frame_start`` that consumes it (per core);
+* ``llc_bank_queue`` — ``llc_access``: request-port queueing delay;
+* ``noc_traversal`` — ``mem_req`` / ``load_reply`` / ``wide_served``:
+  one-way NoC delay of request and response packets;
+* ``gpu_mem_service`` — ``gpu_mem``: coalesced access service time.
 
-* ``vload_issue_to_last_word`` — a wide access from ``vload`` issue to
-  the arrival of its last response word in a scratchpad;
-* ``frame_fill_to_start`` — slack between a DAE frame becoming full and
-  the ``frame_start`` that consumes it (per core);
-* ``llc_bank_queue`` — request-port queueing delay at an LLC bank;
-* ``noc_traversal`` — one-way NoC delay of request and response packets;
-* ``gpu_mem_service`` — GPU model: coalesced access service time.
-
-Span inventory: microthread lifetimes (expander launch → ``vend``),
+Span inventory: microthread lifetimes (``mt_launch`` → ``mt_end``),
 frame occupancy (first word arrival → ``remem``), and wide-access
 service windows at the LLC bank.
 """
 
 from __future__ import annotations
 
+from heapq import merge
+from operator import itemgetter
 from typing import Dict, List, Optional
 
+from ..manycore.fabric import Fabric
+from ..manycore.llc import KIND_WIDE
+from ..manycore.probes import Consumer
 from .histogram import Log2Histogram
 from .sampler import Sampler
 from .spans import CAT_FRAME, CAT_MICROTHREAD, CAT_WIDE, SpanRecorder
@@ -56,8 +54,13 @@ HISTOGRAM_NAMES = (HIST_VLOAD, HIST_FRAME, HIST_LLC_QUEUE, HIST_NOC,
                    HIST_GPU_MEM)
 
 
-class Telemetry:
+class Telemetry(Consumer):
     """Low-overhead instrumentation attached to one fabric (or GPU) run."""
+
+    #: pairing facts: parked as drained, matched by :meth:`_replay`
+    PARKED = ('frame_words', 'frame_cfg', 'frame_free', 'frame_start',
+              'mt_launch', 'mt_end', 'wide_served')
+    facts = PARKED + ('mem_req', 'load_reply', 'llc_access', 'gpu_mem')
 
     def __init__(self, sample_interval: int = 1000,
                  per_core_samples: bool = False,
@@ -68,117 +71,87 @@ class Telemetry:
         self._spans = SpanRecorder(limit=span_limit)
         self._hists: Dict[str, Log2Histogram] = {
             name: Log2Histogram(name) for name in HISTOGRAM_NAMES}
-        # stateless probes (one per NoC packet / LLC access / GPU batch)
-        # bind straight to a pending list's append; drained lazily
-        self._pending: Dict[str, List[int]] = {
-            HIST_NOC: [], HIST_LLC_QUEUE: [], HIST_GPU_MEM: []}
-        self.on_noc_traversal = self._pending[HIST_NOC].append
-        self.on_llc_queue = self._pending[HIST_LLC_QUEUE].append
-        self.on_gpu_mem = self._pending[HIST_GPU_MEM].append
-        # pairing probes: one flat queue per family, probe == extend.
-        # Record shapes (strides) are fixed by the call sites
-        # (tile.py / llc.py), which pass one transient tuple each:
-        # one chronological queue for frame activity, uniform stride 4
-        # (core, a, n, cycle); `n` discriminates the record kind:
-        #   n >= 1  delivery of n frame words at scratchpad offset `a`
-        #   n == 0  remem freed the frame with absolute sequence `a`
-        #   n == -1 (re)configuration marker (next entry of _frame_cfgs)
-        self._q_frame: List = []
-        self._q_fstart: List = []     # core, seq, cycle
-        self._q_mt_launch: List = []  # core, cycle, mt_pc
-        self._q_mt_end: List = []     # core, cycle
-        self._q_wide: List = []       # req, service_start, last_emit,
-        #                                last_arrival, bank_id
-        self.on_frame_words = self._q_frame.extend
-        self.on_frame_free = self._q_frame.extend
-        self.on_frame_start = self._q_fstart.extend
-        self.on_mt_launch = self._q_mt_launch.extend
-        self.on_mt_end = self._q_mt_end.extend
-        self.on_wide_served = self._q_wide.extend
+        self._parked: Dict[str, list] = {fact: [] for fact in self.PARKED}
         self.fabric = None
         self._final_cycle: Optional[int] = None
-        # pairing state, persistent across drains (used by _drain_events)
+        # pairing state, persistent across replays
         self._mt_open: Dict[int, tuple] = {}      # core -> (start, mt_pc)
-        self._frame_cfgs: Dict[int, List[tuple]] = {}  # queued configs
         self._frame_cfg: Dict[int, tuple] = {}    # core -> (base, fsz, slots)
         self._slot_fill: Dict[tuple, list] = {}   # (core, slot) -> [n, first]
         self._slot_uses: Dict[tuple, int] = {}    # (core, slot) -> frees
         self._frame_full: Dict[tuple, int] = {}   # (core, seq) -> cycle
 
     # ------------------------------------------------------------------ attach
-    def attach(self, fabric) -> 'Telemetry':
-        """Wire this telemetry into ``fabric``; returns self for chaining."""
-        fabric.telemetry = self
-        self.fabric = fabric
-        if self.sampler is not None:
-            self.sampler.bind(fabric)
-        return self
+    def attach(self, machine) -> 'Telemetry':
+        """Subscribe to ``machine``'s probe plane; returns self for chaining.
 
-    def attach_gpu(self, machine) -> 'Telemetry':
-        """Attach to the GPU comparator model (histograms only)."""
-        machine.telemetry = self
+        ``machine`` is a fabric or the GPU comparator; the interval
+        sampler reads tiles, banks and DRAM, so only a fabric binds it.
+        """
+        machine.probes.attach(self)
+        self.fabric = machine
+        if self.sampler is not None and isinstance(machine, Fabric):
+            self.sampler.bind(machine)
+            machine.probes.attach(self.sampler)
         return self
 
     def finalize(self, now: int) -> None:
-        """Close the run: final partial sample; spans close on first access."""
-        if self.sampler is not None:
-            self.sampler.finalize(now)
+        """Close the run: open spans are truncated here on first access."""
         self._final_cycle = now
 
-    # ---------------------------------------------------------- probe: frames
-    def watch_frames(self, core: int, frame_queue) -> None:
-        """Note a freshly configured frame queue (CSR_FRAME_CFG).
+    # -------------------------------------------------------------------- fold
+    def fold(self, batches: Dict[str, list]) -> None:
+        """Bucket the histogram-only facts; park the pairing ones."""
+        noc = self._hists[HIST_NOC].record
+        for _now, kind, _core, _bank, delay, _ in batches.get('mem_req', ()):
+            if kind != KIND_WIDE:  # a wide's packets: see wide_served
+                noc(delay)
+        for rec in batches.get('load_reply', ()):
+            noc(rec[3])
+        record = self._hists[HIST_LLC_QUEUE].record
+        for rec in batches.get('llc_access', ()):
+            record(rec[2])
+        record = self._hists[HIST_GPU_MEM].record
+        for rec in batches.get('gpu_mem', ()):
+            record(rec[1])
+        for fact, parked in self._parked.items():
+            parked.extend(batches.get(fact, ()))
 
-        Frame fills and frees are observed at the delivery and remem
-        sites (one cheap queue record per response packet / remem), and
-        the per-frame 'first word' / 'filled' crossings are replayed
-        from the arrival counts at drain time — the frame queue itself
-        carries no telemetry hooks.
-        """
-        self._frame_cfgs.setdefault(core, []).append(
-            (frame_queue.base, frame_queue.frame_size,
-             frame_queue.num_slots))
-        self._q_frame.extend((core, 0, -1, 0))
-
-    # ------------------------------------------------------------- lazy drain
     @property
     def hists(self) -> Dict[str, Log2Histogram]:
-        self._drain_events()
+        self._replay()
         return self._hists
 
     @property
     def spans(self) -> SpanRecorder:
-        self._drain_events()
+        self._replay()
         return self._spans
 
-    def _drain_events(self) -> None:
-        """Match queued raw events into histograms and spans.
-
-        Every queue is emptied with ``clear()`` (never replaced) so the
-        bound ``append`` probes stay valid across drains.
-        """
-        for name, pending in self._pending.items():
-            if pending:
-                record = self._hists[name].record
-                for v in pending:
-                    record(v)
-                pending.clear()
+    def _replay(self) -> None:
+        """Match everything recorded so far into histograms and spans."""
+        if self.fabric is not None:
+            self.fabric.probes.drain()
+        parked = self._parked
         span_add = self._spans.add
 
         # frame occupancy spans + fill state ('full' cycles for fstart):
         # replay delivery/free records against per-slot arrival counts.
         # Slots are reused round-robin from sequence 0, so a slot's
         # current sequence is uses*num_slots + slot; replay is in
-        # chronological order, hence `uses` is exact at each delivery.
-        if self._q_frame:
+        # chronological order (the three queues merged on their cycle;
+        # deliveries are events, so they precede the same cycle's tile
+        # steps), hence `uses` is exact at each delivery.
+        streams = [[(rec[0], fact, rec) for rec in parked[fact]]
+                   for fact in ('frame_words', 'frame_cfg', 'frame_free')]
+        if any(streams):
             frame_full = self._frame_full
             cfg = self._frame_cfg
             fill = self._slot_fill
             uses = self._slot_uses
-            it = iter(self._q_frame)
-            for core, a, n, now in zip(it, it, it, it):
-                if n == -1:  # (re)configure: reset this core's replay
-                    cfg[core] = self._frame_cfgs[core].pop(0)
+            for now, fact, rec in merge(*streams, key=itemgetter(0)):
+                core, a = rec[1], rec[2]
+                if fact == 'frame_cfg':  # reset this core's replay
+                    cfg[core] = rec[2:]
                     for d in (fill, uses):
                         for key in [k for k in d if k[0] == core]:
                             del d[key]
@@ -187,7 +160,7 @@ class Telemetry:
                 if c is None:
                     continue
                 base, fsize, nslots = c
-                if n == 0:  # remem freed frame with sequence `a`
+                if fact == 'frame_free':  # remem freed frame sequence `a`
                     key = (core, a % nslots)
                     uses[key] = a // nslots + 1
                     st = fill.pop(key, None)
@@ -195,6 +168,7 @@ class Telemetry:
                         span_add('frame', CAT_FRAME, core, st[1], now,
                                  {'seq': a})
                     continue
+                n = rec[3]
                 rel = a - base  # delivery of n words, may span slots
                 while n > 0 and 0 <= rel < fsize * nslots:
                     slot = rel // fsize
@@ -209,32 +183,25 @@ class Telemetry:
                         frame_full[(core, seq)] = now
                     rel += take
                     n -= take
-            self._q_frame.clear()
 
         # frame_start: fill -> start slack, keyed to the 'full' recorded
         # above (a frame_start always follows its frame's fill)
-        if self._q_fstart:
-            hist_frame = self._hists[HIST_FRAME].record
-            frame_full = self._frame_full
-            it = iter(self._q_fstart)
-            for core, seq, now in zip(it, it, it):
-                # pop: a re-issued frame_start on one frame counts once
-                full = frame_full.pop((core, seq), None)
-                if full is not None:
-                    hist_frame(now - full)
-            self._q_fstart.clear()
+        hist_frame = self._hists[HIST_FRAME].record
+        for now, core, seq in parked['frame_start']:
+            # pop: a re-issued frame_start on one frame counts once
+            full = self._frame_full.pop((core, seq), None)
+            if full is not None:
+                hist_frame(now - full)
 
         # microthreads: launches and vends strictly alternate per core
-        if self._q_mt_launch or self._q_mt_end:
+        if parked['mt_launch'] or parked['mt_end']:
             opens: Dict[int, List[tuple]] = {}
             for core, prev in self._mt_open.items():
                 opens[core] = [prev]
-            it = iter(self._q_mt_launch)
-            for core, now, mt_pc in zip(it, it, it):
+            for now, core, mt_pc in parked['mt_launch']:
                 opens.setdefault(core, []).append((now, mt_pc))
             ends: Dict[int, List[int]] = {}
-            it = iter(self._q_mt_end)
-            for core, now in zip(it, it):
+            for now, core in parked['mt_end']:
                 ends.setdefault(core, []).append(now)
             self._mt_open.clear()
             for core, launches in opens.items():
@@ -244,38 +211,33 @@ class Telemetry:
                              start, end + 1, {'mt_pc': mt_pc})
                 if len(launches) > len(core_ends):  # still running
                     self._mt_open[core] = launches[-1]
-            self._q_mt_launch.clear()
-            self._q_mt_end.clear()
 
         # wide accesses: vload latency histogram + bank service spans +
         # derived NoC traversal samples (the request packet plus one
         # sample per serialized response packet; delays are a pure
         # function of (core, bank), so nothing was recorded in-run)
-        if self._q_wide:
+        if parked['wide_served']:
             hist_vload = self._hists[HIST_VLOAD].record
             hist_noc = self._hists[HIST_NOC].record
-            noc = self.fabric.noc if self.fabric is not None else None
-            noc_w = (self.fabric.cfg.noc_width_words
-                     if self.fabric is not None else 1)
-            it = iter(self._q_wide)
-            for req, service_start, last_emit, last_arrival, bank in \
-                    zip(it, it, it, it, it):
-                if req.t_issue is not None:
-                    hist_vload(last_arrival - req.t_issue)
-                if noc is not None:
-                    hist_noc(noc.bank_delay(req.core, bank))
-                    for addr, count, dest_core, dest_off in req.chunks:
-                        delay = noc.delay_for_hops(
-                            noc.bank_hops(dest_core, bank))
-                        for _ in range(-(-count // noc_w)):
-                            hist_noc(delay)
+            noc = self.fabric.noc
+            noc_w = self.fabric.cfg.noc_width_words
+            for (ready, last_emit, last_arrival, bank, core, t_issue,
+                 nwords, chunks) in parked['wide_served']:
+                if t_issue is not None:
+                    hist_vload(last_arrival - t_issue)
+                hist_noc(noc.bank_delay(core, bank))
+                for addr, count, dest_core, dest_off in chunks:
+                    delay = noc.delay_for_hops(
+                        noc.bank_hops(dest_core, bank))
+                    for _ in range(-(-count // noc_w)):
+                        hist_noc(delay)
                 # per-core word counts are derived from the raw chunk
                 # list at export time (trace_export)
-                span_add('wide_access', CAT_WIDE, req.core,
-                         service_start, last_emit + 1,
-                         {'bank': bank, 'words': req.nwords,
-                          'chunks': req.chunks})
-            self._q_wide.clear()
+                span_add('wide_access', CAT_WIDE, core, ready,
+                         last_emit + 1,
+                         {'bank': bank, 'words': nwords, 'chunks': chunks})
+        for records in parked.values():
+            del records[:]
 
         if self._final_cycle is not None and self._mt_open:
             for core, (start, mt_pc) in self._mt_open.items():

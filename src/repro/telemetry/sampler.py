@@ -4,8 +4,8 @@ The fabric's event-assisted clock jumps over quiet stretches, so the
 sampler cannot tick on its own — posting wake-up events would perturb
 the barrier memory-fence check (which waits for an *empty* event heap)
 and destroy the disabled-path guarantee that telemetry never changes
-cycle counts.  Instead :meth:`Fabric.run` calls :meth:`Sampler.take`
-whenever the clock crosses the next sample boundary.  When the clock
+cycle counts.  Instead the fabric's probe plane calls :meth:`Sampler.take`
+whenever the run loop's clock crosses the next sample boundary.  When the clock
 fast-forwards across several boundaries at once the sampler emits one
 delta-encoded sample covering the whole jump; cumulative counters stay
 exact because every sample stores *deltas* since the previous one.
@@ -21,6 +21,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import List, Optional
 
+from ..manycore.probes import Consumer
 from ..manycore.stats import STALL_CAUSES
 
 #: CoreStats fields snapshotted per interval, in serialization order.
@@ -73,8 +74,14 @@ class Sample:
         return doc
 
 
-class Sampler:
-    """Snapshots per-core stall taxonomy and memory pressure every N cycles."""
+class Sampler(Consumer):
+    """Snapshots per-core stall taxonomy and memory pressure every N cycles.
+
+    A probe-plane consumer that folds no fact: it only rides the plane's
+    sample clock (``next_due`` / ``take``) and its ``finalize``.
+    """
+
+    lap = 'telemetry'
 
     def __init__(self, interval: int = 1000, per_core: bool = False,
                  limit: int = 1_000_000):
@@ -112,7 +119,7 @@ class Sampler:
 
     # ------------------------------------------------------------------- take
     def take(self, now: int) -> None:
-        """Record one sample at cycle ``now`` (called from Fabric.run)."""
+        """Record one sample at cycle ``now`` (the plane's clock is due)."""
         fabric = self._fabric
         # advance past every boundary the clock jumped over
         self.next_due = now - now % self.interval + self.interval

@@ -6,6 +6,26 @@ from repro.isa import Assembler, opcodes as op
 from repro.manycore import Fabric, small_config
 
 
+#: suites whose every fabric runs under the invariant monitors
+#: (tests/monitors.py): the 192-point golden sweep and serving/fleet
+MONITORED = ('test_sim_golden', 'test_serve_', 'test_fleet')
+
+
+@pytest.fixture(autouse=True)
+def invariant_monitors(request, monkeypatch):
+    """Attach ``Monitors`` to every ``Fabric`` a monitored suite builds
+    (fleet shard workers fork, so they inherit the patch)."""
+    if request.module.__name__.rpartition('.')[2].startswith(MONITORED):
+        from tests.monitors import Monitors
+        init = Fabric.__init__
+
+        def monitored_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            Monitors().attach(self)
+
+        monkeypatch.setattr(Fabric, '__init__', monitored_init)
+
+
 def pack_frame_cfg(frame_size: int, num_slots: int) -> int:
     """Pack frame configuration as the FRAME_CFG CSR expects it."""
     return frame_size | (num_slots << 12)

@@ -98,7 +98,7 @@ class TestTracer:
 
     def test_untraced_run_has_no_overhead_hook(self):
         fabric = Fabric(small_config())
-        assert fabric.trace is None
+        assert fabric.probes.issue is None  # the site's whole cost
 
     def test_traces_vector_lanes(self):
         from repro.core import GroupDescriptor
