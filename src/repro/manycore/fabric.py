@@ -26,13 +26,6 @@ from .tile import HALTED, INF, RUN, Tile, WAIT_BARRIER, WAIT_VCONFIG
 
 _MAX_DEFAULT = 200_000_000
 
-# adaptive-scheduler hysteresis: consecutive sparse (due ≤ active/8)
-# iterations before switching the run loop to the wake heap, and
-# consecutive dense (due ≥ active/4) iterations before falling back to
-# the active-list scan
-_SCHED_TO_HEAP = 24
-_SCHED_TO_SCAN = 4
-
 # FabricJob lifecycle states
 JOB_RUNNING = 'running'
 JOB_DRAINING = 'draining'  # tiles halted/killed, memory ops still in flight
@@ -118,14 +111,6 @@ class Fabric:
         # same-cycle scratchpad delivery batches: arrival time -> list of
         # (core, offset, values, is_frame), drained by one posted event
         self._delivery_batches: Dict[int, list] = {}
-        # tile wake-time heap: entries (time, order, entry_id, tile);
-        # a tile's latest entry_id (tile._wake_entry) is the only live
-        # one, so lowering next_wake just pushes a fresh entry and the
-        # stale one is discarded lazily when it surfaces
-        self._wake_heap: list = []
-        self._wake_counter = 0
-        self._wake_epoch = 0
-        self._sched_heap_mode = False
         self.group_descs: Dict[int, GroupDescriptor] = {}
         self.num_groups = 0
         self._active: List[Tile] = []
@@ -200,37 +185,6 @@ class Fabric:
         t = max(time, self.cycle)
         if t < tile.next_wake:
             tile.next_wake = t
-            if self._sched_heap_mode:
-                self._wake_counter = c = self._wake_counter + 1
-                tile._wake_entry = c
-                heapq.heappush(self._wake_heap, (t, tile._order, c, tile))
-
-    def _rebuild_wake_heap(self, active: Sequence[Tile]) -> None:
-        """(Re)build the wake heap from the authoritative ``next_wake``s.
-
-        Assigns each active tile its position in the list (``_order``,
-        the tuple key that preserves the historical same-cycle step
-        order) and stamps the rebuild epoch: entries pushed for a tile
-        that joined *after* the last rebuild (mid-iteration job launch)
-        are ignored until the next rebuild, exactly as the original
-        loop's stale ``active`` snapshot ignored such tiles.
-        """
-        self._wake_epoch += 1
-        epoch = self._wake_epoch
-        wheap = self._wake_heap
-        del wheap[:]
-        c = self._wake_counter
-        for i, t in enumerate(active):
-            t._order = i
-            t._wake_epoch = epoch
-            c += 1
-            t._wake_entry = c
-            if t.next_wake < INF:
-                # INF waiters carry no entry: they only progress via
-                # wake_tile, which pushes one when it lowers next_wake
-                wheap.append((t.next_wake, i, c, t))
-        self._wake_counter = c
-        heapq.heapify(wheap)
 
     def count_hops(self, word_hops: int) -> None:
         self.run_stats.noc_word_hops += word_hops
@@ -524,12 +478,7 @@ class Fabric:
         if prof is not None:
             prof.begin_run()
         try:
-            try:
-                self._run_loop(max_cycles, serve)
-            finally:
-                # also on timeout/deadlock: wake_tile must not keep
-                # feeding a wake heap no loop is draining
-                self._sched_heap_mode = False
+            self._run_loop(max_cycles, serve)
             self._drain()
             if prof is not None:
                 prof.lap('drain')
@@ -561,46 +510,15 @@ class Fabric:
         probes = self.probes
         next_due = probes.next_due  # the one sample deadline (INF if bare)
         heap = self._heap
-        wheap = self._wake_heap
         active = [t for t in self._active if not t.halted]
         self._active_dirty = False
-        # Adaptive scheduler.  Scan mode (the default) steps the active
-        # list exactly like the historical loop — cheapest when most
-        # active tiles are due most iterations (dense lockstep vector
-        # phases, busy serving mixes).  Heap mode pops only the due
-        # tiles off a lazy-deletion wake heap — cheapest when the due
-        # set is a sliver of the active set (MIMD kernels sitting in
-        # long memory stalls).  Mode flips on sustained due-set density
-        # with a hysteresis band so neither regime thrashes: ≤1/8 of
-        # active for _SCHED_TO_HEAP iterations enters heap mode, ≥1/4
-        # for _SCHED_TO_SCAN iterations falls back.  Both modes step
-        # tiles in active-list order with identical wake times, so
-        # simulated cycles are bit-identical regardless of mode.
-        heap_mode = False
-        self._sched_heap_mode = False
-        streak = 0
         while True:
             if self._active_dirty:
                 active = [t for t in self._active if not t.halted]
                 self._active_dirty = False
-                if heap_mode:
-                    self._rebuild_wake_heap(active)
-            elif heap_mode and len(wheap) > (len(active) << 2) + 64:
-                # lowering a tile's wake strands its previous entry; a
-                # stranded INF entry never surfaces, so compact before
-                # stale entries outnumber live ones
-                self._rebuild_wake_heap(active)
             if not active and not (serve and self._pending_events):
                 break
-            if heap_mode:
-                # the earliest *valid* wake: discard superseded entries
-                # (a newer push exists for that tile) and halted tiles
-                while wheap and (wheap[0][2] != wheap[0][3]._wake_entry
-                                 or wheap[0][3].halted):
-                    heapq.heappop(wheap)
-                now = wheap[0][0] if wheap else INF
-            else:
-                now = min(t.next_wake for t in active) if active else INF
+            now = min(t.next_wake for t in active) if active else INF
             head = self._peek_live()
             if head is not None and head < now:
                 now = head
@@ -630,56 +548,12 @@ class Fabric:
                     fn(now)
                     if lap is not None:
                         lap(classify(fn))
-            # the due set is complete here: event callbacks wake tiles
-            # to `now` at the latest, step-time wakes are all > now, and
-            # both land in the heap before this drain
-            n = len(active)
-            s = 0
-            if heap_mode:
-                epoch = self._wake_epoch
-                due = []
-                while wheap and wheap[0][0] <= now:
-                    _, order, c, t = heapq.heappop(wheap)
-                    if (c == t._wake_entry and not t.halted
-                            and t._wake_epoch == epoch):
-                        due.append((order, t))
-                due.sort()  # active-list order, as the scan steps
-                if lap is not None:
-                    lap('sched')
-                for order, t in due:
-                    if t.halted or t.next_wake > now:
-                        continue
-                    nw = t.step(now)  # may call wake_tile (counter moves)
-                    t.next_wake = nw = nw if nw > now else now + 1
-                    self._wake_counter = c = self._wake_counter + 1
-                    t._wake_entry = c
-                    if nw < INF:
-                        heapq.heappush(wheap, (nw, order, c, t))
-                    s += 1
-                if s << 2 >= n:
-                    streak += 1
-                    if streak >= _SCHED_TO_SCAN:
-                        heap_mode = False
-                        self._sched_heap_mode = False
-                        del wheap[:]
-                        streak = 0
-                else:
-                    streak = 0
-            else:
-                for t in active:
-                    if t.next_wake <= now and not t.halted:
-                        nw = t.step(now)
-                        t.next_wake = nw if nw > now else now + 1
-                        s += 1
-                if s << 3 <= n:
-                    streak += 1
-                    if streak >= _SCHED_TO_HEAP:
-                        heap_mode = True
-                        self._sched_heap_mode = True
-                        self._rebuild_wake_heap(active)
-                        streak = 0
-                else:
-                    streak = 0
+            # every event due at `now` has fired; a tile one of them
+            # launched is not in this snapshot and wakes at now + 1
+            for t in active:
+                if t.next_wake <= now and not t.halted:
+                    nw = t.step(now)
+                    t.next_wake = nw if nw > now else now + 1
             if lap is not None:
                 lap('tile_step')
 

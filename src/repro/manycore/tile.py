@@ -101,12 +101,6 @@ class Tile:
 
         # scheduling / accounting
         self.next_wake = 0
-        # wake-heap bookkeeping (see Fabric._run_loop): id of this
-        # tile's latest heap entry, its position in the active list,
-        # and the rebuild epoch that position belongs to
-        self._wake_entry = 0
-        self._order = 0
-        self._wake_epoch = -1
         self._ready_at = 0
         self._stall_cause = 'other'
         self.tid = 0

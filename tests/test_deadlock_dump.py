@@ -34,7 +34,7 @@ def _deadlock_message(profiler=None):
     fabric.load_program(_wedge_program(fabric), active_cores=[0, 1])
     with pytest.raises(DeadlockError) as exc_info:
         fabric.run()
-    assert fabric._sched_heap_mode is False
+    assert fabric._peek_live() is None  # nothing left that could wake it
     return str(exc_info.value)
 
 
@@ -81,7 +81,7 @@ class TestDeadlockDump:
                 return True
             fabric._stall_handler = on_stall
             fabric.run_serve()
-            assert fabric._sched_heap_mode is False
+            assert not fabric._pending_events  # the kill drained the job
             return fabric.cycle, job.state, job.finished_at
 
         prof = HostProfiler()
