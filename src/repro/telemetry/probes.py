@@ -11,7 +11,7 @@ bucketed when the plane drains, and the pairing facts are parked as
 plain tuples and matched into histograms and spans **lazily**, in one
 ordered replay on the first access to :attr:`hists` or :attr:`spans`.
 Pairing is keyed (per ``(core, frame-slot seq)`` or per expander core);
-only the three frame facts need their chronological order restored.
+only the four frame facts need their chronological order restored.
 
 Histograms (the ISSUE's four latency histograms plus the GPU
 comparator's memory path) and the facts they fold:
@@ -134,16 +134,19 @@ class Telemetry(Consumer):
         parked = self._parked
         span_add = self._spans.add
 
-        # frame occupancy spans + fill state ('full' cycles for fstart):
-        # replay delivery/free records against per-slot arrival counts.
+        # frame occupancy spans + fill -> start slack: replay delivery,
+        # start and free records against per-slot arrival counts.
         # Slots are reused round-robin from sequence 0, so a slot's
         # current sequence is uses*num_slots + slot; replay is in
-        # chronological order (the three queues merged on their cycle;
+        # chronological order (the four queues merged on their cycle;
         # deliveries are events, so they precede the same cycle's tile
-        # steps), hence `uses` is exact at each delivery.
+        # steps), hence `uses` is exact at each delivery and a
+        # frame_start meets the fill of its own configuration.
         streams = [[(rec[0], fact, rec) for rec in parked[fact]]
-                   for fact in ('frame_words', 'frame_cfg', 'frame_free')]
+                   for fact in ('frame_words', 'frame_cfg', 'frame_free',
+                                'frame_start')]
         if any(streams):
+            hist_frame = self._hists[HIST_FRAME].record
             frame_full = self._frame_full
             cfg = self._frame_cfg
             fill = self._slot_fill
@@ -152,9 +155,15 @@ class Telemetry(Consumer):
                 core, a = rec[1], rec[2]
                 if fact == 'frame_cfg':  # reset this core's replay
                     cfg[core] = rec[2:]
-                    for d in (fill, uses):
+                    for d in (fill, uses, frame_full):
                         for key in [k for k in d if k[0] == core]:
                             del d[key]
+                    continue
+                if fact == 'frame_start':
+                    # pop: a re-issued frame_start on one frame counts once
+                    full = frame_full.pop((core, a), None)
+                    if full is not None:
+                        hist_frame(now - full)
                     continue
                 c = cfg.get(core)
                 if c is None:
@@ -183,15 +192,6 @@ class Telemetry(Consumer):
                         frame_full[(core, seq)] = now
                     rel += take
                     n -= take
-
-        # frame_start: fill -> start slack, keyed to the 'full' recorded
-        # above (a frame_start always follows its frame's fill)
-        hist_frame = self._hists[HIST_FRAME].record
-        for now, core, seq in parked['frame_start']:
-            # pop: a re-issued frame_start on one frame counts once
-            full = self._frame_full.pop((core, seq), None)
-            if full is not None:
-                hist_frame(now - full)
 
         # microthreads: launches and vends strictly alternate per core
         if parked['mt_launch'] or parked['mt_end']:

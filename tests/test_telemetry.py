@@ -7,6 +7,7 @@ import pytest
 from repro.harness import run_benchmark
 from repro.kernels import registry
 from repro.manycore import small_config
+from repro.manycore.probes import Consumer
 from repro.manycore.stats import STALL_CAUSES
 from repro.telemetry import (HIST_FRAME, HIST_GPU_MEM, HIST_LLC_QUEUE,
                              HIST_NOC, HIST_VLOAD, Log2Histogram, Telemetry,
@@ -165,6 +166,40 @@ class TestHistogramProbes:
         assert tel.hists[HIST_VLOAD].count == 0
         assert tel.hists[HIST_FRAME].count == 0
         assert tel.hists[HIST_NOC].count > 0  # plain loads still traverse
+
+    @pytest.mark.parametrize('kernel,config', [('mvt', 'V16'),
+                                               ('fdtd-2d', 'V4_PCV')])
+    def test_frame_slack_pairs_within_one_frame_cfg(self, kernel, config):
+        """Kernels that reconfigure their frames restart the sequence at
+        0; every started frame is still paired with its own fill."""
+        class FrameStarts(Consumer):
+            facts = ('frame_cfg', 'frame_start')
+
+            def __init__(self):
+                self.records = []
+
+            def attach(self, fabric):
+                fabric.probes.attach(self)
+
+            def fold(self, batches):
+                for fact in self.facts:
+                    self.records += [(rec[0], fact, rec[1], rec[2])
+                                     for rec in batches.get(fact, ())]
+
+        tel, starts = Telemetry(), FrameStarts()
+        bench = registry.make(kernel)
+        run_benchmark(bench, config, bench.params_for('test'),
+                      telemetry=tel, tracer=starts)
+        epoch, frames = {}, set()
+        for _now, fact, core, seq in sorted(starts.records):
+            if fact == 'frame_cfg':
+                epoch[core] = epoch.get(core, 0) + 1
+            else:
+                frames.add((core, epoch[core], seq))
+        assert len(epoch) < sum(epoch.values())  # some core reconfigured
+        hist = tel.hists[HIST_FRAME]
+        assert hist.count == len(frames)
+        assert hist.min >= 0
 
     def test_gpu_histogram(self):
         bench = registry.make('gemm')
