@@ -74,10 +74,10 @@ def _check(doc, schema: dict, path: str, errors: List[str]) -> None:
             _check(item, schema['items'], f'{path}[{i}]', errors)
 
 
-def check_schema(doc, schema: dict, root: str = '$') -> List[str]:
+def check_schema(doc, schema: dict) -> List[str]:
     """Validate ``doc`` against a schema; returns the error list."""
     errors: List[str] = []
-    _check(doc, schema, root, errors)
+    _check(doc, schema, '$', errors)
     return errors
 
 

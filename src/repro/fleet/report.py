@@ -128,7 +128,6 @@ _BODY_SCHEMA = {
         },
         'requests': {'type': 'array', 'items': FLEET_REQUEST_SCHEMA},
         'slo': {'type': 'object'},
-        'epoch_log': {'type': 'array'},
     },
 }
 
@@ -163,8 +162,7 @@ def check_conservation(doc: dict) -> None:
 def build_fleet_report(result: FleetResult,
                        pattern: Optional[str] = None,
                        seed: Optional[int] = None,
-                       slo=None,
-                       include_epoch_log: bool = False) -> dict:
+                       slo=None) -> dict:
     """Assemble, invariant-check, and schema-validate the fleet report."""
     records = sorted((e.record for e in result.entries
                       if e.record is not None),
@@ -234,8 +232,6 @@ def build_fleet_report(result: FleetResult,
         doc['traffic']['seed'] = seed
     if slo is not None:
         doc['slo'] = slo.evaluate(summary)
-    if include_epoch_log:
-        doc['epoch_log'] = list(result.epoch_log)
     return FLEET_REPORT.stamp(doc)
 
 

@@ -52,7 +52,6 @@ class FleetFlight:
 
     def __init__(self, label: str = 'fleet', out_dir: str = '.',
                  ring_capacity: int = 256,
-                 detector: Optional[AnomalyDetector] = None,
                  shard_metrics_dir: Optional[str] = None,
                  snapshot_interval: int = 5000):
         self.label = label
@@ -61,8 +60,7 @@ class FleetFlight:
         self.snapshot_interval = snapshot_interval
         self.recorder = FlightRecorder(capacity=ring_capacity,
                                        source='router')
-        self.detector = detector if detector is not None \
-            else AnomalyDetector()
+        self.detector = AnomalyDetector()
         self.spans: List[dict] = []
         self.postmortems: List[dict] = []  # {'trigger','path','t'}
         self._queue_since: Dict[int, int] = {}   # req_id -> enqueue t

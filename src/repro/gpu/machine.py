@@ -178,11 +178,11 @@ class GpuMachine:
         self.probes = Probes()  # reports `gpu_mem` (see manycore.probes)
 
     # -- Fabric-compatible allocation ----------------------------------------
-    def alloc(self, data_or_size, fill=0.0) -> int:
+    def alloc(self, data_or_size) -> int:
         lw = self.cfg.line_words
         base = ((max(len(self._alloc_list), lw) + lw - 1) // lw) * lw
         if isinstance(data_or_size, int):
-            values = [fill] * data_or_size
+            values = [0.0] * data_or_size
         else:
             values = [float(v) for v in data_or_size]
         self._alloc_list.extend([0.0] * (base - len(self._alloc_list)))

@@ -115,7 +115,6 @@ def _metric_value(result, metric: str, baseline):
 
 
 def run_experiment(spec: Union[ExperimentSpec, Dict, str, Path],
-                   cache: Optional[ResultCache] = None,
                    jobs: int = 1, store=None,
                    progress=None) -> ExperimentResult:
     """Execute an experiment spec; returns per-metric result tables.
@@ -130,8 +129,7 @@ def run_experiment(spec: Union[ExperimentSpec, Dict, str, Path],
         spec = ExperimentSpec.load(spec)
     elif isinstance(spec, dict):
         spec = ExperimentSpec.from_dict(spec)
-    cache = cache or ResultCache(scale=spec.scale, verify=spec.verify,
-                                 store=store)
+    cache = ResultCache(scale=spec.scale, verify=spec.verify, store=store)
     machine = spec.machine_config()
 
     if jobs and jobs > 1:

@@ -169,8 +169,8 @@ class Assembler:
         self.bne(counter, 'x0', top.name)
 
     @contextmanager
-    def for_range(self, counter: Reg, start, stop, step: int = 1):
-        """Emit a counted loop: ``for counter in range(start, stop, step)``.
+    def for_range(self, counter: Reg, start, stop):
+        """Emit a counted loop: ``for counter in range(start, stop)``.
 
         ``start`` may be an int (materialized with ``li``) or a register name
         prefixed with ``'@'`` meaning "already holds the start value".
@@ -195,7 +195,7 @@ class Assembler:
             stop_reg = stop
         self.bge(counter, stop_reg, end.name)
         yield
-        self.addi(counter, counter, step)
+        self.addi(counter, counter, 1)
         self.j(top.name)
         self.bind(end)
 

@@ -105,7 +105,7 @@ class SweepEngine:
         Per-job wall-clock budget in seconds; ``None`` disables.
     retries:
         Extra attempts after a crash or timeout (raised exceptions are
-        deterministic and are not retried unless ``retry_errors``).
+        deterministic and are not retried).
     store:
         Optional :class:`~repro.jobs.store.ResultStore`; hits skip the
         worker launch entirely and fresh results are written back.
@@ -130,10 +130,9 @@ class SweepEngine:
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
                  retries: int = 1, store=None, use_cache: bool = True,
-                 job_fn: Callable = run_job, retry_errors: bool = False,
+                 job_fn: Callable = run_job,
                  progress: Optional[Callable] = None,
                  mp_context: Optional[str] = None,
-                 poll_interval: float = 0.02,
                  encode: Callable = result_to_dict,
                  decode: Callable = None):
         self.jobs = max(1, int(jobs))
@@ -142,9 +141,7 @@ class SweepEngine:
         self.store = store
         self.use_cache = use_cache
         self.job_fn = job_fn
-        self.retry_errors = retry_errors
         self.progress = progress
-        self.poll_interval = poll_interval
         if mp_context is None:
             mp_context = ('fork' if 'fork' in mp.get_all_start_methods()
                           else 'spawn')
@@ -190,8 +187,7 @@ class SweepEngine:
             while pending or active:
                 while pending and len(active) < self.jobs:
                     self._launch(pending.popleft(), active)
-                ready = mp_connection.wait(list(active),
-                                           timeout=self.poll_interval) \
+                ready = mp_connection.wait(list(active), timeout=0.02) \
                     if active else []
                 now = time.monotonic()
                 for conn in ready:
@@ -268,8 +264,8 @@ class SweepEngine:
             pass
 
     def _retry_or_fail(self, info, status, pending, elapsed, error) -> None:
-        retryable = status in (CRASHED, TIMEOUT) or self.retry_errors
-        if retryable and info['attempt'] <= self.retries:
+        if status in (CRASHED, TIMEOUT) \
+                and info['attempt'] <= self.retries:
             pending.append((info['spec'], info['key'], info['attempt'] + 1))
             return
         self._finish(JobOutcome(info['spec'], info['key'], status, None,

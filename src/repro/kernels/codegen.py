@@ -255,21 +255,15 @@ class VectorKernelBuilder:
         return VectorProgram(self)
 
     def build(self, scalar_stream: Callable[[Assembler, GroupCtx], None],
-              microthreads: Callable[[Assembler], None],
-              post_mimd: Optional[Callable[[Assembler], None]] = None,
-              ) -> Program:
+              microthreads: Callable[[Assembler], None]) -> Program:
         """Assemble a single-phase program (convenience wrapper).
 
         ``scalar_stream(a, g)`` emits one group's scalar code (between
         ``vconfig`` and ``devec``).  ``microthreads(a)`` emits the shared,
-        labeled microthread bodies.  ``post_mimd(a)``, if given, runs on
-        every core after the groups disband and a global barrier — used
-        for cross-lane reductions (partial-sum combining).
+        labeled microthread bodies.
         """
         p = self.program()
         p.vector_phase(scalar_stream)
-        if post_mimd is not None:
-            p.mimd_phase(post_mimd)
         return p.finish(microthreads)
 
     # -- scalar-side DAE helpers ---------------------------------------------
@@ -293,8 +287,7 @@ class VectorKernelBuilder:
     def dae_loop(self, a: Assembler, n_iters: int,
                  emit_loads: Callable[[Assembler], None],
                  emit_advance: Callable[[Assembler], None],
-                 body_label: str,
-                 counter: str = 'x20') -> None:
+                 body_label: str) -> None:
         """Software-pipelined scalar stream: loads run ``ahead`` frames in
         front of the ``vissue``d bodies (paper Figure 3)."""
         ahead = min(self.ahead, n_iters)
@@ -304,7 +297,7 @@ class VectorKernelBuilder:
             emit_advance(a)
         steady = n_iters - ahead
         if steady > 0:
-            with a.for_count(counter, steady):
+            with a.for_count('x20', steady):
                 a.vissue(body_label)
                 emit_loads(a)
                 self.emit_advance_slot(a)
@@ -461,15 +454,15 @@ def emit_fp_zero(a: Assembler, freg: str) -> None:
 
 
 @contextmanager
-def strided_loop(a: Assembler, total: int, counter: str = 'x3'):
-    """for counter in range(tid, total, ncores) — x1/x2 hold tid/ncores."""
-    a.mv(counter, 'x1')
+def strided_loop(a: Assembler, total: int):
+    """for x3 in range(tid, total, ncores) — x1/x2 hold tid/ncores."""
+    a.mv('x3', 'x1')
     top = a.label()
     end = a.label()
     a.bind(top)
     a.li('x31', total)
-    a.bge(counter, 'x31', end.name)
+    a.bge('x3', 'x31', end.name)
     yield
-    a.add(counter, counter, 'x2')
+    a.add('x3', 'x3', 'x2')
     a.j(top.name)
     a.bind(end)

@@ -28,12 +28,11 @@ from .vector_templates import (MatTerm, StencilSection, emit_fconst,
                                emit_fp_zero)
 
 
-def _emit_tile_coords(a: Assembler, njc: int, t_reg: str = 'x3',
-                      i_reg: str = 'x4', jc_reg: str = 'x5') -> None:
-    """i = t // njc ; jc_idx = t % njc."""
+def _emit_tile_coords(a: Assembler, njc: int) -> None:
+    """x4 = i = t // njc ; x5 = jc_idx = t % njc, for t in x3."""
     a.li('x31', njc)
-    a.div(i_reg, t_reg, 'x31')
-    a.rem(jc_reg, t_reg, 'x31')
+    a.div('x4', 'x3', 'x31')
+    a.rem('x5', 'x3', 'x31')
 
 
 def _setup_consts(a: Assembler, alpha: float, beta: float) -> None:
@@ -44,17 +43,18 @@ def _setup_consts(a: Assembler, alpha: float, beta: float) -> None:
 
 
 def _combine_and_store(a: Assembler, cw: int, out_addr: str, alpha: float,
-                       beta: float, acc0: int = 8) -> None:
-    """out[f] = alpha*acc[f] + beta*old[f] for f in [0, cw)."""
+                       beta: float) -> None:
+    """out[f] = alpha*acc[f] + beta*old[f] for f in [0, cw); acc in f8..."""
     for f in range(cw):
+        acc = f'f{8 + f}'
         if alpha != 1.0:
-            a.fmul(f'f{acc0 + f}', f'f{acc0 + f}', 'f24')
+            a.fmul(acc, acc, 'f24')
         if beta:
             a.lw('f1', out_addr, f)
             if beta != 1.0:
                 a.fmul('f1', 'f1', 'f25')
-            a.fadd(f'f{acc0 + f}', f'f{acc0 + f}', 'f1')
-        a.sw(f'f{acc0 + f}', out_addr, f)
+            a.fadd(acc, acc, 'f1')
+        a.sw(acc, out_addr, f)
 
 
 # ------------------------------------------------------------------- transpose

@@ -127,7 +127,7 @@ class Fabric:
         self.serve_spans: List[dict] = []
 
     # ------------------------------------------------------------- memory setup
-    def alloc(self, data_or_size, fill=0.0) -> int:
+    def alloc(self, data_or_size) -> int:
         """Allocate a line-aligned global array; returns its word address.
 
         Line 0 is reserved as a guard so that one-word-shifted (unaligned)
@@ -136,7 +136,7 @@ class Fabric:
         lw = self.cfg.line_words
         base = ((max(len(self.memory), lw) + lw - 1) // lw) * lw
         if isinstance(data_or_size, int):
-            values = [fill] * data_or_size
+            values = [0.0] * data_or_size
         else:
             values = [float(v) for v in data_or_size]
         self.memory.extend([0.0] * (base - len(self.memory)))

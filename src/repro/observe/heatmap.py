@@ -105,8 +105,9 @@ class LinkHeatmap:
     def clear(self) -> None:
         self.links.clear()
 
-    def to_grid(self, title: str = 'noc link utilization') -> Heatmap:
-        hm = Heatmap(title, self.width, self.height, unit='words')
+    def to_grid(self) -> Heatmap:
+        hm = Heatmap('noc link utilization', self.width, self.height,
+                     unit='words')
         for (a, b), words in self.links.items():
             for col, row in (a, b):
                 if 0 <= row < self.height:

@@ -114,7 +114,7 @@ def apportion(total: int, weights: Dict[str, float]) -> Dict[str, int]:
     return shares
 
 
-def build_breakdown(req, stall_fields=None) -> Optional[dict]:
+def build_breakdown(req) -> Optional[dict]:
     """The phase breakdown for a finished request; None if never launched.
 
     ``req`` is a :class:`~repro.serve.request.KernelRequest` whose

@@ -212,10 +212,9 @@ def read_fleet_streams(metrics_dir: str) -> Dict[int, dict]:
     return shards
 
 
-def render_fleet_frame(shards: Dict[int, dict],
-                       title: str = 'repro top --fleet') -> str:
+def render_fleet_frame(shards: Dict[int, dict]) -> str:
     """One aggregated frame: a column block per shard + totals row."""
-    lines = [f'{title} — {len(shards)} shard stream(s)']
+    lines = [f'repro top --fleet — {len(shards)} shard stream(s)']
     header = (f'{"shard":>5} {"batches":>7} {"snaps":>5} {"cycle":>10} '
               f'{"tiles":>5} {"noc words":>10} {"llc acc":>8} '
               f'{"done":>5} {"p50":>7} {"p99":>7}')

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..kernels import registry
 from .request import KernelRequest
@@ -35,8 +35,14 @@ from .request import KernelRequest
 #: verifiable against their numpy references
 DEFAULT_KERNELS = ('mvt', 'gesummv', 'atax')
 
-#: default group-shape menu: (lanes, groups)
+#: group-shape menu: (lanes, groups), ordered by tile count
 DEFAULT_SHAPES = ((4, 1), (4, 2), (4, 3))
+
+#: request priorities, drawn uniformly
+PRIORITIES = (0, 1, 2)
+
+#: Pareto exponent of the heavy-tailed shape and problem-size picks
+TAIL_ALPHA = 1.3
 
 #: traffic patterns understood by :func:`open_loop_trace`
 PATTERNS = ('steady', 'diurnal', 'bursty', 'mixed')
@@ -60,10 +66,8 @@ SIZE_LADDERS: Dict[str, List[Dict[str, int]]] = {
 
 def generate_trace(seed: int, n_requests: int,
                    kernels: Sequence[str] = DEFAULT_KERNELS,
-                   shapes: Sequence[Tuple[int, int]] = DEFAULT_SHAPES,
                    scale: str = 'test',
                    mean_interarrival: int = 2000,
-                   priorities: Sequence[int] = (0, 1, 2),
                    timeout: Optional[int] = None) -> List[KernelRequest]:
     """Build a deterministic request trace from a seed."""
     rng = random.Random(seed)
@@ -71,11 +75,11 @@ def generate_trace(seed: int, n_requests: int,
     arrival = 0
     for i in range(n_requests):
         kernel = rng.choice(list(kernels))
-        lanes, groups = rng.choice(list(shapes))
+        lanes, groups = rng.choice(DEFAULT_SHAPES)
         params = registry.make(kernel).params_for(scale)
         requests.append(KernelRequest(
             req_id=i, kernel=kernel, params=params, lanes=lanes,
-            groups=groups, priority=rng.choice(list(priorities)),
+            groups=groups, priority=rng.choice(PRIORITIES),
             arrival=arrival, timeout=timeout,
             trace_id=mint_trace_id(seed, i)))
         # geometric interarrival with the requested mean, never zero so
@@ -84,34 +88,30 @@ def generate_trace(seed: int, n_requests: int,
     return requests
 
 
-def _heavy_tail_index(rng: random.Random, n: int, alpha: float) -> int:
+def _heavy_tail_index(rng: random.Random, n: int) -> int:
     """Pareto-distributed rung pick: index 0 dominates, tail reaches n-1.
 
     A unit-Pareto draw ``x >= 1`` is mapped to ``floor(log2(x))`` so the
     probability of rung *k* decays geometrically with exponent
-    ``alpha`` — the classic heavy-tailed size mix (many mice, few
+    ``TAIL_ALPHA`` — the classic heavy-tailed size mix (many mice, few
     elephants) — then clamped to the ladder.
     """
-    x = rng.paretovariate(alpha)
+    x = rng.paretovariate(TAIL_ALPHA)
     return min(n - 1, int(math.log2(x) + 1e-12) if x >= 1 else 0)
 
 
 def open_loop_trace(seed: int, n_requests: int,
                     pattern: str = 'mixed',
                     kernels: Sequence[str] = DEFAULT_KERNELS,
-                    shapes: Sequence[Tuple[int, int]] = DEFAULT_SHAPES,
                     scale: str = 'test',
                     mean_interarrival: int = 2000,
-                    priorities: Sequence[int] = (0, 1, 2),
                     timeout: Optional[int] = None,
                     day_cycles: int = 200_000,
                     diurnal_amplitude: float = 0.8,
                     burst_every: int = 40_000,
                     burst_len: int = 8,
                     burst_compression: int = 50,
-                    tail_alpha: float = 1.3,
-                    size_ladders: Optional[Dict[str, List[Dict[str, int]]]]
-                    = None) -> Iterator[KernelRequest]:
+                    ) -> Iterator[KernelRequest]:
     """Stream an open-loop request trace (arrivals independent of service).
 
     Yields ``n_requests`` :class:`KernelRequest`\\ s one at a time — O(1)
@@ -130,8 +130,8 @@ def open_loop_trace(seed: int, n_requests: int,
       what the fleet router and autoscaler are tested under).
 
     Request *sizes* are heavy-tailed on two axes: the group shape is
-    drawn Pareto-style from ``shapes`` ordered by tile count, and the
-    problem size from the kernel's ``size_ladders`` rung (when the
+    drawn Pareto-style from ``DEFAULT_SHAPES`` (ordered by tile count),
+    and the problem size from the kernel's ``SIZE_LADDERS`` rung (when the
     kernel has one and ``scale`` is ``test``; at bench scale the
     registered bench params are used unmodified).
     """
@@ -139,8 +139,6 @@ def open_loop_trace(seed: int, n_requests: int,
         raise ValueError(f'unknown traffic pattern {pattern!r}; choose '
                          f'from {", ".join(PATTERNS)}')
     rng = random.Random(seed)
-    ladders = SIZE_LADDERS if size_ladders is None else size_ladders
-    shape_menu = sorted(shapes, key=lambda lg: lg[1] * (lg[0] + 1))
     kernel_menu = list(kernels)
     diurnal = pattern in ('diurnal', 'mixed')
     bursty = pattern in ('bursty', 'mixed')
@@ -150,17 +148,16 @@ def open_loop_trace(seed: int, n_requests: int,
                   if bursty else None)
     for i in range(n_requests):
         kernel = rng.choice(kernel_menu)
-        lanes, groups = shape_menu[
-            _heavy_tail_index(rng, len(shape_menu), tail_alpha)]
-        ladder = ladders.get(kernel)
+        lanes, groups = DEFAULT_SHAPES[
+            _heavy_tail_index(rng, len(DEFAULT_SHAPES))]
+        ladder = SIZE_LADDERS.get(kernel)
         if scale == 'test' and ladder:
-            params = dict(ladder[
-                _heavy_tail_index(rng, len(ladder), tail_alpha)])
+            params = dict(ladder[_heavy_tail_index(rng, len(ladder))])
         else:
             params = registry.make(kernel).params_for(scale)
         yield KernelRequest(
             req_id=i, kernel=kernel, params=params, lanes=lanes,
-            groups=groups, priority=rng.choice(list(priorities)),
+            groups=groups, priority=rng.choice(PRIORITIES),
             arrival=arrival, timeout=timeout,
             trace_id=mint_trace_id(seed, i))
         # ---- advance the arrival clock (open loop: never waits on us)

@@ -63,12 +63,11 @@ class Telemetry(Consumer):
     facts = PARKED + ('mem_req', 'load_reply', 'llc_access', 'gpu_mem')
 
     def __init__(self, sample_interval: int = 1000,
-                 per_core_samples: bool = False,
-                 span_limit: int = 1_000_000):
+                 per_core_samples: bool = False):
         self.sampler: Optional[Sampler] = (
             Sampler(sample_interval, per_core=per_core_samples)
             if sample_interval else None)
-        self._spans = SpanRecorder(limit=span_limit)
+        self._spans = SpanRecorder()
         self._hists: Dict[str, Log2Histogram] = {
             name: Log2Histogram(name) for name in HISTOGRAM_NAMES}
         self._parked: Dict[str, list] = {fact: [] for fact in self.PARKED}

@@ -14,6 +14,14 @@ Exempt: dunders, and functions carrying a registering decorator
 ``property`` / ``staticmethod`` / ``classmethod`` / ``.setter`` are not
 registrations.
 
+The same scan reports options nobody sets: a defaulted parameter of such
+a function or method (``__init__`` stands for its class) is dead when no
+call in any ``.py`` file passes a keyword of that name, no call to that
+function's name reaches its position (a ``*``/``**`` call, or the name
+used as a value, reaches everything) and no call shown in a ``.md`` file
+passes the keyword either.  Inline its
+one value instead.
+
     python tools/deadnames.py         # prints the hits, then 'N dead names'
 
 Exit status 1 on any hit, so CI can run it after ``tools/loc.py``.
@@ -67,6 +75,27 @@ def definitions(tree):
                     yield sub.name, sub.lineno
 
 
+def defaulted(tree):
+    """``(callee name, parameter, position, lineno)`` of every defaulted
+    parameter of a module-level function or method; position is the
+    index among the caller's positional arguments, None if keyword-only."""
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    for owner in [tree] + classes:
+        for fn in owner.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method = owner is not tree and 'staticmethod' not in \
+                map(_decorator_name, fn.decorator_list)
+            name = owner.name if fn.name == '__init__' else fn.name
+            pos = fn.args.posonlyargs + fn.args.args
+            first = len(pos) - len(fn.args.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                yield name, arg.arg, i - method, fn.lineno
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, fn.lineno
+
+
 def _files():
     for root in SEARCH:
         for dirpath, _, names in os.walk(root):
@@ -78,9 +107,32 @@ def _files():
 
 def main() -> int:
     words = Counter()
+    keywords = set()   # every name some call passes as a keyword
+    reach = Counter()  # callee name -> most positional arguments passed
     for path in _files():
         with open(path, errors='replace') as f:
-            words.update(re.findall(r'[A-Za-z_][A-Za-z0-9_]*', f.read()))
+            text = f.read()
+        words.update(re.findall(r'[A-Za-z_][A-Za-z0-9_]*', text))
+        if not path.endswith('.py'):
+            if path.endswith('.md'):
+                for call in re.findall(r'\w\(([^()]*)\)', text):
+                    keywords.update(re.findall(r'(\w+)\s*=', call))
+            continue
+        callees = set()
+        for node in ast.walk(ast.parse(text)):  # a Call before its func
+            if isinstance(node, ast.Call):
+                callees.add(node.func)
+                name = getattr(node.func, 'attr',
+                               getattr(node.func, 'id', None))
+                star = any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords)
+                reach[name] = max(reach[name],
+                                  sys.maxsize if star else len(node.args))
+                keywords.update(k.arg for k in node.keywords if k.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) \
+                    and node not in callees:
+                # handed around as a value: its callers are not in sight
+                reach[getattr(node, 'attr', None) or node.id] = sys.maxsize
     dead = []
     for dirpath, _, names in os.walk(SOURCE):
         for name in sorted(names):
@@ -93,6 +145,11 @@ def main() -> int:
                          if words[ident] <= 1
                          and not (ident.startswith('__')
                                   and ident.endswith('__'))]
+                dead += [(path, line, f'{callee}({param}=)')
+                         for callee, param, i, line in defaulted(tree)
+                         if param not in keywords
+                         and (i is None or reach[callee] <= i)
+                         and not callee.startswith('__')]
     for path, line, ident in sorted(dead):
         print(f'{path}:{line}: {ident}')
     print(f'{len(dead)} dead names')
