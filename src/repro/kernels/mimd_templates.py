@@ -44,7 +44,8 @@ def _setup_consts(a: Assembler, alpha: float, beta: float) -> None:
 
 def _combine_and_store(a: Assembler, cw: int, out_addr: str, alpha: float,
                        beta: float) -> None:
-    """out[f] = alpha*acc[f] + beta*old[f] for f in [0, cw); acc in f8..."""
+    """out[f] = alpha*acc[f] + beta*old[f] for f in [0, cw); acc[f] is
+    register f(8+f)."""
     for f in range(cw):
         acc = f'f{8 + f}'
         if alpha != 1.0:

@@ -110,8 +110,7 @@ def open_loop_trace(seed: int, n_requests: int,
                     diurnal_amplitude: float = 0.8,
                     burst_every: int = 40_000,
                     burst_len: int = 8,
-                    burst_compression: int = 50,
-                    ) -> Iterator[KernelRequest]:
+                    burst_compression: int = 50) -> Iterator[KernelRequest]:
     """Stream an open-loop request trace (arrivals independent of service).
 
     Yields ``n_requests`` :class:`KernelRequest`\\ s one at a time — O(1)

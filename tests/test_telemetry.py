@@ -178,7 +178,7 @@ class TestHistogramProbes:
             def __init__(self):
                 self.records = []
 
-            def attach(self, fabric):
+            def attach(self, fabric):  # run_benchmark's `tracer` hook
                 fabric.probes.attach(self)
 
             def fold(self, batches):

@@ -19,8 +19,7 @@ a function or method (``__init__`` stands for its class) is dead when no
 call in any ``.py`` file passes a keyword of that name, no call to that
 function's name reaches its position (a ``*``/``**`` call, or the name
 used as a value, reaches everything) and no call shown in a ``.md`` file
-passes the keyword either.  Inline its
-one value instead.
+passes the keyword either.  Inline its one value instead.
 
     python tools/deadnames.py         # prints the hits, then 'N dead names'
 
@@ -113,10 +112,10 @@ def main() -> int:
         with open(path, errors='replace') as f:
             text = f.read()
         words.update(re.findall(r'[A-Za-z_][A-Za-z0-9_]*', text))
+        if path.endswith('.md'):
+            for call in re.findall(r'\w\(([^()]*)\)', text):
+                keywords.update(re.findall(r'(\w+)\s*=', call))
         if not path.endswith('.py'):
-            if path.endswith('.md'):
-                for call in re.findall(r'\w\(([^()]*)\)', text):
-                    keywords.update(re.findall(r'(\w+)\s*=', call))
             continue
         callees = set()
         for node in ast.walk(ast.parse(text)):  # a Call before its func
