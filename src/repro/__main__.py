@@ -45,19 +45,13 @@ Commands
     failed/timed-out requests, 2 on SLO fail or invalid policy (see
     docs/fleet.md).
 ``report FILE.json``
-    Validate any ``repro-*`` artifact (run, serve, fleet, sweep, bench,
+    Validate any ``repro-*`` artifact (run, serve, fleet, sweep,
     calibration, DSE, post-mortem) against its schema and print that
     kind's summary; ``dse report`` and ``postmortem validate|dump`` are
     aliases.
 ``compare A.json B.json [--threshold 0.02]``
     Diff two run reports; exits nonzero when B regresses cycles (or any
     stall cause) beyond the threshold.
-``bench run|compare|list``
-    The host-performance lab (docs/perf.md): run the curated benchmark
-    suite into a schema-checked ``BENCH_<label>.json`` (wall time
-    median/IQR, cycles/host-second, peak RSS, provenance), optionally
-    with the self-profiler attached; diff two bench files with a
-    noise-aware regression gate (``--gate`` exits 2 on regression).
 ``dse calibrate|explore|predict|report``
     The analytical fast-path (docs/dse.md): fit the closed-form model's
     per-kernel coefficients against discrete-simulator ground truth
@@ -68,8 +62,8 @@ Commands
     render either artifact.
 ``version``
     Print the package version plus the code-version salt (and its
-    hash) used for ResultStore keys, so bench/provenance records can
-    be cross-checked from the shell.
+    hash) used for ResultStore keys, so provenance records can be
+    cross-checked from the shell.
 
 Exit codes for all commands are documented in one place: docs/cli.md.
 """
@@ -129,9 +123,23 @@ def cmd_list(args):
     return 0
 
 
+def _check_point(benchmark, config):
+    """A benchmark or configuration name nobody registered is exit 1,
+    one line."""
+    from .harness.configs import CONFIGS, META_CONFIGS
+    from .kernels.registry import BY_NAME
+    for what, name, names in (('benchmark', benchmark, BY_NAME),
+                              ('configuration', config,
+                               (*CONFIGS, *META_CONFIGS))):
+        if name not in names:
+            raise _Exit(1, f'unknown {what} {name!r} '
+                           f'(known: {", ".join(names)})')
+
+
 def cmd_run(args):
     from .harness import run_benchmark
     from .kernels import registry
+    _check_point(args.benchmark, args.config)
     bench = registry.make(args.benchmark)
     params = bench.params_for(args.scale)
     telemetry = tracer = profiler = None
@@ -185,54 +193,6 @@ def cmd_version(args):
           f'(hash {code_version_hash()})')
     print(f'  default machine     {machine_hash(DEFAULT_CONFIG)}')
     return 0
-
-
-def _bench_progress(doc, done, total):
-    w = doc['wall_seconds']
-    print(f'  [{done}/{total}] {doc["name"]:<16s} '
-          f'{w["median"]:.3f}s median over {doc["repeats"]} repeat(s)',
-          flush=True)
-
-
-def cmd_bench(args):
-    from .perf import bench as B
-    if args.bench_command == 'list':
-        for case in B.BENCH_SUITE:
-            fast = ' [fast]' if case.fast else ''
-            print(f'  {case.name:<16s} {case.kind:<7s} '
-                  f'{case.workload}{fast}')
-        return 0
-    if args.bench_command == 'run':
-        names = args.cases.split(',') if args.cases else None
-        try:
-            doc = B.run_suite(fast=args.fast, repeats=args.repeats,
-                              names=names, label=args.label,
-                              profile=args.profile or args.deep_profile,
-                              deep=args.deep_profile,
-                              isolate=args.isolate,
-                              isolate_timeout=args.isolate_timeout,
-                              progress=_bench_progress)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(B.render_bench_report(doc))
-        out = args.out or B.bench_path(args.label)
-        B.save_bench_report(doc, out)
-        print(f'bench report: {out} (schema-valid)')
-        return 0
-    if args.bench_command == 'compare':
-        from .perf import compare_bench
-        a = _loaded(B.load_bench_report, args.a, 'bench report')
-        b = _loaded(B.load_bench_report, args.b, 'bench report')
-        text, regressed = compare_bench(
-            a, b, threshold=args.threshold, noise_mult=args.noise_mult,
-            rss_threshold=args.rss_threshold)
-        print(text)
-        if regressed and args.gate:
-            print('bench gate: REGRESSION', file=sys.stderr)
-            return 2
-        return 0
-    raise AssertionError(args.bench_command)
 
 
 def cmd_serve(args):
@@ -502,7 +462,8 @@ def cmd_compare(args):
     return 2 if regressed else 0
 
 
-# kept in sync with repro.harness.figures.FIGURES (the canonical registry)
+# a copy of repro.harness.figures.FIGURES' names, so --help imports no
+# kernel; tests/test_experiments_cli.py asserts the two sets are equal
 FIGURE_NAMES = ('fig10a', 'fig10b', 'fig10c', 'fig11', 'fig14a', 'fig14b',
                 'fig14c', 'fig15c', 'fig16', 'fig17a', 'fig17b', 'fig17c',
                 'bfs')
@@ -695,6 +656,7 @@ def cmd_dse(args):
         return 1 if doc['triage'].get('n_sim_failed', 0) else 0
 
     if args.dse_command == 'predict':
+        _check_point(args.benchmark, args.config)
         model = _dse_load_model(args.calib)
         from .manycore import DEFAULT_CONFIG
         overrides = {}
@@ -750,7 +712,7 @@ def _add_trace_args(p, requests, mean_interarrival, fleet=False):
                         + (' in shards' if fleet else ''))
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog='repro',
         description='Rockcress (MICRO 2021) reproduction CLI')
@@ -974,54 +936,6 @@ def main(argv=None) -> int:
                                       'post-mortem')
     pp.add_argument('file', metavar='POSTMORTEM.json')
 
-    p = sub.add_parser('bench', help='host-performance lab: run the '
-                                     'curated suite / gate two runs')
-    bsub = p.add_subparsers(dest='bench_command', required=True)
-    pb = bsub.add_parser('run', help='run the suite; write '
-                                     'BENCH_<label>.json')
-    pb.add_argument('--fast', action='store_true',
-                    help='smoke subset, single repeat (CI mode)')
-    pb.add_argument('--repeats', type=int, default=None, metavar='N',
-                    help='timing repeats per case (default 3, '
-                         '--fast default 1)')
-    pb.add_argument('--cases', metavar='A,B,...',
-                    help='restrict to named cases (see `bench list`)')
-    pb.add_argument('--label', default='local',
-                    help='label embedded in the artifact and its '
-                         'default filename (default local)')
-    pb.add_argument('--out', metavar='OUT.json',
-                    help='artifact path (default BENCH_<label>.json)')
-    pb.add_argument('--profile', action='store_true',
-                    help='run one extra profiled repeat per case and '
-                         'embed the host-time attribution')
-    pb.add_argument('--deep-profile', action='store_true',
-                    help='profiled repeat also records cProfile top '
-                         'functions (implies --profile)')
-    pb.add_argument('--isolate', action='store_true',
-                    help='run each timing repeat in its own worker '
-                         'process (repro.jobs farm, sequential), '
-                         'removing in-process cross-talk between '
-                         'repeats')
-    pb.add_argument('--isolate-timeout', type=float, default=None,
-                    metavar='SECONDS',
-                    help='per-repeat wall-clock budget with --isolate')
-    pb = bsub.add_parser('compare', help='diff two bench artifacts; '
-                                         '--gate exits 2 on regression')
-    pb.add_argument('a')
-    pb.add_argument('b')
-    pb.add_argument('--gate', action='store_true',
-                    help='exit 2 when B regresses beyond the noise-aware '
-                         'thresholds')
-    pb.add_argument('--threshold', type=float, default=0.25,
-                    help='relative wall-time regression threshold '
-                         '(default 0.25)')
-    pb.add_argument('--noise-mult', type=float, default=3.0,
-                    help='IQR multiple treated as noise (default 3.0)')
-    pb.add_argument('--rss-threshold', type=float, default=0.50,
-                    help='relative peak-RSS regression threshold '
-                         '(default 0.50)')
-    bsub.add_parser('list', help='show the curated suite cases')
-
     p = sub.add_parser('dse', help='analytical fast-path: calibrate the '
                                    'model, explore config spaces, '
                                    'simulate only the Pareto frontier')
@@ -1124,13 +1038,17 @@ def main(argv=None) -> int:
     p.add_argument('--threshold', type=float, default=0.02,
                    help='relative regression threshold (default 0.02)')
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     command = {'list': cmd_list, 'run': cmd_run, 'figure': cmd_figure,
                'experiment': cmd_experiment, 'sweep': cmd_sweep,
                'serve': cmd_serve, 'fleet': cmd_fleet, 'top': cmd_top,
                'trace': cmd_trace, 'postmortem': cmd_report,
                'report': cmd_report,
-               'compare': cmd_compare, 'bench': cmd_bench, 'dse': cmd_dse,
+               'compare': cmd_compare, 'dse': cmd_dse,
                'version': cmd_version}[args.command]
     try:
         return command(args)

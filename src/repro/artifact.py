@@ -1,7 +1,7 @@
 """The artifact envelope: one format for every ``repro-*`` JSON document.
 
 Everything this repo archives — run, serve, fleet and sweep reports,
-bench / calibration / DSE artifacts, post-mortems — is a JSON object
+calibration / DSE artifacts, post-mortems — is a JSON object
 with the same outer shape::
 
     {"schema_version": 1, "kind": "repro-...", "generated": {...},
@@ -187,9 +187,15 @@ REGISTRY: Dict[str, 'Artifact'] = {}
 
 #: the modules that declare an Artifact (the DESIGN.md table, by import path)
 OWNERS = ('repro.telemetry.report', 'repro.serve.report',
-          'repro.fleet.report', 'repro.jobs.report', 'repro.perf.bench',
+          'repro.fleet.report', 'repro.jobs.report',
           'repro.model.calibrate', 'repro.dse.driver',
           'repro.flight.postmortem')
+
+#: kind -> the rest of the sentence an old file of that kind is refused with
+RETIRED = {
+    'repro-bench-report': 'was retired in PR 24 (use '
+                          'benchmarks/ladder/run.py and compare.py)',
+}
 
 
 class Artifact:
@@ -270,10 +276,13 @@ def _artifact_of(doc) -> Artifact:
             f'expected a JSON object, got {type(doc).__name__}')
     known = registry()
     kind = doc.get('kind')
-    if not isinstance(kind, str) or kind not in known:
-        raise ReportValidationError(
-            f'unknown kind {kind!r} (known: {", ".join(sorted(known))})')
-    return known[kind]
+    if isinstance(kind, str):
+        if kind in known:
+            return known[kind]
+        if kind in RETIRED:
+            raise ReportValidationError(f'{kind!r} {RETIRED[kind]}')
+    raise ReportValidationError(
+        f'unknown kind {kind!r} (known: {", ".join(sorted(known))})')
 
 
 def load_any(path: str) -> dict:

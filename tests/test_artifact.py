@@ -2,7 +2,8 @@
 
 ``tests/data/artifacts/*.json`` are real documents of each registered
 kind built by the CLI at the commit *before* the envelope existed
-(5d7d02b), so loading them also shows old documents still validate.
+(5d7d02b), so loading them also shows old documents still validate —
+and that one of a since-retired kind is refused by name.
 """
 
 import copy
@@ -13,17 +14,20 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.artifact import ReportValidationError, load_any, registry
+from repro.artifact import (RETIRED, ReportValidationError, load_any,
+                            registry)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = {doc['kind']: doc for doc in (
     json.loads(p.read_text())
-    for p in sorted((ROOT / 'tests/data/artifacts').glob('*.json')))}
+    for p in sorted((ROOT / 'tests/data/artifacts').glob('*.json')))
+    if doc['kind'] not in RETIRED}
 KINDS = sorted(registry())
 
-#: ``'repro-*'`` literals that are inputs or working files, not reports
+#: ``'repro-*'`` literals that are inputs, working files or retired kinds,
+#: not reports
 NOT_REPORTS = {'repro-serve-trace', 'repro-sweep-manifest',
-               'repro-flight-journal'}
+               'repro-flight-journal', *RETIRED}
 
 
 def test_every_kind_has_a_pre_envelope_sample():
@@ -77,15 +81,23 @@ def test_each_report_kind_is_declared_once():
 def test_one_validation_error_class():
     from repro.dse.driver import DseValidationError
     from repro.model.calibrate import CalibValidationError
-    from repro.perf import BenchValidationError
     from repro.telemetry import ReportValidationError as Reexported
-    assert (BenchValidationError is CalibValidationError
-            is DseValidationError is Reexported is ReportValidationError)
+    assert (CalibValidationError is DseValidationError is Reexported
+            is ReportValidationError)
 
 
-def test_committed_bench_baseline_still_loads():
-    doc = load_any(str(ROOT / 'benchmarks/baselines/BENCH_ci-baseline.json'))
-    assert doc['kind'] == 'repro-bench-report' and doc['cases']
+def test_retired_bench_report_is_refused_by_name(tmp_path, capsys):
+    minimal = tmp_path / 'OLD_BENCH.json'
+    minimal.write_text('{"kind": "repro-bench-report", "cases": []}')
+    for path in (minimal, ROOT / 'tests/data/artifacts/bench.json'):
+        said = (f"{path}: 'repro-bench-report' was retired in PR 24 "
+                f'(use benchmarks/ladder/run.py and compare.py)')
+        with pytest.raises(ReportValidationError) as exc:
+            load_any(str(path))
+        assert str(exc.value) == said
+        assert main(['report', str(path)]) == 1
+        assert capsys.readouterr().err == f'invalid report: {said}\n'
+    assert len(registry()) == 7
 
 
 @pytest.mark.parametrize('argv, content', [

@@ -2,20 +2,50 @@
 
 These contracts are documented in docs/cli.md (the single source of
 truth); this test pins each documented row so a behavior change must
-touch both.  Summary:
+touch both, and checks the table's rows against the parser's commands.
+Summary:
 
 * ``0``  success / no regression / gate passed
-* ``1``  invalid artifact, failed request, or failed job
-* ``2``  regression (``compare``, ``bench compare --gate``), SLO fail
-         or invalid SLO policy (``serve --slo``)
+* ``1``  invalid artifact, unknown name, failed request, or failed job
+* ``2``  regression (``compare``), SLO fail or invalid SLO policy
+         (``serve --slo``)
 """
 
+import argparse
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
+
+CLI_MD = Path(__file__).resolve().parent.parent / 'docs' / 'cli.md'
+
+
+def _leaf_commands(parser, prefix=()):
+    """``'dse explore'``-style names of the commands with no subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield ' '.join(prefix)
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, prefix + (name,))
+
+
+def test_exit_code_table_matches_the_parser():
+    text = CLI_MD.read_text()
+    live = sorted(_leaf_commands(build_parser()))
+    # every leaf command has exactly one row, every row a live command
+    assert sorted(re.findall(r'^\| `([^`]+)` \|', text, re.M)) == live
+    # and prose that names a subcommand (`trace inspect`,
+    # `dse explore|predict --calib`) names one that exists
+    for span in re.findall(r'`([a-z]+ [a-z|]+)(?: --[^`]*)?`', text):
+        group, subs = span.split()
+        for sub in subs.split('|'):
+            assert f'{group} {sub}' in live, span
 
 
 @pytest.fixture(scope='module')
@@ -30,6 +60,17 @@ def run_report(tmp_path_factory):
 def test_run_success_is_zero(run_report):
     # exercised while building the fixture; pin the artifact exists
     assert json.load(open(run_report))['kind'] == 'repro-run-report'
+
+
+@pytest.mark.parametrize('verb', [['run'], ['dse', 'predict']])
+@pytest.mark.parametrize('point, line', [
+    (['gemmm', 'V4'], "unknown benchmark 'gemmm' (known: 2dconv, "),
+    (['gemm', 'V5'], "unknown configuration 'V5' (known: NV, "),
+])
+def test_unknown_point_is_one_line(verb, point, line, capsys):
+    assert main(verb + point) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count('\n') == 1
 
 
 def test_report_valid_zero_invalid_one(run_report, tmp_path, capsys):
@@ -193,11 +234,11 @@ def test_top_fleet_contract(flight_artifacts, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_compare_invalid_is_one(tmp_path, capsys):
-    bad = tmp_path / 'bad.json'
-    bad.write_text('not json at all')
-    assert main(['bench', 'compare', str(bad), str(bad), '--gate']) == 1
-    capsys.readouterr()
+def test_retired_bench_is_argparse_two(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(['bench', 'run', '--fast'])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_version_is_zero(capsys):

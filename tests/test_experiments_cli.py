@@ -101,6 +101,10 @@ class TestCli:
         assert self._run('figure', 'bfs', '--scale', 'test') == 0
         out = capsys.readouterr().out
         assert 'bfs' in out
+        # the parser's hand copy (kept so --help imports no kernel)
+        from repro.__main__ import FIGURE_NAMES
+        from repro.harness.figures import FIGURES
+        assert sorted(FIGURE_NAMES) == sorted(FIGURES)
 
     def test_experiment(self, capsys, tmp_path):
         p = tmp_path / 'e.json'
