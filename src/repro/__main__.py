@@ -167,9 +167,9 @@ def cmd_run(args):
         r.to_json(args.report)
         print(f'  report        {args.report} (schema-valid)')
     if args.trace:
-        from .telemetry import write_chrome_trace
-        doc = write_chrome_trace(args.trace, tracer=tracer,
-                                 telemetry=telemetry)
+        from .spans import to_chrome_trace, write_trace
+        doc = write_trace(to_chrome_trace(tracer=tracer,
+                                          telemetry=telemetry), args.trace)
         print(f'  trace         {args.trace} '
               f'({len(doc["traceEvents"])} events; load in '
               f'ui.perfetto.dev)')
@@ -236,8 +236,10 @@ def cmd_serve(args):
         key = store_serve_report(ResultStore(args.store), doc)
         print(f'stored: {args.store}/{key}.json')
     if args.perfetto:
-        from .telemetry import write_chrome_trace
-        tdoc = write_chrome_trace(args.perfetto, fabric=fabric)
+        from .spans import to_chrome_trace, write_trace
+        tdoc = write_trace(to_chrome_trace(fabric=fabric,
+                                           spans=result.spans),
+                           args.perfetto)
         print(f'perfetto trace: {args.perfetto} '
               f'({len(tdoc["traceEvents"])} events)')
     failed = [r for r in result.requests if r.state == FAILED]

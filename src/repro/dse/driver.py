@@ -26,6 +26,7 @@ from ..jobs.engine import SweepEngine
 from ..jobs.spec import JobSpec
 from ..manycore.config import DEFAULT_CONFIG, MachineConfig
 from ..model.analytic import (AnalyticModel, ModelError, Prediction)
+from ..model.calibrate import median
 from .pareto import pareto_frontier
 from .space import DEFAULT_AXES, DesignPoint, enumerate_space, space_size
 
@@ -165,20 +166,11 @@ def run_dse(model: AnalyticModel, benchmark: str,
                 'sim_reduction': round(n_space / n_simulated, 2)
                 if n_simulated else 0.0},
         validation={'n_points': len(apes),
-                    'median_ape_pct': round(_median(apes), 3),
+                    'median_ape_pct': round(median(apes), 3),
                     'worst_ape_pct': round(max(apes), 3) if apes else 0.0},
         frontier=entries,
         calibration={'label': model.label,
                      'calibrated': bool(model.calibrated)})
-
-
-def _median(values: Sequence[float]) -> float:
-    vs = sorted(values)
-    n = len(vs)
-    if not n:
-        return 0.0
-    mid = n // 2
-    return vs[mid] if n % 2 else (vs[mid - 1] + vs[mid]) / 2.0
 
 
 # ------------------------------------------------------------------- artifact

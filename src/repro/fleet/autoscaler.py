@@ -35,16 +35,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
+from ..serve.report import percentile
+
 UP = 'up'
 DOWN = 'down'
 REPLACE = 'replace'  # crash replacement, not a policy decision
-
-
-def _p99(values: List[int]) -> float:
-    if not values:
-        return 0.0
-    xs = sorted(values)
-    return float(xs[min(len(xs) - 1, int(round(0.99 * (len(xs) - 1))))])
 
 
 @dataclass
@@ -117,7 +112,7 @@ class Autoscaler:
 
     @property
     def latency_p99(self) -> float:
-        return _p99([v for _, v in self.latencies])
+        return percentile([v for _, v in self.latencies], 0.99)
 
     @property
     def tile_utilization(self) -> float:

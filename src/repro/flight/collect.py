@@ -28,18 +28,15 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
+from ..observe.rtrace import BREAKDOWN_PHASES
+from ..spans import (KIND_PHASE, KIND_REQUEST, KIND_REROUTE_WAIT,
+                     KIND_ROUTER_QUEUE, KIND_SHARD_EXEC, TRACK_ROUTER,
+                     make_span, shard_track)
 from .anomaly import AnomalyDetector, feed_fleet_epoch
+from .journal import write_journal
 from .postmortem import (build_postmortem, postmortem_path,
                          save_postmortem)
 from .recorder import FlightRecorder
-from .spans import (KIND_PHASE, KIND_REQUEST, KIND_REROUTE_WAIT,
-                    KIND_ROUTER_QUEUE, KIND_SHARD_EXEC, TRACK_ROUTER,
-                    make_span, shard_track, write_journal)
-
-#: phase order for laying breakdown leaves end to end (matches
-#: repro.observe.rtrace.BREAKDOWN_PHASES)
-_PHASE_ORDER = ('queue', 'launch', 'execute', 'frame_stall', 'llc',
-                'inet', 'unattributed')
 
 
 def _trace_id(req) -> str:
@@ -154,7 +151,7 @@ class FleetFlight:
                 # in-shard conservation invariant says they sum to the
                 # local latency, which is this span's width
                 at = dispatch
-                for i, phase in enumerate(_PHASE_ORDER):
+                for i, phase in enumerate(BREAKDOWN_PHASES):
                     width = bd.get(phase, 0)
                     if not width:
                         continue
@@ -276,16 +273,13 @@ class FleetFlight:
                       label=self.label)
         return path
 
-    def inflight_spans(self) -> List[dict]:
-        """Spans open right now (post-mortem ``inflight`` section)."""
-        out = [dict(span) for _, span in sorted(self._open_exec.items())]
-        return out
-
     def dump_postmortem(self, trigger: str, detail: str,
                         t: int) -> str:
+        # the post-mortem's `inflight` section: spans open right now
         doc = build_postmortem(
             self.recorder, self.label, trigger, detail, t,
-            inflight=self.inflight_spans(),
+            inflight=[dict(span) for _, span
+                      in sorted(self._open_exec.items())],
             anomalies=self.detector.anomalies)
         path = postmortem_path(self.label, trigger, self.out_dir)
         save_postmortem(doc, path)

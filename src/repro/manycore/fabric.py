@@ -120,11 +120,6 @@ class Fabric:
         #: progress and no events are pending; return True after freeing a
         #: wedged job to keep the fabric alive instead of raising
         self._stall_handler: Optional[Callable[[int], bool]] = None
-        #: (request_id, job, trace_id, start, end, {core: group_id}) spans
-        #: recorded by the serving scheduler for Perfetto track annotation;
-        #: the trace_id links these in-fabric windows to the fleet-level
-        #: distributed trace (repro.flight)
-        self.serve_spans: List[dict] = []
 
     # ------------------------------------------------------------- memory setup
     def alloc(self, data_or_size) -> int:

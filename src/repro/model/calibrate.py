@@ -113,7 +113,7 @@ def _ape(predicted: float, actual: float) -> float:
     return abs(predicted - actual) / abs(actual) * 100.0
 
 
-def _median(values: Sequence[float]) -> float:
+def median(values: Sequence[float]) -> float:
     vs = sorted(values)
     n = len(vs)
     if not n:
@@ -183,17 +183,17 @@ def run_calibration(outcomes, label: str = 'local',
                 'predicted_cycles': round(float(predicted), 3),
                 'ape_pct': round(ape, 3),
             })
-        energy_scale[kernel] = round(_median(ratios), 6) if ratios else 1.0
+        energy_scale[kernel] = round(median(ratios), 6) if ratios else 1.0
         errors[kernel] = {
             'n_points': len(apes),
-            'median_ape_pct': round(_median(apes), 3),
+            'median_ape_pct': round(median(apes), 3),
             'worst_ape_pct': round(max(apes), 3) if apes else 0.0,
         }
     doc = build_calib_report(
         coefficients=coefficients, energy_scale=energy_scale,
         errors=errors, points=points,
         overall={'n_points': len(all_apes),
-                 'median_ape_pct': round(_median(all_apes), 3),
+                 'median_ape_pct': round(median(all_apes), 3),
                  'worst_ape_pct': round(max(all_apes), 3) if all_apes
                  else 0.0},
         label=label, suite=suite or {})

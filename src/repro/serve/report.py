@@ -133,7 +133,7 @@ def trace_key(requests: List[KernelRequest], mesh: str = '') -> str:
     return f'serve-{digest}'
 
 
-def _percentile(values: List[int], q: float) -> float:
+def percentile(values: List[int], q: float) -> float:
     if not values:
         return 0.0
     xs = sorted(values)
@@ -153,9 +153,9 @@ def latency_summary(completed: int, makespan: int, latencies: List[int],
         'throughput_per_mcycle': (completed * 1e6 / makespan
                                   if makespan else 0.0),
         'latency_mean': _mean(latencies),
-        'latency_p50': _percentile(latencies, 0.50),
-        'latency_p95': _percentile(latencies, 0.95),
-        'latency_p99': _percentile(latencies, 0.99),
+        'latency_p50': percentile(latencies, 0.50),
+        'latency_p95': percentile(latencies, 0.95),
+        'latency_p99': percentile(latencies, 0.99),
         'queue_wait_mean': _mean(waits),
     }
     if breakdowns:

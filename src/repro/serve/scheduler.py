@@ -39,6 +39,7 @@ from ..manycore import Fabric, RunStats
 from ..manycore.fabric import JOB_DONE, FabricJob
 from ..manycore.probes import Consumer
 from ..observe import RequestTrace, build_breakdown
+from ..spans import KIND_REQUEST, core_track, make_span
 from .allocator import Region, RegionAllocator
 from .request import (DONE, FAILED, KernelRequest, QUEUED, REJECTED,
                       RUNNING, TIMED_OUT)
@@ -58,6 +59,9 @@ class ServeResult:
     peak_concurrent_jobs: int
     merged_stats: Optional[RunStats] = None  # RunStats.merge over requests
     num_tiles: int = 0  # mesh size, for tile-utilization SLOs
+    #: each request's occupancy of each core it owned (repro.spans
+    #: records, launch order); trace_id ties them to the fleet trace
+    spans: List[dict] = field(default_factory=list)
 
     def by_state(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -90,7 +94,8 @@ class ServeScheduler(Consumer):
         self.finished: List[KernelRequest] = []
         self.peak_queue_depth = 0
         self.peak_concurrent_jobs = 0
-        self._spans: Dict[int, dict] = {}  # job_id -> open serve span
+        self.spans: List[dict] = []
+        self._open: Dict[int, List[dict]] = {}  # job_id -> its open spans
         self._rtraces: Dict[FabricJob, RequestTrace] = {}  # live jobs
         fabric._stall_handler = self._on_stall
         fabric.probes.attach(self)
@@ -187,21 +192,22 @@ class ServeScheduler(Consumer):
         if len(self.running) > self.peak_concurrent_jobs:
             self.peak_concurrent_jobs = len(self.running)
         groups, _ = plan_groups_in(region.core_ids, req.lanes, req.groups)
-        span = {'request': req.req_id, 'job': job.job_id,
-                'kernel': req.kernel, 'trace_id': req.trace_id,
-                'start': now, 'end': None,
-                'cores': {cid: g.group_id for g in groups
-                          for cid in g.tiles}}
-        self._spans[job.job_id] = span
-        fabric.serve_spans.append(span)
+        cores = {cid: g.group_id for g in groups for cid in g.tiles}
+        spans = [make_span(req.trace_id, f'request-{req.req_id}-c{cid}',
+                           f'req{req.req_id}:{req.kernel} g{gid}',
+                           KIND_REQUEST, core_track(cid), now,
+                           attrs={'request': req.req_id, 'job': job.job_id,
+                                  'kernel': req.kernel, 'group': gid})
+                 for cid, gid in sorted(cores.items())]
+        self._open[job.job_id] = spans
+        self.spans += spans
 
     # ------------------------------------------------------------- completion
     def _on_complete(self, job: FabricJob, now: int) -> None:
         self.fabric.probes.drain()  # the breakdown reads the folded trace
         del self._rtraces[job]
         req, region, _ = self.running.pop(job.job_id)
-        span = self._spans.pop(job.job_id, None)
-        if span is not None:
+        for span in self._open.pop(job.job_id, ()):
             span['end'] = now
         if req._timeout_token is not None:
             self.fabric.cancel(req._timeout_token)
@@ -297,6 +303,9 @@ class ServeScheduler(Consumer):
                 req.error = req.error or 'stranded at end of serving run'
                 req.finished_at = fabric.cycle
                 self.finished.append(req)
+        for spans in self._open.values():  # those jobs end with the run
+            for span in spans:
+                span['end'] = fabric.cycle
         ordered = sorted(requests, key=lambda r: r.req_id)
         with_stats = [r.stats for r in ordered if r.stats is not None]
         merged = RunStats.merge(with_stats) if with_stats else None
@@ -306,7 +315,8 @@ class ServeScheduler(Consumer):
                            peak_queue_depth=self.peak_queue_depth,
                            peak_concurrent_jobs=self.peak_concurrent_jobs,
                            merged_stats=merged,
-                           num_tiles=fabric.cfg.num_cores)
+                           num_tiles=fabric.cfg.num_cores,
+                           spans=self.spans)
 
 
 def serve_trace(requests: List[KernelRequest],

@@ -1,4 +1,4 @@
-"""Telemetry: interval sampling, latency histograms, traces, run reports.
+"""Telemetry: interval sampling, latency histograms, spans, run reports.
 
 The observability layer the perf roadmap depends on.  Everything is
 off-by-default and observation-only: attaching a :class:`Telemetry` to a
@@ -15,6 +15,7 @@ Quick start::
     r = run_benchmark(bench, 'V4', params, telemetry=tel)
     doc = r.to_json('out.json')           # schema-checked report artifact
 
+The Perfetto trace of a run is :func:`repro.spans.to_chrome_trace`.
 See ``docs/telemetry.md`` for the sampler/histogram/trace/report tour.
 """
 
@@ -26,15 +27,11 @@ from .report import (REPORT_SCHEMA, SCHEMA_VERSION, build_report,
                      compare_reports, load_report, render_report,
                      validate_report)
 from .sampler import Sample, Sampler, STALL_FIELDS
-from .spans import CAT_FRAME, CAT_MICROTHREAD, CAT_WIDE, Span, SpanRecorder
-from .trace_export import to_chrome_trace, write_chrome_trace
 
 __all__ = [
     'Telemetry', 'Log2Histogram', 'merge_histograms', 'Sampler', 'Sample',
-    'STALL_FIELDS', 'Span', 'SpanRecorder', 'CAT_FRAME', 'CAT_MICROTHREAD',
-    'CAT_WIDE', 'HIST_VLOAD', 'HIST_FRAME', 'HIST_LLC_QUEUE', 'HIST_NOC',
-    'HIST_GPU_MEM', 'HISTOGRAM_NAMES', 'to_chrome_trace',
-    'write_chrome_trace', 'build_report', 'validate_report', 'load_report',
-    'render_report', 'compare_reports', 'ReportValidationError',
-    'REPORT_SCHEMA', 'SCHEMA_VERSION',
+    'STALL_FIELDS', 'HIST_VLOAD', 'HIST_FRAME', 'HIST_LLC_QUEUE',
+    'HIST_NOC', 'HIST_GPU_MEM', 'HISTOGRAM_NAMES', 'build_report',
+    'validate_report', 'load_report', 'render_report', 'compare_reports',
+    'ReportValidationError', 'REPORT_SCHEMA', 'SCHEMA_VERSION',
 ]

@@ -40,9 +40,10 @@ from typing import Dict, List, Optional
 from ..manycore.fabric import Fabric
 from ..manycore.llc import KIND_WIDE
 from ..manycore.probes import Consumer
+from ..spans import (KIND_FRAME, KIND_MICROTHREAD, KIND_WIDE_ACCESS,
+                     core_track, make_span)
 from .histogram import Log2Histogram
 from .sampler import Sampler
-from .spans import CAT_FRAME, CAT_MICROTHREAD, CAT_WIDE, SpanRecorder
 
 HIST_VLOAD = 'vload_issue_to_last_word'
 HIST_FRAME = 'frame_fill_to_start'
@@ -52,6 +53,9 @@ HIST_GPU_MEM = 'gpu_mem_service'
 
 HISTOGRAM_NAMES = (HIST_VLOAD, HIST_FRAME, HIST_LLC_QUEUE, HIST_NOC,
                    HIST_GPU_MEM)
+
+#: spans kept per run; later ones are only counted (``spans_dropped``)
+MAX_SPANS = 1_000_000
 
 
 class Telemetry(Consumer):
@@ -67,7 +71,8 @@ class Telemetry(Consumer):
         self.sampler: Optional[Sampler] = (
             Sampler(sample_interval, per_core=per_core_samples)
             if sample_interval else None)
-        self._spans = SpanRecorder()
+        self._spans: List[dict] = []
+        self.spans_dropped = 0
         self._hists: Dict[str, Log2Histogram] = {
             name: Log2Histogram(name) for name in HISTOGRAM_NAMES}
         self._parked: Dict[str, list] = {fact: [] for fact in self.PARKED}
@@ -122,7 +127,8 @@ class Telemetry(Consumer):
         return self._hists
 
     @property
-    def spans(self) -> SpanRecorder:
+    def spans(self) -> List[dict]:
+        """The run's span records (:mod:`repro.spans`), one per core track."""
         self._replay()
         return self._spans
 
@@ -131,7 +137,15 @@ class Telemetry(Consumer):
         if self.fabric is not None:
             self.fabric.probes.drain()
         parked = self._parked
-        span_add = self._spans.add
+        spans = self._spans
+
+        def span_add(kind, core, start, end, attrs):
+            if len(spans) < MAX_SPANS:
+                spans.append(make_span(None, None, kind, kind,
+                                       core_track(core), start, end,
+                                       attrs=attrs))
+            else:
+                self.spans_dropped += 1
 
         # frame occupancy spans + fill -> start slack: replay delivery,
         # start and free records against per-slot arrival counts.
@@ -173,8 +187,7 @@ class Telemetry(Consumer):
                     uses[key] = a // nslots + 1
                     st = fill.pop(key, None)
                     if st is not None:
-                        span_add('frame', CAT_FRAME, core, st[1], now,
-                                 {'seq': a})
+                        span_add(KIND_FRAME, core, st[1], now, {'seq': a})
                     continue
                 n = rec[3]
                 rel = a - base  # delivery of n words, may span slots
@@ -206,8 +219,8 @@ class Telemetry(Consumer):
             for core, launches in opens.items():
                 core_ends = ends.get(core, ())
                 for (start, mt_pc), end in zip(launches, core_ends):
-                    span_add('microthread', CAT_MICROTHREAD, core,
-                             start, end + 1, {'mt_pc': mt_pc})
+                    span_add(KIND_MICROTHREAD, core, start, end + 1,
+                             {'mt_pc': mt_pc})
                 if len(launches) > len(core_ends):  # still running
                     self._mt_open[core] = launches[-1]
 
@@ -231,17 +244,15 @@ class Telemetry(Consumer):
                     for _ in range(-(-count // noc_w)):
                         hist_noc(delay)
                 # per-core word counts are derived from the raw chunk
-                # list at export time (trace_export)
-                span_add('wide_access', CAT_WIDE, core, ready,
-                         last_emit + 1,
+                # list at export time (repro.spans.to_chrome_trace)
+                span_add(KIND_WIDE_ACCESS, core, ready, last_emit + 1,
                          {'bank': bank, 'words': nwords, 'chunks': chunks})
         for records in parked.values():
             del records[:]
 
         if self._final_cycle is not None and self._mt_open:
             for core, (start, mt_pc) in self._mt_open.items():
-                span_add('microthread', CAT_MICROTHREAD, core, start,
-                         self._final_cycle,
+                span_add(KIND_MICROTHREAD, core, start, self._final_cycle,
                          {'mt_pc': mt_pc, 'truncated': True})
             self._mt_open.clear()
 
@@ -253,11 +264,14 @@ class Telemetry(Consumer):
         return self.sampler.to_dicts() if self.sampler is not None else []
 
     def to_dict(self) -> dict:
+        counts: Dict[str, int] = {}
+        for s in self.spans:
+            counts[s['kind']] = counts.get(s['kind'], 0) + 1
         return {
             'sample_interval': (self.sampler.interval
                                 if self.sampler is not None else 0),
             'samples': self.samples_dict(),
             'histograms': self.histograms_dict(),
-            'spans': self.spans.counts(),
-            'spans_dropped': self.spans.dropped,
+            'spans': counts,
+            'spans_dropped': self.spans_dropped,
         }

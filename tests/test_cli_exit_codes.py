@@ -211,6 +211,25 @@ def test_trace_inspect_and_export_contract(flight_artifacts, tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize('verb', [['merge'], ['inspect'],
+                                  ['export', '--trace-id', 'req-0']])
+@pytest.mark.parametrize('bad', [{'track': 'bogus'}, {'start': '0'},
+                                 {'end': '9'}])
+def test_hostile_journal_is_one_line(flight_artifacts, tmp_path, capsys,
+                                     verb, bad):
+    rows = [json.loads(line)
+            for line in open(flight_artifacts / 'FLIGHT_cli.jsonl')]
+    journal = tmp_path / 'hostile.jsonl'
+    journal.write_text(json.dumps(rows[0]) + '\n'
+                       + json.dumps({**rows[1], **bad}) + '\n')
+    out = ['--out', str(tmp_path / 'out.json')] if verb != ['inspect'] \
+        else []
+    capsys.readouterr()
+    assert main(['trace', verb[0], str(journal)] + verb[1:] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('INVALID journal: ') and err.count('\n') == 1
+
+
 def test_postmortem_contract(flight_artifacts, tmp_path, capsys):
     pm = flight_artifacts / 'POSTMORTEM_cli-crash.json'
     assert main(['postmortem', 'validate', str(pm)]) == 0

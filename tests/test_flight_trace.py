@@ -7,7 +7,7 @@ import pytest
 from repro.flight import (JournalError, check_continuity,
                           make_span, merged_chrome_trace, read_journal,
                           render_tree, shard_track, write_journal)
-from repro.flight.merge import PID_ROUTER, PID_SHARD_BASE
+from repro.spans import PID_ROUTER, PID_SHARD_BASE
 
 
 def _rerouted_trace(tid='0000002a-00000001'):
@@ -87,6 +87,38 @@ class TestJournal:
         with open(path, 'a') as f:
             f.write(json.dumps({'type': 'mystery'}) + '\n')
         with pytest.raises(JournalError, match='unknown record type'):
+            read_journal(path)
+
+    @pytest.mark.parametrize('key, value, match', [
+        ('track', 'bogus', "unknown track 'bogus'"),
+        ('track', 'shard:x', "unknown track 'shard:x'"),
+        ('track', 'core:3', "unknown track 'core:3'"),
+        ('start', '100', 'span start is str'),
+        ('end', '400', 'span end is str'),
+        ('end', True, 'span end is bool'),
+        ('parent_id', 7, 'span parent_id is int'),
+        ('attrs', [1], 'span attrs is list'),
+        ('kind', 'frame', "unknown span kind 'frame'"),
+    ])
+    def test_rejects_mistyped_span(self, tmp_path, key, value, match):
+        _, spans = _rerouted_trace()
+        path = str(tmp_path / 'bad.jsonl')
+        write_journal(path, [spans[0], dict(spans[2], **{key: value})])
+        with pytest.raises(JournalError, match=match):
+            read_journal(path)
+
+    def test_rejects_span_without_end_and_non_object(self, tmp_path):
+        _, spans = _rerouted_trace()
+        path = str(tmp_path / 'bad.jsonl')
+        open_span = dict(spans[1])
+        del open_span['end']
+        write_journal(path, [open_span])
+        with pytest.raises(JournalError, match='span missing end'):
+            read_journal(path)
+        write_journal(path, [])
+        with open(path, 'a') as f:
+            f.write('[1, 2]\n')
+        with pytest.raises(JournalError, match='not a JSON object'):
             read_journal(path)
 
     def test_rejects_non_json_and_empty(self, tmp_path):

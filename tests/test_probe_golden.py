@@ -40,7 +40,8 @@ from repro.kernels.base import VectorParams
 from repro.manycore import Fabric, Tracer
 from repro.observe import ObservePlane
 from repro.serve import ServeScheduler, generate_trace
-from repro.telemetry import Telemetry, to_chrome_trace
+from repro.spans import to_chrome_trace, track_index
+from repro.telemetry import Telemetry
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), 'data',
                            'probe_golden.json')
@@ -63,8 +64,8 @@ def _sha(obj) -> str:
 
 
 def _span_list(tel) -> list:
-    return [[s.name, s.cat, s.core, s.start, s.end, s.args]
-            for s in tel.spans.spans]
+    return [[s['name'], s['kind'], track_index(s['track']), s['start'],
+             s['end'], s.get('attrs')] for s in tel.spans]
 
 
 def _strip_provenance(doc: dict) -> dict:
@@ -82,7 +83,7 @@ def _observers(tmpdir):
     return tel, plane, Tracer()
 
 
-def _collect(fabric, stats, tel, plane, tracer) -> dict:
+def _collect(fabric, stats, tel, plane, tracer, spans=()) -> dict:
     with open(plane.metrics_out) as f:
         lines = [_strip_provenance(json.loads(ln)) for ln in f]
     tdoc = tel.to_dict()
@@ -91,7 +92,7 @@ def _collect(fabric, stats, tel, plane, tracer) -> dict:
             'samples': tdoc['samples'],
             'spans': _span_list(tel),
             'chrome_trace': to_chrome_trace(tracer=tracer, telemetry=tel,
-                                            fabric=fabric),
+                                            fabric=fabric, spans=spans),
             'registry': plane.registry.snapshot(),
             'heatmaps': _strip_provenance(plane.heatmaps_dict()),
             'snapshots': plane.snapshots,
@@ -137,7 +138,8 @@ def observe_serve() -> dict:
         tracer.attach(fabric)
         result = ServeScheduler(fabric).run(
             generate_trace(seed=SERVE_SEED, n_requests=SERVE_REQUESTS))
-        doc = _collect(fabric, result.fabric_stats, tel, plane, tracer)
+        doc = _collect(fabric, result.fabric_stats, tel, plane, tracer,
+                       result.spans)
         doc['requests'] = [
             {'req_id': r.req_id, 'state': r.state, 'latency': r.latency,
              'rtrace': r._rtrace.to_dict() if r._rtrace else None,

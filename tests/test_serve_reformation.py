@@ -11,6 +11,16 @@ import numpy as np
 from repro.kernels import registry
 from repro.manycore import Fabric
 from repro.serve import DONE, KernelRequest, ServeScheduler, request_outputs
+from repro.spans import track_index
+
+
+def _cores(result) -> dict:
+    """request -> {core: group} from the run's request-occupancy spans."""
+    out = {}
+    for s in result.spans:
+        out.setdefault(s['attrs']['request'], {})[
+            track_index(s['track'])] = s['attrs']['group']
+    return out
 
 
 def _req(i, kernel, lanes, groups, arrival):
@@ -40,8 +50,8 @@ class TestGroupReformation:
         assert by_id[1].launched_at >= by_id[0].finished_at
 
         # the two jobs really overlapped in tiles, with different shapes
-        spans = {s['request']: s for s in fabric.serve_spans}
-        cores0, cores1 = spans[0]['cores'], spans[1]['cores']
+        cores = _cores(result)
+        cores0, cores1 = cores[0], cores[1]
         overlap = set(cores0) & set(cores1)
         assert overlap, 'regions must share tiles'
         assert len(set(cores0.values())) == 2   # two V4 groups
@@ -72,6 +82,6 @@ class TestGroupReformation:
         assert all(r.state == DONE for r in result.requests)
         launches = [r.launched_at for r in result.requests]
         assert launches == sorted(launches)
-        spans = {s['request']: s for s in fabric.serve_spans}
-        assert set(spans[0]['cores']) & set(spans[1]['cores'])
-        assert set(spans[1]['cores']) & set(spans[2]['cores'])
+        cores = _cores(result)
+        assert set(cores[0]) & set(cores[1])
+        assert set(cores[1]) & set(cores[2])

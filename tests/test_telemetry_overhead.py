@@ -34,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 
 from repro.isa import VL_GROUP, opcodes as op
 from repro.telemetry import Telemetry
@@ -160,7 +161,7 @@ def test_workload_exercises_every_probe():
     assert hists['frame_fill_to_start'].count > 0
     assert hists['llc_bank_queue'].count > 0
     assert hists['noc_traversal'].count > 0
-    counts = telemetry.spans.counts()
+    counts = Counter(s['kind'] for s in telemetry.spans)
     assert counts['microthread'] == ITERS + 1  # one per vissue (expander)
     assert counts['frame'] > 0
     assert counts['wide_access'] == ITERS

@@ -5,7 +5,8 @@ import json
 from repro.harness import run_benchmark
 from repro.kernels import registry
 from repro.manycore import Tracer, small_config
-from repro.telemetry import Telemetry, to_chrome_trace, write_chrome_trace
+from repro.spans import to_chrome_trace, write_trace
+from repro.telemetry import Telemetry
 
 
 def traced_gemm():
@@ -89,12 +90,15 @@ class TestChromeTrace:
 
     def test_json_serializable_and_loadable(self, tmp_path):
         path = tmp_path / 'trace.json'
-        doc = write_chrome_trace(str(path), tracer=self.tracer,
-                                 telemetry=self.tel)
+        doc = write_trace(to_chrome_trace(tracer=self.tracer,
+                                          telemetry=self.tel), str(path))
         with open(path) as f:
             back = json.load(f)
         assert back == doc
         assert len(back['traceEvents']) == len(self.events)
+        # saved atomically, in json.dump's own encoding
+        assert path.read_text() == json.dumps(doc)
+        assert [p.name for p in tmp_path.iterdir()] == ['trace.json']
 
 
 class TestPartialSources:

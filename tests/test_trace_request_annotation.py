@@ -5,11 +5,10 @@ import json
 from repro.kernels import registry
 from repro.manycore import Fabric, MachineConfig
 from repro.serve import DONE, KernelRequest, ServeScheduler
-from repro.telemetry import write_chrome_trace
-from repro.telemetry.trace_export import to_chrome_trace
+from repro.spans import to_chrome_trace, track_index, write_trace
 
 
-def _served_fabric():
+def _served():
     params_mvt = registry.make('mvt').params_for('test')
     params_atax = registry.make('atax').params_for('test')
     requests = [KernelRequest(req_id=0, kernel='mvt', params=params_mvt,
@@ -19,18 +18,20 @@ def _served_fabric():
     fabric = Fabric(MachineConfig(mesh_width=4, mesh_height=4))
     result = ServeScheduler(fabric).run(requests)
     assert all(r.state == DONE for r in result.requests)
-    return fabric
+    return fabric, result.spans
 
 
 class TestRequestAnnotation:
     def test_request_spans_cover_every_owned_core(self):
-        fabric = _served_fabric()
-        doc = to_chrome_trace(fabric=fabric)
+        fabric, spans = _served()
+        doc = to_chrome_trace(fabric=fabric, spans=spans)
         reqs = [e for e in doc['traceEvents'] if e.get('cat') == 'request']
         begins = [e for e in reqs if e['ph'] == 'b']
         ends = [e for e in reqs if e['ph'] == 'e']
-        want = sum(len(s['cores']) for s in fabric.serve_spans)
-        assert len(begins) == want == len(ends)
+        # one span per (request, owned core)
+        owned = {(s['attrs']['request'], track_index(s['track']))
+                 for s in spans}
+        assert len(begins) == len(owned) == len(spans) == len(ends)
         # begin/end pair up by id on the same track
         by_id = {}
         for e in begins:
@@ -41,8 +42,8 @@ class TestRequestAnnotation:
             assert e['ts'] > b['ts']
 
     def test_span_args_carry_request_group_and_kernel(self):
-        fabric = _served_fabric()
-        doc = to_chrome_trace(fabric=fabric)
+        fabric, spans = _served()
+        doc = to_chrome_trace(fabric=fabric, spans=spans)
         begins = [e for e in doc['traceEvents']
                   if e.get('cat') == 'request' and e['ph'] == 'b']
         for e in begins:
@@ -54,25 +55,24 @@ class TestRequestAnnotation:
         atax = [e for e in begins if e['args']['kernel'] == 'atax']
         assert {e['args']['group'] for e in atax} == {0, 1}
         # every annotated core is a real tile of the request's span
-        spans = {s['request']: s for s in fabric.serve_spans}
+        by_core = {(s['attrs']['request'], track_index(s['track'])): s
+                   for s in spans}
         for e in begins:
-            span = spans[e['args']['request']]
-            assert e['tid'] in span['cores']
-            assert span['cores'][e['tid']] == e['args']['group']
+            span = by_core[(e['args']['request'], e['tid'])]
+            assert span['attrs']['group'] == e['args']['group']
             assert e['ts'] == span['start']
 
     def test_span_cores_get_thread_metadata(self):
-        fabric = _served_fabric()
-        doc = to_chrome_trace(fabric=fabric)
+        fabric, spans = _served()
+        doc = to_chrome_trace(fabric=fabric, spans=spans)
         named = {e['tid'] for e in doc['traceEvents']
                  if e['ph'] == 'M' and e['name'] == 'thread_name'}
-        for s in fabric.serve_spans:
-            assert set(s['cores']) <= named
+        assert {track_index(s['track']) for s in spans} <= named
 
     def test_written_trace_is_valid_json(self, tmp_path):
-        fabric = _served_fabric()
+        fabric, spans = _served()
         path = tmp_path / 'serve-trace.json'
-        write_chrome_trace(str(path), fabric=fabric)
+        write_trace(to_chrome_trace(fabric=fabric, spans=spans), str(path))
         doc = json.loads(path.read_text())
         assert doc['traceEvents']
         assert any(e.get('cat') == 'request' for e in doc['traceEvents'])
