@@ -12,8 +12,8 @@ all attached to the same fabric, ``tests/data/probe_golden.json`` holds
   request breakdown, the snapshot count;
 * as a sha256 of the canonical JSON: the interval samples, the full span
   list, the chrome-trace document, ``heatmaps_dict()`` minus provenance,
-  each JSONL line (provenance stripped — it carries the code hash) and
-  ``Tracer.render()``.
+  each JSONL line (provenance stripped — it carries the code hash),
+  ``Tracer.render()`` and every ``inet_push`` record in order.
 
 A change to how facts travel from the machine to their consumers is only
 admissible when every entry stays identical.  The file is only ever
@@ -38,6 +38,7 @@ from repro.harness.configs import CONFIGS
 from repro.kernels import registry
 from repro.kernels.base import VectorParams
 from repro.manycore import Fabric, Tracer
+from repro.manycore.probes import Consumer
 from repro.observe import ObservePlane
 from repro.serve import ServeScheduler, generate_trace
 from repro.spans import to_chrome_trace, track_index
@@ -55,7 +56,19 @@ CASE_IDS = ([f'{k}/{c}' for k, c in KERNEL_CASES]
 #: sections stored as a digest of their canonical JSON (too large to
 #: commit verbatim); everything else is stored in full
 DIGESTED = ('samples', 'spans', 'chrome_trace', 'heatmaps', 'jsonl',
-            'tracer_render')
+            'tracer_render', 'inet_push')
+
+
+class _Pushes(Consumer):
+    """Every ``inet_push`` record, in the order the machine made them."""
+
+    facts = ('inet_push',)
+
+    def __init__(self):
+        self.records = []
+
+    def fold(self, batches) -> None:
+        self.records.extend(batches.get('inet_push', ()))
 
 
 def _sha(obj) -> str:
@@ -83,7 +96,15 @@ def _observers(tmpdir):
     return tel, plane, Tracer()
 
 
-def _collect(fabric, stats, tel, plane, tracer, spans=()) -> dict:
+def _attach(fabric, tel, plane, tracer) -> _Pushes:
+    for consumer in (tel, plane, tracer):
+        consumer.attach(fabric)
+    pushes = _Pushes()
+    fabric.probes.attach(pushes)
+    return pushes
+
+
+def _collect(fabric, stats, tel, plane, tracer, pushes, spans=()) -> dict:
     with open(plane.metrics_out) as f:
         lines = [_strip_provenance(json.loads(ln)) for ln in f]
     tdoc = tel.to_dict()
@@ -97,7 +118,8 @@ def _collect(fabric, stats, tel, plane, tracer, spans=()) -> dict:
             'heatmaps': _strip_provenance(plane.heatmaps_dict()),
             'snapshots': plane.snapshots,
             'jsonl': lines,
-            'tracer_render': tracer.render()}
+            'tracer_render': tracer.render(),
+            'inet_push': pushes.records}
 
 
 def observe_kernel(kernel: str, config: str) -> dict:
@@ -112,9 +134,7 @@ def observe_kernel(kernel: str, config: str) -> dict:
     with tempfile.TemporaryDirectory() as tmpdir:
         tel, plane, tracer = _observers(tmpdir)
         fabric = Fabric(cfg.machine())
-        tel.attach(fabric)
-        plane.attach(fabric)
-        tracer.attach(fabric)
+        pushes = _attach(fabric, tel, plane, tracer)
         ws = bench.setup(fabric, params)
         if cfg.kind == 'mimd':
             prog = bench.build_mimd(fabric, ws, params,
@@ -126,20 +146,18 @@ def observe_kernel(kernel: str, config: str) -> dict:
         fabric.load_program(prog)
         stats = fabric.run(max_cycles=5_000_000)
         bench.verify(fabric, ws, params)
-        return _collect(fabric, stats, tel, plane, tracer)
+        return _collect(fabric, stats, tel, plane, tracer, pushes)
 
 
 def observe_serve() -> dict:
     with tempfile.TemporaryDirectory() as tmpdir:
         tel, plane, tracer = _observers(tmpdir)
         fabric = Fabric()
-        tel.attach(fabric)
-        plane.attach(fabric)
-        tracer.attach(fabric)
+        pushes = _attach(fabric, tel, plane, tracer)
         result = ServeScheduler(fabric).run(
             generate_trace(seed=SERVE_SEED, n_requests=SERVE_REQUESTS))
         doc = _collect(fabric, result.fabric_stats, tel, plane, tracer,
-                       result.spans)
+                       pushes, result.spans)
         doc['requests'] = [
             {'req_id': r.req_id, 'state': r.state, 'latency': r.latency,
              'rtrace': r._rtrace.to_dict() if r._rtrace else None,
