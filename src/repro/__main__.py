@@ -145,7 +145,7 @@ def cmd_run(args):
     telemetry = tracer = profiler = None
     if args.report or args.trace:
         from .telemetry import Telemetry
-        telemetry = Telemetry(sample_interval=args.sample_interval,
+        telemetry = Telemetry(interval=args.sample_interval,
                               per_core_samples=args.per_core_samples)
     if args.trace:
         from .manycore import Tracer
@@ -215,7 +215,7 @@ def cmd_serve(args):
     plane = None
     if args.metrics_out or args.heatmaps:
         from .observe import ObservePlane
-        plane = ObservePlane(snapshot_interval=args.snapshot_interval,
+        plane = ObservePlane(interval=args.snapshot_interval,
                              metrics_out=args.metrics_out)
     fabric = Fabric()
     if plane is not None:

@@ -102,7 +102,7 @@ def run_shard_batch(batch: ShardBatch) -> dict:
     if batch.metrics_out is not None:
         # the run's own finalize writes the `final` line and closes the sink
         from ..observe import ObservePlane
-        ObservePlane(snapshot_interval=batch.snapshot_interval,
+        ObservePlane(interval=batch.snapshot_interval,
                      metrics_out=batch.metrics_out,
                      append=True).attach(fabric)
     scheduler = ServeScheduler(fabric, verify=batch.verify)

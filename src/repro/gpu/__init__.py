@@ -13,7 +13,8 @@ def run_gpu_benchmark(bench, params: Dict[str, int], verify: bool = True,
     """Run one benchmark on the GPU model; returns a harness RunResult.
 
     ``telemetry`` attaches to the machine and fills the GPU memory
-    service-time histogram (the fabric-side sampler does not apply).
+    service-time histogram (the fabric-side samples, gauges and heatmaps
+    do not apply).
     """
     from ..harness.runner import RunResult
     from ..manycore.stats import RunStats

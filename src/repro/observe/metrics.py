@@ -6,8 +6,11 @@ named once (``registry.counter('llc_bank_accesses_total')``) and labeled
 children (``family.labels(bank=3)``) are plain Python objects whose hot
 operation is one integer add — cheap enough that the plane keeps the
 registry attached by default.  Nothing in here touches the simulator;
-the :class:`~repro.observe.ObservePlane` feeds it at drain/snapshot
-time, and schedulers feed it on (rare) request state changes.
+the :class:`~repro.observe.ObservePlane` (and its subclass
+:class:`~repro.telemetry.Telemetry`) feeds it at drain/snapshot time,
+and schedulers feed it on (rare) request state changes.  Histogram
+children are the :class:`~repro.observe.histogram.Log2Histogram`
+beside this module.
 
 Two export formats:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..telemetry.histogram import Log2Histogram
+from .histogram import Log2Histogram
 
 COUNTER = 'counter'
 GAUGE = 'gauge'

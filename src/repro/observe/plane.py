@@ -1,8 +1,10 @@
 """The observability plane: probes -> registry + heatmaps + snapshots.
 
-:class:`ObservePlane` is the serving-time counterpart of
-:class:`~repro.telemetry.Telemetry`, and like it a consumer of the
-machine's probe plane (:mod:`repro.manycore.probes`), cheap enough to
+:class:`ObservePlane` is the one clocked consumer of the machine's probe
+plane (:mod:`repro.manycore.probes`) and the one metric store;
+:class:`~repro.telemetry.Telemetry` is a subclass that adds what needs
+whole-run order (the frame/microthread/wide-access replay, its spans,
+the interval samples of the run report).  The plane is cheap enough to
 stay attached by default:
 
 * it declares five facts (:attr:`ObservePlane.facts`); the sites that
@@ -11,8 +13,8 @@ stay attached by default:
   fabric pays one attribute read per site;
 * everything expensive (XY route enumeration, per-bank labeling,
   histogram bucketing, JSONL serialization) happens when the probe
-  plane drains, on snapshot boundaries driven by the fabric's clock the
-  same way the telemetry sampler is (no events are posted, so the
+  plane drains; snapshots ride the fabric's clock (:meth:`take` runs
+  when the run loop crosses ``next_due``; no events are posted, so the
   barrier memory-fence check and therefore simulated cycle counts are
   bit-identical with the plane attached — enforced by test).
 
@@ -26,15 +28,20 @@ dashboard.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
+from ..manycore.fabric import Fabric
 from ..manycore.llc import KIND_LOAD, KIND_STORE
 from ..manycore.noc import bank_coords, route_xy, tile_coords
 from ..manycore.probes import INF, Consumer
+from ..manycore.stats import STALL_CAUSES
 from .heatmap import Heatmap, LinkHeatmap
 from .metrics import MetricsRegistry
 
 _KIND_NAME = {KIND_LOAD: 'load', KIND_STORE: 'store'}
+#: the per-core counters an interval sample takes deltas of
+_CORE_GET = attrgetter('instrs', *STALL_CAUSES)
 
 
 class ObservePlane(Consumer):
@@ -44,14 +51,12 @@ class ObservePlane(Consumer):
              'request_state')
     lap = 'observe'
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 snapshot_interval: int = 5000,
+    def __init__(self, interval: int = 5000,
                  metrics_out: Optional[str] = None,
                  on_snapshot: Optional[Callable] = None,
                  append: bool = False):
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self.interval = snapshot_interval
+        self.registry = MetricsRegistry()
+        self.interval = interval  # snapshot period; 0: finalize only
         self.metrics_out = metrics_out
         self.on_snapshot = on_snapshot
         # append mode lets several successive fabrics (fleet shard
@@ -112,13 +117,21 @@ class ObservePlane(Consumer):
         self.inflight = {}
 
     # ------------------------------------------------------------ attach/detach
-    def attach(self, fabric) -> 'ObservePlane':
-        """Subscribe to ``fabric``'s probes; capture geometry and counter
-        baselines and open the sink (idempotent per fabric)."""
-        fabric.probes.attach(self)
-        if self._fabric is fabric:
+    def attach(self, machine) -> 'ObservePlane':
+        """Subscribe to ``machine``'s probes; on a fabric, also capture
+        geometry and counter baselines and open the sink (idempotent per
+        machine).
+
+        ``machine`` is a fabric or the GPU comparator.  The GPU has no
+        tiles, banks or run-loop clock to read, so there only the facts
+        are folded (Telemetry's ``gpu_mem_service``).
+        """
+        machine.probes.attach(self)
+        if self._fabric is machine:
             return self
-        self._fabric = fabric
+        self._fabric = fabric = machine
+        if not isinstance(fabric, Fabric):
+            return self
         cfg = fabric.cfg
         w, h = cfg.mesh_width, cfg.mesh_height
         self.link_heat = LinkHeatmap(w, h)
@@ -140,6 +153,7 @@ class ObservePlane(Consumer):
         self._kind_req = {k: self._m_req.labels(kind=k)
                           for k in ('load', 'store', 'wide')}
         self._last_cycle = fabric.cycle
+        self._prev = self._counters()  # the first sample's baseline
         self.next_due = (fabric.cycle + self.interval if self.interval
                          else INF)
         if self.metrics_out and self._sink is None:
@@ -176,7 +190,6 @@ class ObservePlane(Consumer):
         *pattern*, not the traffic volume, which is what keeps the <5%
         overhead gate honest on wide-access-heavy workloads.
         """
-        nbanks = self._fabric.cfg.llc_banks
         heat = self.link_heat
         mem_reqs = batches.get('mem_req')
         if mem_reqs:
@@ -212,6 +225,7 @@ class ObservePlane(Consumer):
                 heat.add_route(self._route(src, dst, False), words)
         accesses = batches.get('llc_access')
         if accesses:
+            nbanks = self._fabric.cfg.llc_banks
             acc = [0] * nbanks
             misses = [0] * nbanks
             observe_wait = self._h_llc_wait.observe
@@ -232,33 +246,36 @@ class ObservePlane(Consumer):
 
     # ---------------------------------------------------------------- snapshot
     def take(self, now: int) -> None:
-        """Stamp a snapshot on a clock boundary; refresh state if watched.
+        """Stamp a snapshot at cycle ``now``: the clock crossed ``next_due``.
 
-        Snapshot cycle stamps are strictly increasing: when the final
-        ``finalize`` call lands on a cycle that a periodic snapshot
-        already stamped, state is refreshed but no duplicate JSONL line
-        is emitted (the ``final`` record carries the end-of-run metrics
-        instead) — guarded by test_observe_snapshots.
+        The run loop's clock jumps over quiet stretches, so one take may
+        cover several boundaries: it is one snapshot (and one
+        delta-encoded Telemetry sample) for the whole jump.  Stamps are
+        strictly increasing: when :meth:`finalize` lands on a cycle that
+        a periodic snapshot already stamped, state is read but no
+        duplicate snapshot, sample or JSONL line is made (the ``final``
+        record carries the end-of-run metrics instead) — guarded by
+        test_observe_snapshots.
 
-        Draining the probe queues and refreshing gauges/heatmaps is only
-        worth doing when somebody can look.  With no JSONL sink and no
-        ``on_snapshot`` callback the records stay queued (the probe
-        plane bounds the backlog) and :meth:`finalize` folds the rest in
-        one batch: the same final registry and heatmaps for far fewer
-        route walks and labelled-counter updates, which is what keeps an
-        attached-but-unwatched plane inside the <5% overhead gate.
+        Tile and bank state (gauges, heatmaps, a sample's resident lines
+        and inet depths) is read once per take.  Draining the probe
+        queues is only worth doing when somebody can look: with no JSONL
+        sink and no ``on_snapshot`` callback the records stay queued
+        (the probe plane bounds the backlog) and :meth:`finalize` folds
+        the rest in one batch — the same final registry and heatmaps for
+        far fewer route walks and labelled-counter updates, which is
+        what keeps an attached-but-unwatched plane inside the <5%
+        overhead gate.
         """
-        fabric = self._fabric
-        if fabric is None:
-            return
         if self.interval:
             self.next_due = now - now % self.interval + self.interval
-        duplicate = self.snapshots and now == self._last_cycle
         if self._sink is not None or self.on_snapshot is not None:
-            self.refresh(now)
-        self._last_cycle = now
-        if duplicate:
+            self.drain()
+        lines, depths = self._read(now)
+        if now == self._last_cycle:
             return
+        self._sample(now, lines, depths)
+        self._last_cycle = now
         self.snapshots += 1
         if self._sink is not None:
             self._sink.write(json.dumps(
@@ -266,30 +283,45 @@ class ObservePlane(Consumer):
         if self.on_snapshot is not None:
             self.on_snapshot(self, now)
 
-    def refresh(self, now: int) -> None:
-        """Drain the probe queues and bring gauges/heatmaps to ``now``."""
+    def _read(self, now: int):
+        """Bring gauges and heatmaps to ``now`` in one walk over banks and
+        tiles; returns ``(resident lines, per-tile inet depths)``."""
         fabric = self._fabric
-        self.drain()
+        resident = 0
         for b in fabric.banks:
             lines = b.resident_lines()
+            resident += lines
             self._bank_lines[b.bank_id].set(lines)
             col, row = self._bank_xy[b.bank_id]
             self.llc_heat.set(col, 0 if row < 0 else 1, lines)
-        depth = 0
+        depths = []
         pushes = 0
         active = 0
         for t in fabric.tiles:
-            depth += len(t.inet_in)
+            depths.append(len(t.inet_in))
             pushes += t.inet_in.pushes
             if t.job is not None and not t.job.finished:
                 active += 1
             x, y = self._tile_xy[t.core_id]
             self.inet_heat.set(
                 x, y, t.stats.stall_backpressure - self._bp_base[t.core_id])
-        self._g_inet.set(depth)
+        self._g_inet.set(sum(depths))
         self._g_inet_msgs.set(pushes)
         self._g_tiles.set(active)
         self._g_cycle.set(now)
+        return resident, depths
+
+    def _counters(self):
+        """Per-core ``(instrs, stalls...)`` tuples and the memory-system
+        counters: what an interval sample takes deltas of."""
+        m = self._fabric.run_stats.mem
+        return ([_CORE_GET(t.stats) for t in self._fabric.tiles],
+                [m.llc_accesses, m.llc_misses, m.dram_lines_read,
+                 m.dram_lines_written])
+
+    def _sample(self, now: int, lines: int, depths: List[int]) -> None:
+        """Record an interval sample; a plain plane keeps none (see
+        :class:`~repro.telemetry.Telemetry`)."""
 
     def finalize(self, now: int) -> None:
         """Closing snapshot + heatmap summary; flushes the JSONL sink.
@@ -298,10 +330,8 @@ class ObservePlane(Consumer):
         snapshot (identical to the in-memory registry state after the
         run) alongside the heatmap summary.
         """
-        if self._fabric is None:
-            return
+        self.drain()  # an unwatched take() left the queues full
         self.take(now)
-        self.refresh(now)  # an unwatched take() left the queues full
         if self._sink is not None:
             self._sink.write(json.dumps(
                 {'cycle': now, 'final': True,

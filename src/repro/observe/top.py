@@ -125,7 +125,7 @@ def run_top(requests: List[KernelRequest],
     """
     if fabric is None:
         fabric = Fabric()
-    plane = ObservePlane(snapshot_interval=refresh,
+    plane = ObservePlane(interval=refresh,
                          metrics_out=metrics_out)
     plane.attach(fabric)
     scheduler = ServeScheduler(fabric, verify=verify)

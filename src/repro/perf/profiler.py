@@ -20,7 +20,7 @@ components of the event loop:
 ``sched``
     the clock advance itself (next-wake scan, event-heap peek),
 ``telemetry`` / ``observe``
-    sampler and observability-plane snapshot overhead (each probe-plane
+    telemetry and observability-plane snapshot overhead (each probe-plane
     consumer names the component its tick time is credited to),
 ``drain`` / ``finish``
     end-of-run event flush and stats/probe-plane finalization.

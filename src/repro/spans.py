@@ -144,8 +144,9 @@ def to_chrome_trace(tracer=None, telemetry=None, fabric=None,
     specific).  ``spans`` (a serve run's request occupancy) come first,
     then telemetry's: microthreads as complete events, so the tracer's
     instruction slices nest inside them, frames and wide accesses as
-    async pairs.  Then the tracer's instructions and the sampler's
-    counter tracks (CPI stack, LLC occupancy, DRAM backlog).
+    async pairs.  Then the tracer's instructions and, from telemetry's
+    interval samples, counter tracks (CPI stack, LLC occupancy, DRAM
+    backlog).
     """
     records = list(spans)
     if telemetry is not None:
@@ -205,19 +206,18 @@ def to_chrome_trace(tracer=None, telemetry=None, fabric=None,
                            'args': {'asm': e.text,
                                     'role': ROLE_NAMES.get(e.mode, '?')}})
 
-    if telemetry is not None and telemetry.sampler is not None:
-        for s in telemetry.sampler.samples:
-            if s.stalls or s.issued:
-                stack = {'issued': s.issued}
-                stack.update(s.stalls)
-                events.append({'ph': 'C', 'pid': PID_FABRIC, 'ts': s.cycle,
-                               'name': 'cpi_stack', 'args': stack})
-            events.append({'ph': 'C', 'pid': PID_FABRIC, 'ts': s.cycle,
-                           'name': 'llc_occupancy',
-                           'args': {'lines': s.llc_lines}})
-            events.append({'ph': 'C', 'pid': PID_FABRIC, 'ts': s.cycle,
-                           'name': 'dram_backlog',
-                           'args': {'cycles': s.dram_backlog}})
+    for s in telemetry.samples if telemetry is not None else ():
+        if s['stalls'] or s['issued']:
+            stack = {'issued': s['issued']}
+            stack.update(s['stalls'])
+            events.append({'ph': 'C', 'pid': PID_FABRIC, 'ts': s['cycle'],
+                           'name': 'cpi_stack', 'args': stack})
+        events.append({'ph': 'C', 'pid': PID_FABRIC, 'ts': s['cycle'],
+                       'name': 'llc_occupancy',
+                       'args': {'lines': s['llc_lines']}})
+        events.append({'ph': 'C', 'pid': PID_FABRIC, 'ts': s['cycle'],
+                       'name': 'dram_backlog',
+                       'args': {'cycles': s['dram_backlog']}})
     return _document(events, producer='repro.telemetry')
 
 

@@ -1,27 +1,33 @@
-"""The telemetry hub: histograms, spans, and the sampler.
+"""The run report's observer: the observe plane plus its ordered replay.
 
-A :class:`Telemetry` is a consumer of the machine's probe plane
-(:mod:`repro.manycore.probes`): ``attach`` declares the facts below, the
-sites that record them only append a tuple, and telemetry **never
-changes simulated timing** — cycle counts are bit-identical with
-telemetry attached or not (tested), and a run without it pays one
-attribute read per site.  Wall-clock overhead stays low (<5%, tested)
-because nothing is matched inside the run: histogram-only facts are
-bucketed when the plane drains, and the pairing facts are parked as
-plain tuples and matched into histograms and spans **lazily**, in one
-ordered replay on the first access to :attr:`hists` or :attr:`spans`.
-Pairing is keyed (per ``(core, frame-slot seq)`` or per expander core);
-only the four frame facts need their chronological order restored.
+A :class:`Telemetry` is an :class:`~repro.observe.ObservePlane` — one
+clock, one :class:`~repro.observe.MetricsRegistry`, the same folds,
+gauges and heatmaps — that adds only what needs the whole run in order:
+the frame / microthread / wide-access replay, the spans it produces, the
+histograms paired from it, and the delta-encoded interval samples of
+the run report.  Like every consumer of the machine's probe plane
+(:mod:`repro.manycore.probes`) it **never changes simulated timing** —
+cycle counts are bit-identical with telemetry attached or not (tested),
+and a run without it pays one attribute read per site.  Wall-clock
+overhead stays low (<5%, tested) because nothing is matched inside the
+run: histogram-only facts are bucketed when the plane drains, and the
+pairing facts are parked as plain tuples and matched into histograms
+and spans **lazily**, in one ordered replay on the first access to
+:attr:`hists` or :attr:`spans`.  Pairing is keyed (per ``(core,
+frame-slot seq)`` or per expander core); only the four frame facts need
+their chronological order restored.
 
 Histograms (the ISSUE's four latency histograms plus the GPU
-comparator's memory path) and the facts they fold:
+comparator's memory path), each a family of :attr:`registry`, and the
+facts they fold:
 
 * ``vload_issue_to_last_word`` — ``wide_served``: a wide access from
   ``vload`` issue to the arrival of its last response word;
 * ``frame_fill_to_start`` — ``frame_cfg`` / ``frame_words`` /
   ``frame_free`` / ``frame_start``: slack between a DAE frame becoming
   full and the ``frame_start`` that consumes it (per core);
-* ``llc_bank_queue`` — ``llc_access``: request-port queueing delay;
+* ``llc_queue_wait_cycles`` — ``llc_access``: request-port queueing
+  delay (the plane's own family);
 * ``noc_traversal`` — ``mem_req`` / ``load_reply`` / ``wide_served``:
   one-way NoC delay of request and response packets;
 * ``gpu_mem_service`` — ``gpu_mem``: coalesced access service time.
@@ -37,17 +43,16 @@ from heapq import merge
 from operator import itemgetter
 from typing import Dict, List, Optional
 
-from ..manycore.fabric import Fabric
 from ..manycore.llc import KIND_WIDE
-from ..manycore.probes import Consumer
+from ..manycore.stats import STALL_CAUSES
+from ..observe.histogram import Log2Histogram
+from ..observe.plane import ObservePlane
 from ..spans import (KIND_FRAME, KIND_MICROTHREAD, KIND_WIDE_ACCESS,
                      core_track, make_span)
-from .histogram import Log2Histogram
-from .sampler import Sampler
 
 HIST_VLOAD = 'vload_issue_to_last_word'
 HIST_FRAME = 'frame_fill_to_start'
-HIST_LLC_QUEUE = 'llc_bank_queue'
+HIST_LLC_QUEUE = 'llc_queue_wait_cycles'  # registered by ObservePlane
 HIST_NOC = 'noc_traversal'
 HIST_GPU_MEM = 'gpu_mem_service'
 
@@ -58,25 +63,36 @@ HISTOGRAM_NAMES = (HIST_VLOAD, HIST_FRAME, HIST_LLC_QUEUE, HIST_NOC,
 MAX_SPANS = 1_000_000
 
 
-class Telemetry(Consumer):
+class Telemetry(ObservePlane):
     """Low-overhead instrumentation attached to one fabric (or GPU) run."""
 
     #: pairing facts: parked as drained, matched by :meth:`_replay`
     PARKED = ('frame_words', 'frame_cfg', 'frame_free', 'frame_start',
               'mt_launch', 'mt_end', 'wide_served')
-    facts = PARKED + ('mem_req', 'load_reply', 'llc_access', 'gpu_mem')
+    # `frame_words` twice: the plane counts it, the replay parks it
+    facts = ObservePlane.facts + PARKED + ('load_reply', 'gpu_mem')
+    lap = 'telemetry'
 
-    def __init__(self, sample_interval: int = 1000,
+    def __init__(self, interval: int = 1000,
                  per_core_samples: bool = False):
-        self.sampler: Optional[Sampler] = (
-            Sampler(sample_interval, per_core=per_core_samples)
-            if sample_interval else None)
+        super().__init__(interval)
+        self.per_core_samples = per_core_samples
+        #: delta-encoded interval samples (``repro-run-report`` layout)
+        self.samples: List[dict] = []
         self._spans: List[dict] = []
         self.spans_dropped = 0
-        self._hists: Dict[str, Log2Histogram] = {
-            name: Log2Histogram(name) for name in HISTOGRAM_NAMES}
+        reg = self.registry
+        self._h_vload = reg.histogram(
+            HIST_VLOAD, 'vload issue to its last response word').labels()
+        self._h_frame = reg.histogram(
+            HIST_FRAME, 'DAE frame full to the frame_start that consumes '
+            'it').labels()
+        self._h_noc = reg.histogram(
+            HIST_NOC, 'one-way NoC delay of request and response '
+            'packets').labels()
+        self._h_gpu = reg.histogram(
+            HIST_GPU_MEM, 'GPU coalesced access service time').labels()
         self._parked: Dict[str, list] = {fact: [] for fact in self.PARKED}
-        self.fabric = None
         self._final_cycle: Optional[int] = None
         # pairing state, persistent across replays
         self._mt_open: Dict[int, tuple] = {}      # core -> (start, mt_pc)
@@ -85,37 +101,67 @@ class Telemetry(Consumer):
         self._slot_uses: Dict[tuple, int] = {}    # (core, slot) -> frees
         self._frame_full: Dict[tuple, int] = {}   # (core, seq) -> cycle
 
-    # ------------------------------------------------------------------ attach
-    def attach(self, machine) -> 'Telemetry':
-        """Subscribe to ``machine``'s probe plane; returns self for chaining.
-
-        ``machine`` is a fabric or the GPU comparator; the interval
-        sampler reads tiles, banks and DRAM, so only a fabric binds it.
-        """
-        machine.probes.attach(self)
-        self.fabric = machine
-        if self.sampler is not None and isinstance(machine, Fabric):
-            self.sampler.bind(machine)
-            machine.probes.attach(self.sampler)
-        return self
-
     def finalize(self, now: int) -> None:
-        """Close the run: open spans are truncated here on first access."""
+        """Close the run: open spans are truncated here on first access;
+        the plane's closing take records the last, partial sample."""
         self._final_cycle = now
+        super().finalize(now)
+
+    # ----------------------------------------------------------------- sample
+    def _sample(self, now: int, lines: int, depths: List[int]) -> None:
+        """One sample of the deltas since the previous one (or attach):
+        issued instructions and stall cycles by cause, memory traffic,
+        plus resident LLC lines, DRAM backlog and inet depths at ``now``.
+
+        Stall attribution is lazy (a gap is charged when the blocked
+        instruction finally issues), so a long stall can land entirely
+        in the sample where it resolves: CPI stacks are exact in
+        aggregate and at most one sample smeared in time.
+        """
+        if not self.interval:  # unclocked: not even a closing sample
+            return
+        fabric = self._fabric
+        curs, mem = self._counters()
+        prev_curs, prev_mem = self._prev
+        self._prev = curs, mem
+        # fabric-wide deltas: instrs, then one per stall cause
+        d = [sum(c) - sum(p) for c, p in zip(zip(*curs), zip(*prev_curs))]
+        dm = [c - p for c, p in zip(mem, prev_mem)]
+        sample = {
+            'cycle': now,
+            'dcycles': now - self._last_cycle,
+            'issued': d[0],
+            'stalls': {f[len('stall_'):]: v
+                       for f, v in zip(STALL_CAUSES, d[1:]) if v},
+            'llc_lines': lines,
+            'llc_accesses': dm[0],
+            'llc_misses': dm[1],
+            'dram_lines_read': dm[2],
+            'dram_lines_written': dm[3],
+            'dram_backlog': fabric.dram.backlog(now),
+            'inet_depth_total': sum(depths),
+            'inet_depth_max': max(depths),
+        }
+        if self.per_core_samples:
+            # idle tiles cost one tuple compare
+            sample['per_core'] = {
+                str(t.core_id): [c - p for c, p in zip(cur, prev)]
+                for t, cur, prev in zip(fabric.tiles, curs, prev_curs)
+                if cur != prev}
+        self.samples.append(sample)
 
     # -------------------------------------------------------------------- fold
     def fold(self, batches: Dict[str, list]) -> None:
-        """Bucket the histogram-only facts; park the pairing ones."""
-        noc = self._hists[HIST_NOC].record
+        """The plane's folds; then bucket the NoC and GPU facts and park
+        the pairing ones."""
+        super().fold(batches)
+        noc = self._h_noc.record
         for _now, kind, _core, _bank, delay, _ in batches.get('mem_req', ()):
             if kind != KIND_WIDE:  # a wide's packets: see wide_served
                 noc(delay)
         for rec in batches.get('load_reply', ()):
             noc(rec[3])
-        record = self._hists[HIST_LLC_QUEUE].record
-        for rec in batches.get('llc_access', ()):
-            record(rec[2])
-        record = self._hists[HIST_GPU_MEM].record
+        record = self._h_gpu.record
         for rec in batches.get('gpu_mem', ()):
             record(rec[1])
         for fact, parked in self._parked.items():
@@ -123,8 +169,10 @@ class Telemetry(Consumer):
 
     @property
     def hists(self) -> Dict[str, Log2Histogram]:
+        """The run report's histograms by name, replayed up to now."""
         self._replay()
-        return self._hists
+        return {name: self.registry.get(name).labels()
+                for name in HISTOGRAM_NAMES}
 
     @property
     def spans(self) -> List[dict]:
@@ -134,8 +182,7 @@ class Telemetry(Consumer):
 
     def _replay(self) -> None:
         """Match everything recorded so far into histograms and spans."""
-        if self.fabric is not None:
-            self.fabric.probes.drain()
+        self.drain()
         parked = self._parked
         spans = self._spans
 
@@ -159,7 +206,7 @@ class Telemetry(Consumer):
                    for fact in ('frame_words', 'frame_cfg', 'frame_free',
                                 'frame_start')]
         if any(streams):
-            hist_frame = self._hists[HIST_FRAME].record
+            hist_frame = self._h_frame.record
             frame_full = self._frame_full
             cfg = self._frame_cfg
             fill = self._slot_fill
@@ -229,10 +276,10 @@ class Telemetry(Consumer):
         # sample per serialized response packet; delays are a pure
         # function of (core, bank), so nothing was recorded in-run)
         if parked['wide_served']:
-            hist_vload = self._hists[HIST_VLOAD].record
-            hist_noc = self._hists[HIST_NOC].record
-            noc = self.fabric.noc
-            noc_w = self.fabric.cfg.noc_width_words
+            hist_vload = self._h_vload.record
+            hist_noc = self._h_noc.record
+            noc = self._fabric.noc
+            noc_w = self._fabric.cfg.noc_width_words
             for (ready, last_emit, last_arrival, bank, core, t_issue,
                  nwords, chunks) in parked['wide_served']:
                 if t_issue is not None:
@@ -257,21 +304,16 @@ class Telemetry(Consumer):
             self._mt_open.clear()
 
     # --------------------------------------------------------------- serialize
-    def histograms_dict(self) -> dict:
-        return {name: h.to_dict() for name, h in self.hists.items()}
-
-    def samples_dict(self) -> list:
-        return self.sampler.to_dicts() if self.sampler is not None else []
-
     def to_dict(self) -> dict:
+        """The ``telemetry`` section of a ``repro-run-report``."""
         counts: Dict[str, int] = {}
         for s in self.spans:
             counts[s['kind']] = counts.get(s['kind'], 0) + 1
         return {
-            'sample_interval': (self.sampler.interval
-                                if self.sampler is not None else 0),
-            'samples': self.samples_dict(),
-            'histograms': self.histograms_dict(),
+            'sample_interval': self.interval,
+            'samples': self.samples,
+            'histograms': {name: h.to_dict()
+                           for name, h in self.hists.items()},
             'spans': counts,
             'spans_dropped': self.spans_dropped,
         }

@@ -150,7 +150,7 @@ def build_report(result) -> dict:
 # ---------------------------------------------------------------------- render
 def render_report(doc: dict) -> str:
     """Human-readable summary of one report."""
-    from .histogram import Log2Histogram
+    from ..observe.histogram import Log2Histogram
     lines = [f"{doc['benchmark']} / {doc['config']}  "
              f"(schema v{doc['schema_version']}, "
              f"git {doc['generated']['git_sha'][:12]})",

@@ -25,7 +25,7 @@ def served():
     requests = generate_trace(seed=8, n_requests=6, scale='test',
                               mean_interarrival=500)
     fabric = Fabric()
-    plane = ObservePlane(snapshot_interval=2000)
+    plane = ObservePlane(interval=2000)
     plane.attach(fabric)
     result = ServeScheduler(fabric).run(requests)
     return fabric, plane, result

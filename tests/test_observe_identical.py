@@ -17,7 +17,7 @@ from repro.kernels import registry
 from repro.kernels.base import VectorParams
 from repro.manycore import Fabric, Tracer
 from repro.manycore.probes import FACTS
-from repro.observe import MetricsRegistry, ObservePlane
+from repro.observe import ObservePlane
 from repro.serve import KernelRequest, ServeScheduler, request_outputs
 from repro.telemetry import Telemetry
 from tests.monitors import Monitors
@@ -54,7 +54,7 @@ def _fingerprint(result):
 
 def test_serve_bit_identical_with_plane_attached():
     _, base, base_out = _serve()
-    plane = ObservePlane(snapshot_interval=1500)
+    plane = ObservePlane(interval=1500)
     _, observed, obs_out = _serve(plane)
     assert _fingerprint(base) == _fingerprint(observed)
     for rid in base_out:
@@ -72,7 +72,7 @@ def test_classic_run_bit_identical_with_plane_attached():
     def run(observe):
         fabric = Fabric()
         if observe:
-            ObservePlane(snapshot_interval=500).attach(fabric)
+            ObservePlane(interval=500).attach(fabric)
         bench = registry.make('gemm')
         params = bench.params_for('test')
         ws = bench.setup(fabric, params)
@@ -90,8 +90,8 @@ def test_classic_run_bit_identical_with_plane_attached():
 
 def test_attach_detach_roundtrip():
     fabric = Fabric()
-    registry_ = MetricsRegistry()
-    plane = ObservePlane(registry=registry_, snapshot_interval=0)
+    plane = ObservePlane(interval=0)
+    registry_ = plane.registry
     plane.attach(fabric)
     assert fabric.probes.consumers == [plane]
     assert all((getattr(fabric.probes, fact) is not None)
@@ -110,9 +110,8 @@ def test_attach_detach_roundtrip():
 
 # ---------------------------------------------------- the consumer lattice
 CONSUMERS = {
-    'telemetry': lambda: Telemetry(sample_interval=300,
-                                   per_core_samples=True),
-    'observe': lambda: ObservePlane(snapshot_interval=400),
+    'telemetry': lambda: Telemetry(interval=300, per_core_samples=True),
+    'observe': lambda: ObservePlane(interval=400),
     'tracer': Tracer,
     'monitors': Monitors,
 }
@@ -158,7 +157,7 @@ def test_every_consumer_combination_is_bit_identical(bare, names):
     assert serve == bare[1]
     for c in consumers + serve_consumers:  # and each really consumed
         if isinstance(c, Telemetry):
-            assert c.hists['llc_bank_queue'].count and c.sampler.samples
+            assert c.hists['llc_queue_wait_cycles'].count and c.samples
         elif isinstance(c, ObservePlane):
             assert c.snapshots and c.registry.snapshot()['noc_words_total']
         elif isinstance(c, Tracer):

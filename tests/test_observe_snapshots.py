@@ -24,7 +24,7 @@ def _requests():
 
 def _serve_with_plane(tmp_path, interval=500):
     path = tmp_path / 'metrics.jsonl'
-    plane = ObservePlane(snapshot_interval=interval,
+    plane = ObservePlane(interval=interval,
                          metrics_out=str(path))
     fabric = Fabric()
     plane.attach(fabric)
@@ -56,7 +56,7 @@ def test_final_record_matches_registry_state(tmp_path):
 
 def test_finalize_on_snapshot_boundary_does_not_duplicate(tmp_path):
     path = tmp_path / 'm.jsonl'
-    plane = ObservePlane(snapshot_interval=100, metrics_out=str(path))
+    plane = ObservePlane(interval=100, metrics_out=str(path))
     plane.attach(Fabric())
     plane.take(100)
     assert plane.snapshots == 1
@@ -73,7 +73,7 @@ def test_finalize_on_snapshot_boundary_does_not_duplicate(tmp_path):
 
 def test_monotone_without_sink(tmp_path):
     # the counter-based invariant holds with no JSONL sink attached
-    plane = ObservePlane(snapshot_interval=700)
+    plane = ObservePlane(interval=700)
     fabric = Fabric()
     plane.attach(fabric)
     ServeScheduler(fabric).run(_requests())
@@ -85,7 +85,7 @@ def test_unwatched_plane_defers_its_drains_but_ends_identical():
     """With no sink and no callback, periodic snapshots only stamp their
     cycle; finalize folds the queued records in one batch."""
     def run(on_snapshot):
-        plane = ObservePlane(snapshot_interval=500, on_snapshot=on_snapshot)
+        plane = ObservePlane(interval=500, on_snapshot=on_snapshot)
         fabric = Fabric()
         plane.attach(fabric)
         ServeScheduler(fabric).run(_requests())

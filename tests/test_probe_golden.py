@@ -42,7 +42,7 @@ from repro.manycore.probes import Consumer
 from repro.observe import ObservePlane
 from repro.serve import ServeScheduler, generate_trace
 from repro.spans import to_chrome_trace, track_index
-from repro.telemetry import Telemetry
+from repro.telemetry import HISTOGRAM_NAMES, Telemetry
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), 'data',
                            'probe_golden.json')
@@ -91,7 +91,7 @@ def _strip_provenance(doc: dict) -> dict:
 
 def _observers(tmpdir):
     tel = Telemetry(per_core_samples=True)
-    plane = ObservePlane(snapshot_interval=500,
+    plane = ObservePlane(interval=500,
                          metrics_out=os.path.join(tmpdir, 'm.jsonl'))
     return tel, plane, Tracer()
 
@@ -179,6 +179,28 @@ def digest(doc: dict) -> dict:
         elif key in out:
             out[key] = _sha(out[key])
     return out
+
+
+def _serve_alone(observer):
+    fabric = Fabric()
+    observer.attach(fabric)
+    ServeScheduler(fabric).run(
+        generate_trace(seed=SERVE_SEED, n_requests=SERVE_REQUESTS))
+    return observer
+
+
+def test_telemetry_is_the_plane_plus_the_replay():
+    """Alone on the seeded serve trace, a Telemetry folds, reads and
+    snapshots what a plain plane does; it only adds the run report's
+    histogram families (and samples and spans) on top."""
+    tel = _serve_alone(Telemetry(interval=500))
+    plane = _serve_alone(ObservePlane(interval=500))
+    snap, tel_snap = plane.registry.snapshot(), tel.registry.snapshot()
+    assert {name: tel_snap[name] for name in snap} == snap
+    assert set(tel_snap) - set(snap) == set(HISTOGRAM_NAMES) - set(snap)
+    assert (_strip_provenance(tel.heatmaps_dict())
+            == _strip_provenance(plane.heatmaps_dict()))
+    assert tel.snapshots == plane.snapshots == len(tel.samples)
 
 
 @pytest.fixture(scope='module')

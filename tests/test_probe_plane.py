@@ -25,10 +25,10 @@ def _load_gemm(fabric):
 
 def test_consumers_are_finalized_when_the_run_loop_raises(tmp_path):
     """A timeout used to skip ``_finish_run``: the JSONL sink stayed open
-    without its ``final`` record and the sampler lost its closing sample."""
+    without its ``final`` record and telemetry lost its closing sample."""
     path = tmp_path / 'metrics.jsonl'
-    plane = ObservePlane(snapshot_interval=500, metrics_out=str(path))
-    tel = Telemetry(sample_interval=700)
+    plane = ObservePlane(interval=500, metrics_out=str(path))
+    tel = Telemetry(interval=700)
     fabric = Fabric()
     plane.attach(fabric)
     tel.attach(fabric)
@@ -41,12 +41,12 @@ def test_consumers_are_finalized_when_the_run_loop_raises(tmp_path):
     assert [ln.get('final', False) for ln in lines] == \
         [False] * plane.snapshots + [True]
     assert lines[-1]['metrics'] == plane.registry.snapshot()
-    # the sampler's closing partial sample: delta sums == final counters
-    samples = tel.sampler.samples
-    assert samples[-1].cycle == fabric.cycle
-    assert sum(s.issued for s in samples) == sum(
+    # the closing partial sample: delta sums == final counters
+    samples = tel.samples
+    assert samples[-1]['cycle'] == fabric.cycle
+    assert sum(s['issued'] for s in samples) == sum(
         t.stats.instrs for t in fabric.tiles)
-    assert sum(s.llc_accesses for s in samples) == \
+    assert sum(s['llc_accesses'] for s in samples) == \
         fabric.run_stats.mem.llc_accesses
 
 
@@ -59,7 +59,7 @@ def test_unknown_fact_is_rejected():
 
 
 def test_backlog_is_folded_on_the_clock_not_held_to_the_end():
-    """No consumer clock at all (no sampler, no snapshots): the plane's
+    """No consumer clock at all (no samples, no snapshots): the plane's
     own sweep still bounds how many records (and ``MemRequest``s) queue."""
     peaks = []
 

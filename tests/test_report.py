@@ -20,7 +20,7 @@ def result():
     bench = registry.make('gemm')
     params = bench.params_for('test')
     return run_benchmark(bench, 'V4', params, base_machine=small_config(),
-                         telemetry=Telemetry(sample_interval=100))
+                         telemetry=Telemetry(interval=100))
 
 
 @pytest.fixture(scope='module')
@@ -52,7 +52,7 @@ class TestBuildAndValidate:
         assert len(tel['samples']) >= 2
         hists = tel['histograms']
         for name in ('vload_issue_to_last_word', 'frame_fill_to_start',
-                     'llc_bank_queue', 'noc_traversal'):
+                     'llc_queue_wait_cycles', 'noc_traversal'):
             assert hists[name]['count'] > 0, name
 
     def test_json_roundtrip(self, report, tmp_path):

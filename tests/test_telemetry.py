@@ -1,4 +1,4 @@
-"""Telemetry subsystem: histograms, sampler, spans, zero-perturbation."""
+"""Telemetry subsystem: histograms, samples, spans, zero-perturbation."""
 
 import dataclasses
 from collections import Counter
@@ -11,8 +11,7 @@ from repro.manycore import small_config
 from repro.manycore.probes import Consumer
 from repro.manycore.stats import STALL_CAUSES
 from repro.telemetry import (HIST_FRAME, HIST_GPU_MEM, HIST_LLC_QUEUE,
-                             HIST_NOC, HIST_VLOAD, Log2Histogram, Telemetry,
-                             merge_histograms)
+                             HIST_NOC, HIST_VLOAD, Log2Histogram, Telemetry)
 
 SMALL = small_config()
 
@@ -49,19 +48,14 @@ class TestLog2Histogram:
         assert h.percentile(50) <= 7          # inside the [4, 8) bucket
         assert h.percentile(100) == 1 << 20   # capped at the true max
 
-    def test_merge_and_roundtrip(self):
-        a, b = Log2Histogram('x'), Log2Histogram('x')
-        for v in (1, 5, 9):
-            a.record(v)
-        for v in (2, 100):
-            b.record(v)
-        m = merge_histograms([a, b])
-        assert m.count == 5
-        assert m.max == 100
-        doc = m.to_dict()
-        back = Log2Histogram.from_dict(doc)
+    def test_roundtrip(self):
+        h = Log2Histogram('x')
+        for v in (1, 5, 9, 2, 100):
+            h.record(v)
+        back = Log2Histogram.from_dict(h.to_dict())
         assert back.count == 5
-        assert back.buckets() == m.buckets()
+        assert back.max == 100
+        assert back.buckets() == h.buckets()
 
     def test_empty(self):
         h = Log2Histogram('x')
@@ -75,7 +69,7 @@ class TestZeroPerturbation:
 
     def test_cycles_bit_identical_with_telemetry(self):
         base = run_gemm()
-        tel = Telemetry(sample_interval=50, per_core_samples=True)
+        tel = Telemetry(interval=50, per_core_samples=True)
         instrumented = run_gemm(telemetry=tel)
         assert instrumented.cycles == base.cycles
         # the full stall taxonomy must match, not just the headline
@@ -86,71 +80,70 @@ class TestZeroPerturbation:
 
     def test_cycles_bit_identical_mimd(self):
         base = run_gemm('NV_PF')
-        instrumented = run_gemm('NV_PF', telemetry=Telemetry(
-            sample_interval=100))
+        instrumented = run_gemm('NV_PF', telemetry=Telemetry(interval=100))
         assert instrumented.cycles == base.cycles
 
 
 class TestSampler:
     def test_samples_recorded_and_deltas_sum_to_totals(self):
-        tel = Telemetry(sample_interval=100)
+        tel = Telemetry(interval=100)
         r = run_gemm(telemetry=tel)
-        samples = tel.sampler.samples
+        samples = tel.samples
         assert len(samples) >= 2
         # delta-encoding invariant: per-field sums equal final counters
-        assert sum(s.issued for s in samples) == r.stats.total_instrs
+        assert sum(s['issued'] for s in samples) == r.stats.total_instrs
         agg = {}
         for s in samples:
-            for cause, v in s.stalls.items():
+            for cause, v in s['stalls'].items():
                 agg[cause] = agg.get(cause, 0) + v
         breakdown = r.stats.stall_breakdown()
         for cause in STALL_CAUSES:
             assert agg.get(cause[len('stall_'):], 0) == breakdown[cause]
-        assert sum(s.llc_accesses for s in samples) == \
+        assert sum(s['llc_accesses'] for s in samples) == \
             r.stats.mem.llc_accesses
-        assert sum(s.dram_lines_read for s in samples) == \
+        assert sum(s['dram_lines_read'] for s in samples) == \
             r.stats.mem.dram_lines_read
         # the closing sample lands on the final cycle
-        assert samples[-1].cycle == r.cycles
+        assert samples[-1]['cycle'] == r.cycles
         # cycles covered add up with no overlap
-        assert sum(s.dcycles for s in samples) == samples[-1].cycle
+        assert sum(s['dcycles'] for s in samples) == samples[-1]['cycle']
 
     def test_fast_forward_aware(self):
         # interval far larger than the run: exactly one (closing) sample
-        tel = Telemetry(sample_interval=10_000_000)
+        tel = Telemetry(interval=10_000_000)
         r = run_gemm(telemetry=tel)
-        assert len(tel.sampler.samples) == 1
-        assert tel.sampler.samples[0].issued == r.stats.total_instrs
+        assert len(tel.samples) == 1
+        assert tel.samples[0]['issued'] == r.stats.total_instrs
 
     def test_per_core_samples(self):
-        tel = Telemetry(sample_interval=100, per_core_samples=True)
+        tel = Telemetry(interval=100, per_core_samples=True)
         r = run_gemm(telemetry=tel)
         per_core_issued = {}
-        for s in tel.sampler.samples:
-            for cid, deltas in (s.per_core or {}).items():
+        for s in tel.samples:
+            for cid, deltas in s['per_core'].items():
                 per_core_issued[cid] = per_core_issued.get(cid, 0) + deltas[0]
         for cid, cs in r.stats.cores.items():
-            assert per_core_issued.get(cid, 0) == cs.instrs
+            assert per_core_issued.get(str(cid), 0) == cs.instrs
 
     def test_sample_serialization(self):
-        tel = Telemetry(sample_interval=100)
+        tel = Telemetry(interval=100)
         run_gemm(telemetry=tel)
-        docs = tel.sampler.to_dicts()
+        docs = tel.to_dict()['samples']
         for doc in docs:
             assert doc['dcycles'] >= 0
             assert doc['llc_lines'] >= 0
             assert doc['dram_backlog'] >= 0.0
 
     def test_zero_interval_disables_sampling(self):
-        tel = Telemetry(sample_interval=0)
+        tel = Telemetry(interval=0)
         run_gemm(telemetry=tel)
-        assert tel.sampler is None
-        assert tel.samples_dict() == []
+        assert tel.samples == []
+        assert tel.to_dict()['samples'] == []
 
 
 class TestHistogramProbes:
     def test_all_four_fabric_histograms_populated_on_v4(self):
-        tel = Telemetry(sample_interval=1000)
+        tel = Telemetry(interval=1000)
         run_gemm('V4', telemetry=tel)
         for name in (HIST_VLOAD, HIST_FRAME, HIST_LLC_QUEUE, HIST_NOC):
             assert tel.hists[name].count > 0, name

@@ -1,8 +1,8 @@
 """Wall-clock overhead budget for telemetry + observe (<5% bar).
 
-The instrumented arm attaches both the Telemetry subsystem and an
-ObservePlane with its MetricsRegistry, so the budget covers the full
-always-on observability stack.
+The instrumented arm attaches one Telemetry: an ObservePlane with its
+MetricsRegistry plus the ordered replay, so it folds every fact either
+observer folds and the budget covers the full observability stack.
 
 The workload is the quickstart kernel (examples/quickstart.py) scaled
 up: the scalar core loops, issuing one group-wide vload and one
@@ -96,13 +96,10 @@ def build_workload():
     return fabric
 
 
-def run_once(telemetry=None, observe=False):
+def run_once(telemetry=None):
     fabric = build_workload()
     if telemetry is not None:
         telemetry.attach(fabric)
-    if observe:
-        from repro.observe import ObservePlane
-        ObservePlane(snapshot_interval=1000).attach(fabric)
     # collect, then keep the collector off inside the timed region
     # (pyperf-style): whether a ~700-object gen-0 threshold happens to
     # trip during a ~30ms run is aliasing noise larger than the budget
@@ -122,7 +119,7 @@ def measure_overhead():
     """Paired-trial overhead protocol; returns a result dict (JSON-safe)."""
     # warm up interpreter/caches so neither arm pays first-run costs
     run_once()
-    run_once(Telemetry(sample_interval=1000), observe=True)
+    run_once(Telemetry(interval=1000))
     rng = random.Random(0x51ab)
     pairs = []  # (base_seconds, telemetry_seconds) per back-to-back pair
     cycles_equal = True
@@ -131,12 +128,10 @@ def measure_overhead():
         while len(pairs) < cap:
             tel_first = rng.random() < 0.5
             if tel_first:
-                tel_dt, tel_cycles = run_once(
-                    Telemetry(sample_interval=1000), observe=True)
+                tel_dt, tel_cycles = run_once(Telemetry(interval=1000))
             base_dt, base_cycles = run_once()
             if not tel_first:
-                tel_dt, tel_cycles = run_once(
-                    Telemetry(sample_interval=1000), observe=True)
+                tel_dt, tel_cycles = run_once(Telemetry(interval=1000))
             pairs.append((base_dt, tel_dt))
             cycles_equal = cycles_equal and tel_cycles == base_cycles
         min_min = (min(t for _, t in pairs) / min(b for b, _ in pairs))
@@ -152,14 +147,14 @@ def measure_overhead():
 
 
 def test_workload_exercises_every_probe():
-    telemetry = Telemetry(sample_interval=1000)
+    telemetry = Telemetry(interval=1000)
     _, cycles = run_once(telemetry)
     assert cycles > 3000  # long enough for several 1k-cycle samples
-    assert len(telemetry.sampler.samples) >= 3
+    assert len(telemetry.samples) >= 3
     hists = telemetry.hists
     assert hists['vload_issue_to_last_word'].count == ITERS
     assert hists['frame_fill_to_start'].count > 0
-    assert hists['llc_bank_queue'].count > 0
+    assert hists['llc_queue_wait_cycles'].count > 0
     assert hists['noc_traversal'].count > 0
     counts = Counter(s['kind'] for s in telemetry.spans)
     assert counts['microthread'] == ITERS + 1  # one per vissue (expander)
@@ -170,7 +165,7 @@ def test_workload_exercises_every_probe():
 def test_workload_feeds_the_observe_registry():
     from repro.observe import ObservePlane
     fabric = build_workload()
-    plane = ObservePlane(snapshot_interval=1000)
+    plane = ObservePlane(interval=1000)
     plane.attach(fabric)
     fabric.run()
     snap = plane.registry.snapshot()

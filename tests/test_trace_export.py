@@ -12,7 +12,7 @@ from repro.telemetry import Telemetry
 def traced_gemm():
     bench = registry.make('gemm')
     params = bench.params_for('test')
-    tel = Telemetry(sample_interval=100)
+    tel = Telemetry(interval=100)
     tracer = Tracer()
     r = run_benchmark(bench, 'V4', params, base_machine=small_config(),
                       telemetry=tel, tracer=tracer)
