@@ -202,7 +202,7 @@ JR = _op(66, 'jr', SRC1, mix='n_control', seq=SEQ_CONTROL)
 # system
 NOP = _op(70, 'nop', NONE, pred_exempt=True)
 HALT = _op(71, 'halt', NONE, seq=SEQ_SYSTEM)
-# global barrier across all active tiles
+# barrier across all of the job's tiles (also a memory fence)
 BARRIER = _op(72, 'barrier', NONE, seq=SEQ_SYSTEM)
 CSRW = _op(73, 'csrw', WRITE_CSR)
 CSRR = _op(74, 'csrr', READ_CSR)

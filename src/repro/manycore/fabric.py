@@ -42,15 +42,16 @@ class SimulationTimeout(Exception):
 
 
 class FabricJob:
-    """One program's lifecycle on a subset of a live fabric's tiles.
+    """One program's lifecycle on a set of the fabric's tiles.
 
-    The classic flow (``load_program`` + ``run``) is the degenerate case of
-    one job owning every core with a fabric-global barrier; a job scopes
-    barriers, the memory fence, halt detection, and stats attribution to
-    its own tiles so several kernels can share the fabric.  ``pending_ops``
-    counts in-flight memory operations issued by the job's tiles; the job's
-    tiles (and its mesh region) must not be reused until it drains to zero,
-    or late completions would corrupt the successor's state.
+    Every program runs as a job: ``load_program`` launches one for a
+    kernel run, ``launch_job`` one per served request on a live fabric.
+    A job scopes barriers, the memory fence, halt detection, and stats
+    attribution to its own tiles so several kernels can share the fabric.
+    ``pending_ops`` counts in-flight memory operations issued by the job's
+    tiles; the job's tiles (and its mesh region) must not be reused until
+    it drains to zero, or late completions would corrupt the successor's
+    state.
     """
 
     __slots__ = ('job_id', 'name', 'tiles', 'core_ids', 'state',
@@ -109,8 +110,10 @@ class Fabric:
         self._seq = 0
         self._pending_events: set = set()  # seqs of live (uncancelled) events
         # same-cycle scratchpad delivery batches: arrival time -> list of
-        # (core, offset, values, is_frame), drained by one posted event
+        # (core, offset, values, is_frame), drained by one posted event;
+        # the jobs whose wide accesses complete with that batch ride it
         self._delivery_batches: Dict[int, list] = {}
+        self._delivery_done: Dict[int, list] = {}
         self.group_descs: Dict[int, GroupDescriptor] = {}
         self.num_groups = 0
         self._active: List[Tile] = []
@@ -120,9 +123,10 @@ class Fabric:
         #: _active_dirty), so the loop never recomputes the minimum
         self._woke = INF
         self._next_job_id = 0
-        #: serve-mode hook: called with the current cycle when no tile can
-        #: progress and no events are pending; return True after freeing a
-        #: wedged job to keep the fabric alive instead of raising
+        #: the serving scheduler's hook: called with the current cycle when
+        #: no tile can progress and no events are pending; return True
+        #: after freeing a wedged job to keep the fabric alive instead of
+        #: raising
         self._stall_handler: Optional[Callable[[int], bool]] = None
 
     # ------------------------------------------------------------- memory setup
@@ -192,10 +196,8 @@ class Fabric:
 
     # ------------------------------------------------------------ memory traffic
     def send_to_bank(self, req: MemRequest, now: int) -> None:
-        job = self.tiles[req.core].job
-        if job is not None:
-            req.job = job
-            job.pending_ops += 1
+        req.job = self.tiles[req.core].job
+        req.job.pending_ops += 1
         bank_id = (req.addr // self.cfg.line_words) % self.cfg.llc_banks
         hops = self.noc.bank_hops(req.core, bank_id)
         self.count_hops(hops)
@@ -214,16 +216,14 @@ class Fabric:
         delay = self.noc.core_delay(src, dest)
         self.count_hops(delay - 1)
         job = self.tiles[src].job
-        if job is not None:
-            job.pending_ops += 1
+        job.pending_ops += 1
         q = self.probes.remote_store
         if q is not None:
             q((now, src, dest))
 
         def deliver(at, d=dest, o=offset, v=value, j=job):
             self.spad_deliver(d, o, [v], False)
-            if j is not None:
-                self.job_op_done(j, at)
+            self.job_op_done(j, at)
 
         self.post(now + delay, deliver)
 
@@ -237,9 +237,7 @@ class Fabric:
         the same arrival cycle share a single posted event and drain in
         append (= post) order, so sim-visible behaviour is unchanged:
         the run loop fires every event due at a cycle before any tile
-        steps, deliveries are never cancelled, and the batch's event is
-        created when its first packet is posted — before the owning
-        request's ``job_op_done`` for that cycle.
+        steps, and deliveries are never cancelled.
         """
         batch = self._delivery_batches.get(time)
         if batch is None:
@@ -249,9 +247,20 @@ class Fabric:
                 for core, offset, values, is_frame in \
                         self._delivery_batches.pop(w):
                     self.spad_deliver(core, offset, values, is_frame)
+                for job in self._delivery_done.pop(w, ()):
+                    self.job_op_done(job, now)
 
             self.post(time, fire)
         batch.append((core, offset, values, is_frame))
+
+    def wide_done(self, time: int, job: FabricJob) -> None:
+        """Count one of ``job``'s wide accesses done once its last packet
+        lands at ``time``: after every packet of that cycle's delivery
+        batch, in the batch's own event (no heap entry of its own)."""
+        done = self._delivery_done.get(time)
+        if done is None:
+            self._delivery_done[time] = done = []
+        done.append(job)
 
     def spad_deliver(self, core: int, offset: int, values: Sequence,
                      is_frame: bool) -> None:
@@ -273,8 +282,7 @@ class Fabric:
                 f'{desc.group_id} it does not belong to')
         tile.state = WAIT_VCONFIG
         q = self.probes.formation_wait
-        if q is not None and tile.job is not None \
-                and tile is tile.job.tiles[0]:
+        if q is not None and tile is tile.job.tiles[0]:
             # the job's lead tile begins a formation wait; these cycles
             # are the request's "launch" phase (they land in idle() and
             # in no stall bucket, so the carve-out is exact)
@@ -308,45 +316,34 @@ class Fabric:
             t.pred = True
             t._ready_at = now + 1
             self.wake_tile(t, now + 1)
-            if q is not None and t.job is not None and t is t.job.tiles[0]:
+            if q is not None and t is t.job.tiles[0]:
                 q((now, t.job))
 
     # ----------------------------------------------------------------- barrier
     def barrier_arrive(self, tile: Tile, now: int) -> None:
         tile.state = WAIT_BARRIER
-        if tile.job is not None:
-            self._check_job_barrier(tile.job, now)
-        else:
-            self._check_barrier(now)
+        self._check_job_barrier(tile.job, now)
 
     def on_halt(self, tile: Tile, now: int) -> None:
         self._active_dirty = True
         tile.next_wake = INF
-        if tile.job is not None:
-            self._check_job_halt(tile.job, now)
-        else:
-            self._check_barrier(now)
-
-    def _check_barrier(self, now: int) -> None:
-        waiting = [t for t in self._active if not t.halted]
-        if not waiting:
-            return
-        if not all(t.state == WAIT_BARRIER for t in waiting):
-            return
-        # The barrier is also a memory fence: in-flight non-blocking stores
-        # and fills must land before dependent kernels start (the paper's
-        # kernels are separated by a global barrier, Section 6.1).
-        if self._pending_events:
-            recheck = max(t for t, s, _ in self._heap
-                          if s in self._pending_events) + 1
-            self.post(recheck, self._check_barrier)
-            return
-        for t in waiting:
-            t.state = RUN
-            t._ready_at = now + 1
-            self.wake_tile(t, now + 1)
+        # the halting tile may be the last one its job-mates wait for
+        self._check_job_barrier(tile.job, now)
+        self._check_job_halt(tile.job, now)
 
     # ------------------------------------------------------------ job lifecycle
+    def load_program(self, program: Program,
+                     active_cores: Optional[Sequence[int]] = None) -> None:
+        """Launch ``program`` as one job on ``active_cores`` (default:
+        every core), ranked in the order given, for :meth:`run`.
+
+        Its tiles first step at the current cycle; a job launched with
+        :meth:`launch_job` on a live fabric waits until the next one.
+        """
+        if active_cores is None:
+            active_cores = range(self.cfg.num_cores)
+        self._launch('program', program, active_cores, None, self.cycle)
+
     def launch_job(self, name: str, program: Program,
                    core_ids: Sequence[int],
                    on_complete: Optional[Callable] = None) -> FabricJob:
@@ -357,9 +354,15 @@ class Fabric:
         sits on the mesh.  ``on_complete(job, now)`` fires once every tile
         halted (or the job was killed) *and* its in-flight memory
         operations drained — only then is it safe to reuse the tiles.
+        The tiles first step at the next cycle: simulated time never
+        moves backwards for a launch made mid-cycle.
         """
+        return self._launch(name, program, core_ids, on_complete,
+                            self.cycle + 1)
+
+    def _launch(self, name: str, program: Program, core_ids: Sequence[int],
+                on_complete: Optional[Callable], start: int) -> FabricJob:
         bind_program(program)
-        now = self.cycle
         tiles = []
         for cid in core_ids:
             t = self.tiles[cid]
@@ -368,9 +371,9 @@ class Fabric:
             tiles.append(t)
         job = FabricJob(self._next_job_id, name, tiles, on_complete)
         self._next_job_id += 1
-        job.launched_at = now
+        job.launched_at = self.cycle
         for rank, t in enumerate(tiles):
-            t.reset_for_job(program, 0, rank, len(tiles), job, now)
+            t.reset_for_job(program, rank, len(tiles), job, start)
             if t not in self._active:
                 self._active.append(t)
         self._active_dirty = True
@@ -405,8 +408,10 @@ class Fabric:
         if job.pending_ops:
             return
         if job.fence_waiting:
+            # the fence releases one cycle after the last operation lands
             job.fence_waiting = False
-            self._check_job_barrier(job, now)
+            self.post(now + 1,
+                      lambda at, j=job: self._check_job_barrier(j, at))
         if job.state == JOB_DRAINING:
             self._finish_job(job, now, job._drain_kind)
 
@@ -416,9 +421,11 @@ class Fabric:
             return
         if not all(t.state == WAIT_BARRIER for t in waiting):
             return
-        # Job-scoped memory fence: unlike the classic global barrier we
-        # cannot wait for the event heap to empty (other jobs keep it
-        # busy), so the fence releases when *this job's* op counter drains.
+        # The barrier is also a memory fence: the job's in-flight stores
+        # and fills must land before its next phase starts (the paper
+        # separates dependent kernels with a barrier, Section 6.1).  Other
+        # jobs keep the event heap busy, so the fence waits for *this
+        # job's* op counter to drain.
         if job.pending_ops:
             job.fence_waiting = True
             return
@@ -445,44 +452,18 @@ class Fabric:
             job.on_complete(job, now)
 
     # --------------------------------------------------------------------- run
-    def load_program(self, program: Program,
-                     active_cores: Optional[Sequence[int]] = None) -> None:
-        bind_program(program)
-        if active_cores is None:
-            active_cores = range(self.cfg.num_cores)
-        active = list(active_cores)
-        ranks = {cid: i for i, cid in enumerate(active)}
-        self._active = []
-        for t in self.tiles:
-            if t.core_id in ranks:
-                t.reset_for_run(program, 0, ranks[t.core_id], len(active))
-                self._active.append(t)
-            else:
-                t.halted = True
-                t.next_wake = INF
-
     def run(self, max_cycles: int = _MAX_DEFAULT) -> RunStats:
-        """Classic flow: run the loaded program to completion."""
-        return self._run(max_cycles, serve=False)
-
-    def run_serve(self, max_cycles: int = _MAX_DEFAULT) -> RunStats:
-        """Multi-tenant flow: run until no job is live and no event pends.
+        """Run until no tile is active and no event is pending.
 
         Jobs launched from event callbacks (completion-driven dispatch)
         keep the loop alive; a wedged job is routed to ``_stall_handler``
-        instead of aborting the fabric.
+        when one is set, instead of raising :class:`DeadlockError`.
         """
-        return self._run(max_cycles, serve=True)
-
-    def _run(self, max_cycles: int, serve: bool) -> RunStats:
         prof = self.profiler
         if prof is not None:
             prof.begin_run()
         try:
-            self._run_loop(max_cycles, serve)
-            self._drain()
-            if prof is not None:
-                prof.lap('drain')
+            self._run_loop(max_cycles)
             self.run_stats.cycles = self.cycle
             for t in self.tiles:
                 # a core issuing at the final cycle index C occupies cycle
@@ -499,7 +480,7 @@ class Fabric:
                 prof.lap('finish')
                 prof.end_run()
 
-    def _run_loop(self, max_cycles: int, serve: bool) -> None:
+    def _run_loop(self, max_cycles: int) -> None:
         # The one event loop, profiled or not.  With a HostProfiler
         # attached, `lap(name)` credits the host time since the previous
         # lap to a component (see repro.perf.profiler); detached, each
@@ -521,7 +502,7 @@ class Fabric:
                 self._active_dirty = False
                 soon = min([t.next_wake for t in active] + [INF])
                 self._woke = INF
-            if not active and not (serve and self._pending_events):
+            if not active and not self._pending_events:
                 break
             # `soon` is min(next_wake over active): the last walk's values
             # and every wake_tile since (`_woke`), which only lowers them
@@ -529,16 +510,13 @@ class Fabric:
             head = self._peek_live()
             if head is not None and head < now:
                 now = head
-            if now >= INF:
-                if head is not None:
-                    now = head
-                elif (serve and self._stall_handler is not None
+            if now >= INF:  # no tile can progress and no event pends
+                if (self._stall_handler is not None
                         and self._stall_handler(self.cycle)):
                     if lap is not None:
                         lap('serve')
                     continue  # the handler freed a wedged job
-                else:
-                    self._deadlock()
+                raise DeadlockError(self.wait_state_dump())
             if now > max_cycles:
                 raise SimulationTimeout(
                     f'exceeded {max_cycles} cycles at cycle {self.cycle}')
@@ -569,22 +547,6 @@ class Fabric:
                     soon = w
             if lap is not None:
                 lap('tile_step')
-
-    def _drain(self) -> None:
-        """Flush in-flight memory events so final memory state is visible."""
-        heap = self._heap
-        pending = self._pending_events
-        while heap:
-            time, seq, fn = heapq.heappop(heap)
-            if seq not in pending:
-                continue
-            pending.discard(seq)
-            self.cycle = max(self.cycle, time)
-            fn(self.cycle)
-
-    def _deadlock(self, tiles: Optional[Sequence[Tile]] = None) -> None:
-        """Raise :class:`DeadlockError` with a per-tile wait-state dump."""
-        raise DeadlockError(self.wait_state_dump(tiles))
 
     def wait_state_dump(self, tiles: Optional[Sequence[Tile]] = None) -> str:
         """Describe every stuck tile: role, blocked instruction, frame and

@@ -40,7 +40,7 @@ class MemRequest:
         self.value = value
         self.is_frame = is_frame
         self.t_issue = None  # issue cycle (wide accesses)
-        self.job = None  # issuing FabricJob (serve mode); None classically
+        self.job = None  # issuing FabricJob, set by Fabric.send_to_bank
 
 
 class LLCBank:
@@ -131,8 +131,7 @@ class LLCBank:
             mem[req.addr] = req.value
             self._dirty.add(req.addr // self.line_words)
             self.stats.llc_word_writes += 1
-            if req.job is not None:
-                self.fabric.job_op_done(req.job, ready)
+            self.fabric.job_op_done(req.job, ready)
             return
         if req.kind == KIND_LOAD:
             self.stats.llc_word_reads += 1
@@ -145,14 +144,13 @@ class LLCBank:
             q = self.probes.load_reply
             if q is not None:
                 q((emit, req.core, self.bank_id, delay))
-            self.fabric.post(arrival,
-                             lambda now, r=req, v=value: r.on_data(v, now))
-            if req.job is not None:
-                # posted after on_data with the same timestamp, so the job's
-                # op counter drains only once the data has landed
-                self.fabric.post(
-                    arrival,
-                    lambda now, r=req: self.fabric.job_op_done(r.job, now))
+            fabric = self.fabric
+
+            def reply(now, r=req, v=value):
+                r.on_data(v, now)  # the data lands, then the op counts done
+                fabric.job_op_done(r.job, now)
+
+            fabric.post(arrival, reply)
             return
         # wide access: serialized response packets per chunk.  Their NoC
         # traversals are *derived* by whoever folds `wide_served` from
@@ -179,10 +177,7 @@ class LLCBank:
                     last_emit = emit
                 if arrival > last_arrival:
                     last_arrival = arrival
-        if req.job is not None:
-            self.fabric.post(
-                last_arrival,
-                lambda now, r=req: self.fabric.job_op_done(r.job, now))
+        self.fabric.wide_done(last_arrival, req.job)
         q = self.probes.wide_served
         if q is not None:
             q((ready, last_emit, last_arrival, self.bank_id, req.core,

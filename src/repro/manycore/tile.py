@@ -120,35 +120,21 @@ class Tile:
         self.ncores_csr = 1
         self.group_id_csr = 0
         self.ngroups_csr = 0
-        self.job = None  # owning FabricJob; None in the classic flow
+        self.job = None  # owning FabricJob; None until a job launches here
 
     # ------------------------------------------------------------------ wiring
-    def reset_for_run(self, program, entry_pc: int, tid: int, ncores: int):
-        self.program = program
-        self.pc = entry_pc
-        self.tid = tid
-        self.ncores_csr = ncores
-        self.next_wake = 0
-        self._ready_at = 0
-        self.state = RUN
-        self.halted = False
-        self.mode = ROLE_INDEPENDENT
-        self._fetch_pc = -1
-        self.job = None
+    def reset_for_job(self, program, tid: int, ncores: int, job,
+                      start: int) -> None:
+        """Hand this tile to a new job, to first step at cycle ``start``.
 
-    def reset_for_job(self, program, entry_pc: int, tid: int, ncores: int,
-                      job, now: int) -> None:
-        """Hand this tile to a new job on a live fabric.
-
-        Unlike :meth:`reset_for_run` (fresh fabric, cycle 0) this scrubs
-        every piece of architectural and microarchitectural state a prior
-        tenant may have left — registers, scoreboard, load queue, inet
-        queue, frame config, I-cache — so the new job's behaviour (and its
-        numeric output) cannot depend on what ran here before.  The tile
-        wakes at ``now + 1``: simulated time never moves backwards.
+        This scrubs every piece of architectural and microarchitectural
+        state a prior tenant may have left — registers, scoreboard, load
+        queue, inet queue, frame config, I-cache — so the new job's
+        behaviour (and its numeric output) cannot depend on what ran here
+        before.
         """
         self.program = program
-        self.pc = entry_pc
+        self.pc = 0
         self.tid = tid
         self.ncores_csr = ncores
         self.job = job
@@ -169,8 +155,8 @@ class Tile:
         self.mt_pc = 0
         self.fetch_stall_until = 0
         self._fetch_pc = -1
-        self.next_wake = now + 1
-        self._ready_at = now + 1
+        self.next_wake = start
+        self._ready_at = start
         self._stall_cause = 'other'
         self.group_id_csr = 0
         self.ngroups_csr = 0
@@ -615,6 +601,5 @@ class Tile:
         parts.append(f'inet-depth={len(self.inet_in)}/'
                      f'{self.inet_in.capacity}')
         parts.append(f'lq={self.lq_count}')
-        if self.job is not None:
-            parts.append(f'job={self.job.job_id}')
+        parts.append(f'job={self.job.job_id}')
         return '  '.join(parts)

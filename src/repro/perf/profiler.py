@@ -14,7 +14,7 @@ components of the event loop:
 ``inet``
     core-to-core remote-store deliveries,
 ``barrier``
-    global-barrier memory-fence rechecks,
+    barrier memory-fence release checks,
 ``serve``
     serving-scheduler callbacks (arrivals, timeouts),
 ``sched``
@@ -22,8 +22,8 @@ components of the event loop:
 ``telemetry`` / ``observe``
     telemetry and observability-plane snapshot overhead (each probe-plane
     consumer names the component its tick time is credited to),
-``drain`` / ``finish``
-    end-of-run event flush and stats/probe-plane finalization.
+``finish``
+    end-of-run stats and probe-plane finalization.
 
 Design constraints, in order:
 
@@ -62,7 +62,7 @@ from typing import Dict, Optional
 #: components attributed inside the run loop, in render order
 LOOP_COMPONENTS = ('tile_step', 'llc', 'dram', 'frames', 'inet', 'barrier',
                    'serve', 'sched', 'telemetry', 'observe', 'events',
-                   'drain', 'finish')
+                   'finish')
 
 
 class ProfileScope:
@@ -138,7 +138,7 @@ class HostProfiler:
 
     # ------------------------------------------------- timing points (fabric)
     def begin_run(self) -> None:
-        """``Fabric.run``/``run_serve`` entry: open the measured window."""
+        """``Fabric.run`` entry: open the measured window."""
         if self.deep and self._cprofile is None:
             import cProfile
             self._cprofile = cProfile.Profile()

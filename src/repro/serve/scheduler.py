@@ -1,7 +1,9 @@
 """Multi-tenant kernel scheduler: admission queue + dispatcher.
 
 The scheduler drives one live :class:`~repro.manycore.Fabric` through
-:meth:`~repro.manycore.Fabric.run_serve`:
+:meth:`~repro.manycore.Fabric.run`, each request one
+:class:`~repro.manycore.fabric.FabricJob` (the lifecycle a kernel run's
+program has too):
 
 * **admission** — request arrivals are fabric events; an arriving request
   either enters the priority queue or is rejected outright when its group
@@ -296,7 +298,7 @@ class ServeScheduler(Consumer):
         for req in sorted(requests, key=lambda r: (r.arrival, r.req_id)):
             fabric.post(req.arrival,
                         lambda now, r=req: self._admit(r, now))
-        fabric_stats = fabric.run_serve(max_cycles)
+        fabric_stats = fabric.run(max_cycles)
         for req in requests:  # should be unreachable; never lose a request
             if req.state in (QUEUED, RUNNING):
                 req.state = FAILED

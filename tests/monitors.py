@@ -16,8 +16,8 @@ They assert when the plane drains:
   configured ``num_slots x frame_size`` window, a ``frame_start`` for
   ``(core, seq)`` comes only after that frame received ``frame_size``
   words, and ``frame_free`` sequences rise by one per core;
-* **serving** — with a ``ServeScheduler`` on the fabric, no frame word
-  lands on a tile whose ``job`` is ``None``;
+* **jobs** — no frame word lands on a tile whose ``job`` is ``None``
+  (every program, a kernel run's too, runs as a ``FabricJob``);
 * **inet queues** — every ``inet_push`` leaves its queue holding at most
   ``capacity`` entries (the sender's backpressure rule, §3.2).
 
@@ -28,7 +28,7 @@ serve/fleet suites; ``Monitors().attach(fabric)`` does it by hand.
 from operator import itemgetter
 
 from repro.manycore.probes import Consumer
-from repro.serve import FAILED, TIMED_OUT, ServeScheduler
+from repro.serve import FAILED, TIMED_OUT
 
 
 class Monitors(Consumer):
@@ -40,7 +40,6 @@ class Monitors(Consumer):
 
     def __init__(self):
         self.records = 0          # records checked (tests assert > 0)
-        self._probes = None
         self._bank_start = {}     # bank -> last service start
         self._mt_open = set()     # expanders inside a microthread
         self._killed = False      # a serving request died mid-flight
@@ -50,7 +49,6 @@ class Monitors(Consumer):
 
     def attach(self, fabric) -> 'Monitors':
         fabric.probes.attach(self)
-        self._probes = fabric.probes
         return self
 
     def fold(self, batches) -> None:
@@ -106,10 +104,8 @@ class Monitors(Consumer):
         cfg = self._frame_cfg.get(core)
         assert cfg is not None, (
             f'core {core}: frame words at {now} with no frame queue')
-        if any(isinstance(c, ServeScheduler)
-               for c in self._probes.consumers):
-            assert job is not None, (
-                f'core {core}: frame words at {now} on a tile no job owns')
+        assert job is not None, (
+            f'core {core}: frame words at {now} on a tile no job owns')
         base, fsize, nslots = cfg
         assert base <= offset and offset + n <= base + nslots * fsize, (
             f'core {core}: frame words [{offset}, {offset + n}) outside '

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import GroupDescriptor
 from repro.isa import Assembler, opcodes as op
-from repro.manycore import (JOB_KILLED, DeadlockError, Fabric,
+from repro.manycore import (JOB_DONE, JOB_KILLED, DeadlockError, Fabric,
                             small_config)
 from repro.perf import HostProfiler
 
@@ -67,7 +67,7 @@ class TestDeadlockDump:
         assert 'blocked-on:' in line
 
     def test_stall_handler_frees_a_wedged_job(self):
-        """Serve mode hands the wedge to ``_stall_handler`` instead of
+        """A set ``_stall_handler`` gets the wedge instead of the run
         raising; killing the job there ends the run at the same cycle
         profiled and unprofiled, the handler's time credited to serve."""
         def serve(profiler=None):
@@ -80,7 +80,7 @@ class TestDeadlockDump:
                 fabric.kill_job(job, now)
                 return True
             fabric._stall_handler = on_stall
-            fabric.run_serve()
+            fabric.run()
             assert not fabric._pending_events  # the kill drained the job
             return fabric.cycle, job.state, job.finished_at
 
@@ -89,6 +89,26 @@ class TestDeadlockDump:
         assert base == serve(prof)
         assert base[1] == JOB_KILLED
         assert prof.seconds['serve'] > 0.0
+
+    def test_a_halting_tile_releases_job_mates_at_a_barrier(self):
+        """Ranks 1-2 wait at a barrier that rank 0 never reaches: it
+        halts instead.  A halted tile no longer counts, so its halt must
+        re-check the barrier and release them (no stall handler here, so
+        a missed release is a DeadlockError)."""
+        a = Assembler()
+        a.csrr('x1', op.CSR_TID)
+        a.bne('x1', 'x0', 'wait')
+        for _ in range(30):
+            a.addi('x5', 'x5', 1)
+        a.halt()
+        a.bind('wait')
+        a.barrier()
+        a.halt()
+        fabric = Fabric(small_config())
+        job = fabric.launch_job('halt-at-barrier', a.finish(), [0, 1, 2])
+        fabric.run()
+        assert job.state == JOB_DONE
+        assert all(t.halted for t in job.tiles)
 
     def test_wait_state_dump_without_raising(self):
         """The dump is also available as a plain inspection API."""

@@ -40,8 +40,8 @@ class TestBatching:
         assert f.tiles[1].spad.data[0] == 9.0
 
     def test_late_drain_pops_by_batch_time(self):
-        # _drain() can fire events with fabric.cycle beyond the posted
-        # time; the batch must still resolve by its own key
+        # an event fired late sees fabric.cycle beyond the posted time;
+        # the batch must still resolve by its own key
         f = Fabric()
         f.post_spad_delivery(3, 0, 0, [5.0], False)
         f.cycle = 50

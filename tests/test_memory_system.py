@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.manycore.config import MachineConfig, small_config
 from repro.manycore.dram import Dram
-from repro.manycore.fabric import Fabric
+from repro.manycore.fabric import Fabric, FabricJob
 from repro.manycore.llc import KIND_LOAD, KIND_STORE, KIND_WIDE, MemRequest
 from repro.manycore.noc import (NocModel, bank_coords, hops_core_to_bank,
                                 hops_core_to_core, tile_coords)
@@ -74,6 +74,14 @@ class TestDram:
         assert stats.dram_lines_written == 1
 
 
+def _access(bank, req, at):
+    """``bank.access`` for a hand-made request, owned by a job with this
+    one operation in flight, as ``Fabric.send_to_bank`` makes a tile's."""
+    req.job = FabricJob(0, 'llc', [])
+    req.job.pending_ops = 1
+    bank.access(req, at)
+
+
 class TestLLCBank:
     def _fabric(self, **over):
         return Fabric(small_config(**over))
@@ -85,13 +93,13 @@ class TestLLCBank:
         got = []
         req = MemRequest(KIND_LOAD, 0, 1, 0,
                          on_data=lambda v, at: got.append((v, at)))
-        bank.access(req, 0)
-        fabric._drain()
+        _access(bank, req, 0)
+        fabric.run()
         assert fabric.run_stats.mem.llc_misses == 1
         req2 = MemRequest(KIND_LOAD, 1, 1, 0,
                           on_data=lambda v, at: got.append((v, at)))
-        bank.access(req2, fabric.cycle)
-        fabric._drain()
+        _access(bank, req2, fabric.cycle)
+        fabric.run()
         assert fabric.run_stats.mem.llc_misses == 1  # second was a hit
         assert got[1][1] - got[0][1] < 60  # no DRAM on the hit
 
@@ -101,8 +109,8 @@ class TestLLCBank:
         bank_id = (base // fabric.cfg.line_words) % fabric.cfg.llc_banks
         bank = fabric.banks[bank_id]
         req = MemRequest(KIND_STORE, base + 3, 1, 0, value=42.0)
-        bank.access(req, 0)
-        fabric._drain()
+        _access(bank, req, 0)
+        fabric.run()
         assert fabric.memory[base + 3] == 42.0
         assert (base + 3) // fabric.cfg.line_words in bank._dirty
 
@@ -111,14 +119,14 @@ class TestLLCBank:
                               llc_ways=2)
         fabric.alloc([0.0] * (16 * 16))
         bank = fabric.banks[0]
-        bank.access(MemRequest(KIND_STORE, 0, 1, 0, value=1.0), 0)
-        fabric._drain()
+        _access(bank, MemRequest(KIND_STORE, 0, 1, 0, value=1.0), 0)
+        fabric.run()
         # touch enough distinct lines to evict line 0
         for i in range(1, 6):
-            bank.access(MemRequest(KIND_LOAD, i * 16, 1, 0,
-                                   on_data=lambda v, at: None),
-                        fabric.cycle)
-            fabric._drain()
+            _access(bank, MemRequest(KIND_LOAD, i * 16, 1, 0,
+                                     on_data=lambda v, at: None),
+                    fabric.cycle)
+            fabric.run()
         assert fabric.run_stats.mem.dram_lines_written >= 1
 
     def test_wide_response_serializes_packets(self):
@@ -131,8 +139,8 @@ class TestLLCBank:
         req = MemRequest(KIND_WIDE, base, 16, 0, chunks=chunks,
                          is_frame=False)
         before = fabric.run_stats.mem.response_packets
-        bank.access(req, 0)
-        fabric._drain()
+        _access(bank, req, 0)
+        fabric.run()
         assert fabric.run_stats.mem.response_packets - before == 4
         assert fabric.tiles[0].spad.data[:16] == [float(i)
                                                   for i in range(16)]
@@ -144,9 +152,9 @@ class TestLLCBank:
             base = fabric.alloc([0.0] * 16)
             chunks = [(base, 16, 0, 0)]
             bank = fabric.banks[(base // 16) % fabric.cfg.llc_banks]
-            bank.access(MemRequest(KIND_WIDE, base, 16, 0, chunks=chunks),
-                        0)
-            fabric._drain()
+            _access(bank, MemRequest(KIND_WIDE, base, 16, 0, chunks=chunks),
+                    0)
+            fabric.run()
         assert ideal.cycle <= real.cycle
 
     def test_mshr_merges_requests_to_same_line(self):
@@ -155,10 +163,10 @@ class TestLLCBank:
         bank = fabric.banks[(base // 16) % fabric.cfg.llc_banks]
         got = []
         for i in range(4):
-            bank.access(MemRequest(KIND_LOAD, base + i, 1, 0,
-                                   on_data=lambda v, at: got.append(at)),
-                        0)
-        fabric._drain()
+            _access(bank, MemRequest(KIND_LOAD, base + i, 1, 0,
+                                     on_data=lambda v, at: got.append(at)),
+                    0)
+        fabric.run()
         assert len(got) == 4
         assert fabric.run_stats.mem.dram_lines_read == 1  # one fill
 

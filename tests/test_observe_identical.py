@@ -200,4 +200,4 @@ def test_bare_run_never_calls_into_the_probe_plane():
     finally:
         sys.setprofile(None)
     # the run's two bookends; no probe site, no tick, no drain
-    assert calls == [('_run_loop', 'next_due'), ('_run', 'finalize')]
+    assert calls == [('_run_loop', 'next_due'), ('run', 'finalize')]

@@ -39,7 +39,7 @@ def serve(setup):
     fabric = Fabric(small_config())
     issues = Issues(fabric)
     setup(fabric)
-    fabric.run_serve()
+    fabric.run()
     fabric.probes.drain()
     return issues.log
 
@@ -101,3 +101,20 @@ def test_a_tile_launched_from_a_tile_step_first_steps_the_cycle_after():
     for core in (1, 5):
         assert min(now for now, c in log if c == core and now > halt) == \
             halt + 1 + MISS_PENALTY
+
+
+def test_a_loaded_program_steps_at_the_current_cycle_a_launched_job_after():
+    """``load_program`` launches its job to step at the current cycle, so
+    a kernel run's first fetch is at cycle 0; ``launch_job`` starts tiles
+    one cycle on, as it must for a launch made mid-cycle."""
+    def load(fabric):
+        fabric.load_program(straight_line(3), active_cores=[0, 1])
+
+    def job(fabric):
+        fabric.launch_job('a', straight_line(3), [0, 1])
+
+    for launch, start in ((load, 0), (job, 1)):
+        log = serve(launch)
+        for core in (0, 1):
+            assert min(now for now, c in log if c == core) == \
+                start + MISS_PENALTY

@@ -98,3 +98,15 @@ class TestCoScheduling:
         assert store.get_doc(key) == doc
         # a doc key can never rehydrate as a sweep RunResult
         assert store.get(key) is None
+
+
+def test_a_lone_request_times_like_its_isolated_run():
+    """Alone on a fresh fabric, a request runs the same job lifecycle as
+    its isolated run (same barrier fence, same tile order), so only the
+    launch differs: served tiles first step one cycle after dispatch.
+    gramschm's barriers fence on in-flight memory, so a fence that
+    released at a different time would show here."""
+    req = _req(0, 'gramschm', arrival=0)
+    ServeScheduler(Fabric()).run([req])
+    assert req.state == DONE
+    assert req.service_cycles == isolated_reference(req).cycles + 1

@@ -280,7 +280,7 @@ class TestSimControl:
         prog = a.finish()
         fabric.alloc([0.0] * 16)
         fabric.load_program(prog, active_cores=[0, 1])
-        # core 1 halts; core 0 blocks at barrier... but _check_barrier
+        # core 1 halts; core 0 blocks at barrier... but the job's barrier
         # treats halted cores as absent, so this actually completes.
         fabric.run()
         assert fabric.tiles[0].halted
