@@ -291,25 +291,22 @@ def cmd_fleet(args):
             mean_interarrival=args.mean_interarrival,
             timeout=args.timeout)
         seed, pattern = args.seed, args.pattern
+    import os
     flight = None
-    if args.flight or args.shard_metrics_dir:
-        import os
+    if args.flight:
         from .flight import FleetFlight
-        out_dir = args.flight or '.'
-        os.makedirs(out_dir, exist_ok=True)
-        if args.shard_metrics_dir:
-            os.makedirs(args.shard_metrics_dir, exist_ok=True)
-        flight = FleetFlight(
-            label=args.flight_label, out_dir=out_dir,
-            ring_capacity=args.flight_ring,
-            shard_metrics_dir=args.shard_metrics_dir,
-            snapshot_interval=args.snapshot_interval)
+        os.makedirs(args.flight, exist_ok=True)
+        flight = FleetFlight(label=args.flight_label, out_dir=args.flight,
+                             ring_capacity=args.flight_ring)
+    if args.shard_metrics_dir:
+        os.makedirs(args.shard_metrics_dir, exist_ok=True)
     cfg = FleetConfig(
         shards=args.shards, epoch_cycles=args.epoch_cycles,
         shard_queue_cap=args.shard_queue_cap, max_queue=args.max_queue,
         affinity=not args.no_affinity, verify=not args.no_verify,
         workers=args.workers, timeout=args.worker_timeout,
-        crashes=tuple(crashes))
+        crashes=tuple(crashes), shard_metrics_dir=args.shard_metrics_dir,
+        snapshot_interval=args.snapshot_interval)
     router = FleetRouter(cfg, autoscaler=autoscaler, flight=flight)
     result = router.run(iter(trace))
     doc = build_fleet_report(result, pattern=pattern, seed=seed,
@@ -879,9 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--flight-ring', type=int, default=256, metavar='N',
                    help='black-box event ring capacity (default 256)')
     p.add_argument('--shard-metrics-dir', metavar='DIR',
-                   help='with --flight: each shard worker appends '
-                        'observe-plane snapshots to DIR/shard<N>.jsonl '
-                        '(feeds `repro top --fleet DIR`)')
+                   help='each shard worker appends observe-plane '
+                        'snapshots to DIR/shard<N>.jsonl (feeds '
+                        '`repro top --fleet DIR`)')
     p.add_argument('--snapshot-interval', type=int, default=5000,
                    metavar='CYCLES',
                    help='cycles between shard metric snapshots '

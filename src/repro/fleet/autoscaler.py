@@ -42,6 +42,14 @@ DOWN = 'down'
 REPLACE = 'replace'  # crash replacement, not a policy decision
 
 
+def scale_event(epoch: int, action: str, before: int, after: int,
+                p99: float, util: float, reason: str) -> dict:
+    """One fleet-size change, as the fleet report's ``events`` carry it."""
+    return {'epoch': epoch, 'action': action, 'reason': reason,
+            'shards_before': before, 'shards_after': after,
+            'latency_p99': p99, 'tile_utilization': util}
+
+
 @dataclass
 class AutoscalePolicy:
     """Thresholds and hysteresis for fleet sizing."""
@@ -169,10 +177,8 @@ class Autoscaler:
 
     def _record(self, epoch, action, before, after, p99, util,
                 reason) -> None:
-        self.events.append({
-            'epoch': epoch, 'action': action, 'reason': reason,
-            'shards_before': before, 'shards_after': after,
-            'latency_p99': p99, 'tile_utilization': util})
+        self.events.append(scale_event(epoch, action, before, after, p99,
+                                       util, reason))
         self._up_streak = 0
         self._down_streak = 0
         self._cooldown = self.policy.cooldown_epochs

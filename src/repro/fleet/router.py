@@ -30,6 +30,11 @@ capped by ``max_reroutes``), and a replacement shard spawns to restore
 the fleet floor.  Because co-scheduled kernels are bit-identical to
 isolated runs, the re-executed requests must reproduce the exact
 output digests of a crash-free fleet — tests enforce this.
+
+The router is the one place a shard outcome becomes fleet state: it
+moves a batch's records onto the global clock once, counts each fleet
+total once (in :attr:`FleetRouter.metrics`), and hands the flight
+collector the records it built.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..jobs.engine import CRASHED, DONE as JOB_DONE_STATUS
 from ..observe import MetricsRegistry
 from ..serve import DONE, KernelRequest
-from .autoscaler import Autoscaler
+from .autoscaler import REPLACE, Autoscaler, scale_event
 from .shard import ACTIVE, DEAD, DRAINING, RETIRED, ShardBatch, ShardPool
 
 
@@ -63,6 +68,10 @@ class FleetConfig:
     #: fault injection: (shard_id, epoch) pairs; the named shard's first
     #: batch dispatched at or after that epoch is killed mid-run
     crashes: Tuple[Tuple[int, int], ...] = ()
+    #: each shard appends observe-plane snapshots to DIR/shard<N>.jsonl
+    #: across its batches; None runs the shards without a plane
+    shard_metrics_dir: Optional[str] = None
+    snapshot_interval: int = 5000  # cycles between shard snapshots
 
 
 @dataclass
@@ -124,20 +133,25 @@ class FleetResult:
     epoch_cycles: int
     initial_shards: int
     peak_shards: int
-    batches: int
-    crashes: int
-    rerouted: int
-    rejected_admission: int
     peak_queue_depth: int
-    affinity_hits: int
     stats_docs: List[dict]        # per-batch merged RunStats (dict form)
     batch_busy: List[Tuple[int, int, float]]  # (makespan, tiles, util)
-    metrics: MetricsRegistry
+    metrics: MetricsRegistry      # holds the fleet counts read below
     epoch_log: List[dict]
 
     @property
     def completed(self) -> List[FleetEntry]:
         return [e for e in self.entries if e.state == DONE]
+
+    def _count(self, name: str) -> int:
+        return self.metrics.get(name).labels().value
+
+    batches = property(lambda self: self._count('fleet_batches_dispatched'))
+    crashes = property(lambda self: self._count('fleet_shard_crashes'))
+    rerouted = property(lambda self: self._count('fleet_requests_rerouted'))
+    rejected_admission = property(
+        lambda self: self._count('fleet_requests_rejected'))
+    affinity_hits = property(lambda self: self._count('fleet_affinity_hits'))
 
 
 class FleetRouter:
@@ -166,12 +180,7 @@ class FleetRouter:
         self._pending_crashes = {(s, e) for s, e in config.crashes}
         self.stats_docs: List[dict] = []
         self.batch_busy: List[Tuple[int, int, float]] = []
-        self.rerouted = 0
-        self.rejected_admission = 0
         self.peak_queue_depth = 0
-        self.affinity_hits = 0
-        self.batches = 0
-        self.crashes = 0
         self.epoch_log: List[dict] = []
         m = self.metrics = MetricsRegistry()
         m.counter('fleet_requests_submitted', 'requests entering admission')
@@ -239,13 +248,9 @@ class FleetRouter:
             events=self.events, epochs=epoch, final_cycle=final_cycle,
             epoch_cycles=cfg.epoch_cycles, initial_shards=cfg.shards,
             peak_shards=peak_shards,
-            batches=self.batches, crashes=self.crashes,
-            rerouted=self.rerouted,
-            rejected_admission=self.rejected_admission,
             peak_queue_depth=self.peak_queue_depth,
-            affinity_hits=self.affinity_hits, stats_docs=self.stats_docs,
-            batch_busy=self.batch_busy, metrics=self.metrics,
-            epoch_log=self.epoch_log)
+            stats_docs=self.stats_docs, batch_busy=self.batch_busy,
+            metrics=self.metrics, epoch_log=self.epoch_log)
 
     # ------------------------------------------------------------ completions
     def _collect_completions(self, t: int, epoch: int) -> None:
@@ -265,9 +270,10 @@ class FleetRouter:
                 # requests are terminally failed — re-running the same
                 # deterministic job cannot succeed
                 for entry in info['entries']:
-                    self._finalize_error(
-                        entry, t, f'shard batch {outcome.status}: '
-                                  f'{outcome.error.strip()[-200:]}')
+                    self._close(
+                        entry, 'failed', t,
+                        f'shard batch {outcome.status}: '
+                        f'{outcome.error.strip()[-200:]}')
                 continue
             self._absorb_batch(sh, info, outcome.result, epoch)
             if sh.state == DRAINING and not sh.backlog:
@@ -277,8 +283,6 @@ class FleetRouter:
     def _absorb_batch(self, sh: ShardState, info: dict, doc: dict,
                       epoch: int) -> None:
         """Fold a finished batch's serve report into global records."""
-        if self.flight is not None:
-            self.flight.on_batch_done(sh, info, doc, epoch)
         dispatch = info['dispatched_at']
         by_id = {e.req.req_id: e for e in info['entries']}
         if doc.get('stats'):
@@ -290,6 +294,7 @@ class FleetRouter:
         self.batch_busy.append((makespan, tiles, util))
         if self.autoscaler is not None:
             self.autoscaler.observe_utilization(epoch, util)
+        records = []
         for rec in report['requests']:
             entry = by_id[rec['req_id']]
             router_wait = dispatch - entry.req.arrival
@@ -319,6 +324,7 @@ class FleetRouter:
             entry.digest = digest
             if digest is not None:
                 record['digest'] = digest
+            records.append(record)
             if rec['state'] == DONE:
                 sh.served += 1
                 self.metrics.counter('fleet_requests_completed').inc()
@@ -330,13 +336,14 @@ class FleetRouter:
                             epoch, record['latency'])
             self.metrics.histogram('fleet_router_wait').observe(
                 router_wait)
+        if self.flight is not None:
+            self.flight.on_batch_done(sh, info, makespan, util, records)
 
     def _on_shard_crash(self, sh: ShardState, info: dict,
                         epoch: int) -> None:
         """Re-route a dead shard's in-flight and backlogged requests."""
         sh.state = DEAD
         sh.crashed_epoch = epoch
-        self.crashes += 1
         self.metrics.counter('fleet_shard_crashes').inc()
         backlog = sh.backlog
         orphans = info['entries'] + backlog
@@ -348,15 +355,14 @@ class FleetRouter:
             if entry.attempts > self.cfg.max_reroutes:
                 if self.flight is not None:
                     self.flight.on_reroute_exhausted(entry, sh, t)
-                self._finalize_error(
-                    entry, t,
+                self._close(
+                    entry, 'failed', t,
                     f'shard {sh.shard_id} crashed; request exceeded '
                     f'{self.cfg.max_reroutes} re-route(s)')
                 continue
             entry.state = 'queued'
             entry.shard = None
             entry.rerouted += 1
-            self.rerouted += 1
             self.metrics.counter('fleet_requests_rerouted').inc()
             if self.flight is not None:
                 self.flight.on_reroute(entry, sh, t)
@@ -367,20 +373,17 @@ class FleetRouter:
                  if self.autoscaler is not None else self.cfg.shards)
         if len(self._active()) < floor:
             replacement = self._spawn_shard(epoch)
+            before = len(self._active()) - 1
             reason = (f'shard {sh.shard_id} crashed; spawned shard '
                       f'{replacement.shard_id} to restore the floor '
                       f'of {floor}')
             if self.autoscaler is not None:
-                self.autoscaler.record_replace(
-                    epoch, len(self._active()) - 1, reason)
+                self.autoscaler.record_replace(epoch, before, reason)
                 self.events.append(self.autoscaler.events[-1])
             else:
-                self.events.append({
-                    'epoch': epoch, 'action': 'replace',
-                    'reason': reason,
-                    'shards_before': len(self._active()) - 1,
-                    'shards_after': len(self._active()),
-                    'latency_p99': 0.0, 'tile_utilization': 0.0})
+                # without an autoscaler there is no signal window
+                self.events.append(scale_event(
+                    epoch, REPLACE, before, before + 1, 0.0, 0.0, reason))
             if self.flight is not None:
                 self.flight.on_replace(self.events[-1], t)
         # the post-mortem is dumped *after* the reroutes and the
@@ -393,17 +396,18 @@ class FleetRouter:
                 f'with {len(orphans)} request(s) in flight or queued',
                 t)
 
-    def _finalize_error(self, entry: FleetEntry, t: int,
-                        error: str) -> None:
-        entry.state = 'failed'
+    def _close(self, entry: FleetEntry, state: str, t: int,
+               error: str) -> None:
+        """End a request with no shard report behind it (rejected at
+        admission, or failed router-side) in the one record layout."""
+        req = entry.req
+        entry.state = state
         entry.record = {
-            'req_id': entry.req.req_id, 'kernel': entry.req.kernel,
-            'params': dict(entry.req.params), 'lanes': entry.req.lanes,
-            'groups': entry.req.groups,
-            'tiles': entry.req.tiles_needed,
-            'priority': entry.req.priority,
-            'arrival': entry.req.arrival, 'state': 'failed',
-            'attempts': entry.attempts, 'router_wait': 0,
+            'req_id': req.req_id, 'kernel': req.kernel,
+            'params': dict(req.params), 'lanes': req.lanes,
+            'groups': req.groups, 'tiles': req.tiles_needed,
+            'priority': req.priority, 'arrival': req.arrival,
+            'state': state, 'attempts': entry.attempts, 'router_wait': 0,
             'finished_at': t, 'error': error}
         if entry.shard is not None:
             entry.record['shard'] = entry.shard
@@ -445,18 +449,9 @@ class FleetRouter:
             self.entries.append(entry)
             self.metrics.counter('fleet_requests_submitted').inc()
             if len(self.queue) >= cfg.max_queue:
-                entry.state = 'rejected'
-                entry.record = {
-                    'req_id': pending.req_id, 'kernel': pending.kernel,
-                    'params': dict(pending.params),
-                    'lanes': pending.lanes, 'groups': pending.groups,
-                    'tiles': pending.tiles_needed,
-                    'priority': pending.priority,
-                    'arrival': pending.arrival, 'state': 'rejected',
-                    'attempts': 0, 'router_wait': 0, 'finished_at': t,
-                    'error': (f'admission control: router queue at cap '
-                              f'{cfg.max_queue}')}
-                self.rejected_admission += 1
+                self._close(entry, 'rejected', t,
+                            f'admission control: router queue at cap '
+                            f'{cfg.max_queue}')
                 self.metrics.counter('fleet_requests_rejected').inc()
                 if self.flight is not None:
                     self.flight.on_reject(entry, t)
@@ -489,7 +484,6 @@ class FleetRouter:
                     sh = self.shards.get(home)
                     if sh is not None and sh in candidates:
                         target = sh
-                        self.affinity_hits += 1
                         self.metrics.counter('fleet_affinity_hits').inc()
             if target is None:
                 target = min(candidates,
@@ -520,27 +514,22 @@ class FleetRouter:
                 e.attempts += 1
                 e.epoch = epoch
                 e.dispatched_at = t
-            flight = self.flight
             batch = ShardBatch(
                 shard_id=sh.shard_id, epoch=epoch,
                 requests=tuple(
                     dict(e.req.to_dict(), arrival=0) for e in entries),
                 verify=cfg.verify, digests=cfg.digests, crash=crash,
-                flight=flight is not None,
                 metrics_out=(
-                    f'{flight.shard_metrics_dir}/shard{sh.shard_id}.jsonl'
-                    if flight is not None
-                    and flight.shard_metrics_dir else None),
-                snapshot_interval=(flight.snapshot_interval
-                                   if flight is not None else 5000))
-            if flight is not None:
-                flight.on_dispatch(sh, entries, t, epoch, crash)
+                    f'{cfg.shard_metrics_dir}/shard{sh.shard_id}.jsonl'
+                    if cfg.shard_metrics_dir else None),
+                snapshot_interval=cfg.snapshot_interval)
+            if self.flight is not None:
+                self.flight.on_dispatch(sh, entries, t, epoch, crash)
             launches.append((sh, batch, entries))
         if not launches:
             return 0
         outcomes = self.pool.run_batches([b for _, b, _ in launches])
         for (sh, batch, entries), outcome in zip(launches, outcomes):
-            self.batches += 1
             sh.batches += 1
             self.metrics.counter('fleet_batches_dispatched').inc()
             if outcome.status == JOB_DONE_STATUS:
@@ -560,14 +549,14 @@ class FleetRouter:
         for sh in self._live():
             if sh.busy is not None:
                 for entry in sh.busy['entries']:
-                    self._finalize_error(entry, t, 'fleet epoch limit')
+                    self._close(entry, 'failed', t, 'fleet epoch limit')
                 sh.busy = None
                 sh.busy_until = None
             for entry in sh.backlog:
-                self._finalize_error(entry, t, 'fleet epoch limit')
+                self._close(entry, 'failed', t, 'fleet epoch limit')
             sh.backlog = []
         for entry in self.queue:
-            self._finalize_error(entry, t, 'fleet epoch limit')
+            self._close(entry, 'failed', t, 'fleet epoch limit')
         self.queue = []
 
     def _log_epoch(self, epoch: int, t: int, dispatched: int) -> None:

@@ -12,6 +12,12 @@ request's outputs are bit-identical no matter which shard runs it next
 to which strangers, so a re-routed request after a shard crash must
 reproduce the exact digest of the crash-free run.
 
+The worker ships back only that report, the digests and its stats, all
+on the shard's local clock.  The router moves them onto the fleet clock;
+the flight recorder's per-shard launch/complete/deadlock events are
+derived from the records the router built, so a batch carries no
+separate event stream.
+
 Batches run through :class:`ShardPool`, a thin skin over
 :class:`~repro.jobs.SweepEngine` with dict passthrough as the wire
 format and ``retries=0``: a worker that dies (including the fleet's own
@@ -49,9 +55,6 @@ class ShardBatch:
     digests: bool = True
     crash: bool = False  # fault injection: worker SIGKILLs itself
     max_cycles: int = 200_000_000
-    #: flight recording: synthesize launch/complete/deadlock events in
-    #: the worker and ship them back in the result dict
-    flight: bool = False
     #: per-shard observe-plane JSONL stream (append mode, shared across
     #: this shard's batches); None disables the plane entirely
     metrics_out: Optional[str] = None
@@ -115,7 +118,7 @@ def run_shard_batch(batch: ShardBatch) -> dict:
                 outs = request_outputs(fabric, req)
                 if outs is not None:
                     digests[str(req.req_id)] = output_digest(outs)
-    doc = {
+    return {
         'shard_id': batch.shard_id,
         'epoch': batch.epoch,
         'makespan': result.makespan,
@@ -125,46 +128,6 @@ def run_shard_batch(batch: ShardBatch) -> dict:
         'stats': (stats_to_dict(result.merged_stats)
                   if result.merged_stats is not None else None),
     }
-    if batch.flight:
-        doc['flight_events'] = _synthesize_flight_events(batch, result)
-    return doc
-
-
-def _synthesize_flight_events(batch: ShardBatch, result) -> List[dict]:
-    """The shard worker's own black box, reconstructed post-run.
-
-    The worker records in *local* cycles (the router rebases by the
-    dispatch offset) and in request order, from the scheduler's exact
-    per-request timeline — a crashed worker ships nothing back, which
-    is precisely the black-box property the router-side ring exists to
-    cover.
-    """
-    source = f'shard{batch.shard_id}'
-    events: List[dict] = []
-    seq = 0
-    for req in result.requests:
-        tid = req.trace_id if req.trace_id is not None \
-            else f'req-{req.req_id}'
-        if req.launched_at is not None:
-            events.append({'seq': seq, 'kind': 'launch',
-                           't': req.launched_at, 'source': source,
-                           'req_id': req.req_id, 'trace_id': tid,
-                           'kernel': req.kernel})
-            seq += 1
-        if req.finished_at is not None:
-            events.append({'seq': seq, 'kind': 'complete',
-                           't': req.finished_at, 'source': source,
-                           'req_id': req.req_id, 'trace_id': tid,
-                           'state': req.state})
-            seq += 1
-        if getattr(req, '_kill_reason', None) == 'deadlock':
-            events.append({'seq': seq, 'kind': 'deadlock',
-                           't': req.finished_at or 0, 'source': source,
-                           'req_id': req.req_id, 'trace_id': tid,
-                           'detail': (req.error or 'deadlock')[:2000]})
-            seq += 1
-    events.sort(key=lambda e: (e['t'], e['seq']))
-    return events
 
 
 class ShardPool:

@@ -1,11 +1,12 @@
 """Black-box flight recorder: a bounded ring of structured events.
 
-Modeled on an aircraft flight data recorder: the router (and, in
-synthesized form, each shard worker) continuously records the decisions
-that matter for a post-mortem — admissions, rejections, dispatches,
-crashes, re-routes, autoscaler actions with the signal values that
-drove them, SLO warn/fail transitions, deadlock dumps, anomalies — into
-a ``deque(maxlen=capacity)``.  Steady-state cost is O(capacity) memory
+Modeled on an aircraft flight data recorder: the router continuously
+records the decisions that matter for a post-mortem — admissions,
+rejections, dispatches, crashes, re-routes, autoscaler actions with the
+signal values that drove them, SLO warn/fail transitions, anomalies,
+and each shard worker's launches, completions and deadlock dumps as
+derived from the batch records it absorbs — into a
+``deque(maxlen=capacity)``.  Steady-state cost is O(capacity) memory
 and O(1) per event; when something dies, the last N events *are* the
 story, already ordered and already bounded.
 
@@ -32,10 +33,11 @@ EVENT_KINDS = (
     'replace',        # replacement shard spawned to restore the floor
     'autoscale',      # autoscaler up/down decision with signal values
     'slo_transition',  # SLO status changed (pass -> warn -> fail ...)
-    'deadlock',       # DeadlockError + wait-state dump in a shard
     'anomaly',        # detector flagged a signal excursion
-    'launch',         # shard-local: request launched onto the fabric
-    'complete',       # shard-local: request reached a terminal state
+    # a shard worker's, derived from its batch's records (origin shard<N>)
+    'deadlock',       # request killed in a wedge, with the wait-state dump
+    'launch',         # request launched onto the shard's fabric
+    'complete',       # request reached a terminal state in the shard
 )
 
 
@@ -70,17 +72,6 @@ class FlightRecorder:
     def record_snapshot(self, t: int, metrics: dict) -> None:
         """Remember one observe-plane metrics snapshot for context."""
         self._snapshots.append({'t': int(t), 'metrics': metrics})
-
-    def ingest(self, events: List[dict]) -> None:
-        """Fold externally produced events (e.g. a shard worker's
-        synthesized launch/complete records) into the ring, re-stamping
-        sequence numbers so ring order stays total."""
-        for ev in events:
-            data = {k: v for k, v in ev.items()
-                    if k not in ('seq', 'kind', 't', 'source')}
-            if 'source' in ev:
-                data['origin'] = ev['source']
-            self.record(ev['kind'], ev.get('t', 0), **data)
 
     @property
     def seq(self) -> int:

@@ -151,6 +151,18 @@ def test_fleet_invalid_policies_are_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_shard_metrics_dir_alone_writes_only_shard_streams(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(['fleet', '--seed', '8', '--requests', '4', '--scale',
+                 'test', '--shards', '1', '--workers', '1',
+                 '--shard-metrics-dir', 'm']) == 0
+    written = sorted(str(p.relative_to(tmp_path))
+                     for p in tmp_path.rglob('*') if p.is_file())
+    assert written == ['m/shard0.jsonl']  # no flight journal beside it
+    capsys.readouterr()
+
+
 @pytest.fixture(scope='module')
 def flight_artifacts(tmp_path_factory):
     """One crashed fleet run with the flight layer on, via the CLI."""

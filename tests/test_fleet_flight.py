@@ -3,16 +3,19 @@ breakdown conservation in span form, bit-identity, and the crash
 post-mortem (ISSUE satellite: crash-reroute observability coverage).
 
 One crashed 2-shard fleet run with a :class:`FleetFlight` attached is
-shared module-wide; every invariant below reads from it.
+shared module-wide; every invariant below reads from it, except the
+shard-deadlock post-mortem, which is driven from one hand-made batch.
 """
 
 import pytest
 
-from repro.fleet import (FleetConfig, FleetRouter, build_fleet_report,
-                         check_conservation, validate_fleet_report)
+from repro.fleet import (FleetConfig, FleetEntry, FleetRouter,
+                         build_fleet_report, check_conservation,
+                         validate_fleet_report)
 from repro.flight import (FleetFlight, check_continuity,
                           load_postmortem, merged_chrome_trace,
                           read_journal)
+from repro.manycore import Fabric
 from repro.observe.top import read_fleet_streams, render_fleet_frame
 from repro.serve import DONE, KernelRequest
 
@@ -36,9 +39,9 @@ def crashed_flight(tmp_path_factory):
     out = tmp_path_factory.mktemp('flight')
     metrics = out / 'metrics'
     metrics.mkdir()
-    flight = FleetFlight(label='t', out_dir=str(out),
-                         shard_metrics_dir=str(metrics))
-    result = FleetRouter(_config(), flight=flight).run(iter(_trace()))
+    flight = FleetFlight(label='t', out_dir=str(out))
+    result = FleetRouter(_config(shard_metrics_dir=str(metrics)),
+                         flight=flight).run(iter(_trace()))
     return result, flight, out, metrics
 
 
@@ -131,6 +134,45 @@ class TestCrashPostmortem:
         assert all('t' in s and 'metrics' in s
                    for s in doc['metric_snapshots'])
         assert all(s['end'] is None for s in doc['inflight'])
+
+
+class TestShardDeadlockPostmortem:
+    def test_absorbed_deadlock_is_ringed_and_dumped(self, tmp_path):
+        """A batch whose record failed with a wait-state dump: the
+        router absorbs it, the black box derives the shard's deadlock
+        event at the global cycle and dumps a post-mortem."""
+        dump = Fabric().wait_state_dump([])  # the dump's `deadlock:` line
+        flight = FleetFlight(label='d', out_dir=str(tmp_path))
+        router = FleetRouter(_config(crashes=()), flight=flight)
+        sh = router.shards[1]
+        entry = FleetEntry(_trace(1)[0])
+        flight.on_admit(entry, 0)
+        entry.attempts = 1
+        flight.on_dispatch(sh, [entry], 4000, 2, False)
+        local = {'req_id': 0, 'kernel': 'mvt', 'params': {'n': 16},
+                 'lanes': 4, 'groups': 1, 'tiles': 5, 'priority': 0,
+                 'arrival': 0, 'state': 'failed', 'instrs': 0,
+                 'launched_at': 100, 'queue_wait': 100,
+                 'finished_at': 900, 'latency': 900, 'error': dump}
+        router._absorb_batch(
+            sh, {'entries': [entry], 'dispatched_at': 4000, 'epoch': 2},
+            {'makespan': 900, 'num_tiles': 64, 'digests': {},
+             'stats': None,
+             'report': {'summary': {'tile_utilization': 0.5},
+                        'requests': [local]}}, 2)
+        kinds = [e['kind'] for e in flight.recorder.events()]
+        assert kinds[-4:] == ['batch_done', 'launch', 'complete',
+                              'deadlock']
+        (ev,) = flight.recorder.events('deadlock')
+        assert ev['t'] == 4900  # dispatch + the shard-local finish
+        assert ev['origin'] == 'shard1' and ev['source'] == 'router'
+        assert ev['trace_id'] == 'req-0' and ev['detail'] == dump
+        (pm,) = flight.postmortems
+        assert pm['path'].endswith('POSTMORTEM_d-deadlock.json')
+        doc = load_postmortem(pm['path'])  # schema-validates
+        assert doc['reason'] == {'trigger': 'deadlock', 'detail': dump,
+                                 't': 4900}
+        assert [s['span_id'] for s in doc['inflight']] == ['req-0/x1']
 
 
 class TestJournalAndMerge:

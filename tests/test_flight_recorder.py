@@ -42,17 +42,6 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             rec.record('not-a-kind', 4)
 
-    def test_ingest_restamps_and_keeps_origin(self):
-        rec = FlightRecorder(capacity=8, source='router')
-        rec.record('dispatch', 10, shard=0)
-        rec.ingest([{'seq': 0, 'kind': 'launch', 't': 15,
-                     'source': 'shard0', 'req_id': 3}])
-        ev = rec.events('launch')[0]
-        assert ev['seq'] == 1  # restamped into the router's order
-        assert ev['source'] == 'router'
-        assert ev['origin'] == 'shard0'
-        assert ev['t'] == 15
-
     def test_metric_snapshot_ring(self):
         rec = FlightRecorder(capacity=4, snapshot_capacity=2)
         for t in (100, 200, 300):
