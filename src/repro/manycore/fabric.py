@@ -32,6 +32,10 @@ JOB_DRAINING = 'draining'  # tiles halted/killed, memory ops still in flight
 JOB_DONE = 'done'
 JOB_KILLED = 'killed'
 
+#: first line of :meth:`Fabric.wait_state_dump`; a served request killed
+#: in a wedge carries the dump as its ``error``
+DEADLOCK_HEADLINE = 'deadlock: no runnable tile and no pending events'
+
 
 class DeadlockError(Exception):
     """No tile can make progress and no events are pending."""
@@ -553,7 +557,7 @@ class Fabric:
         inet occupancy — the first thing one needs when a group wedges."""
         if tiles is None:
             tiles = self._active
-        lines = ['deadlock: no runnable tile and no pending events']
+        lines = [DEADLOCK_HEADLINE]
         for t in tiles:
             if not t.halted:
                 lines.append('  ' + t.describe_wait_state())
