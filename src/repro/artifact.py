@@ -150,17 +150,30 @@ def write_json_atomic(doc: dict, path, indent: Optional[int] = 1,
     killed mid-write leaves the previous file (or none), never a
     truncated one, and two writers of one path cannot share a tmp file.
 
+    The whole text is encoded before the tmp file is opened (one
+    ``json.dumps``, which uses the C encoder where it can), so a document
+    that cannot be encoded touches no file; a failed write or replace
+    removes the tmp file before re-raising.
+
     The defaults are the human-facing artifact encoding; ``indent=None``
     is the one-line encoding of :class:`~repro.jobs.ResultStore` entries.
     """
+    text = json.dumps(doc, indent=indent, sort_keys=sort_keys)
+    if indent is not None:
+        text += '\n'
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f'.{tail}.{os.getpid()}.tmp')
-    with open(tmp, 'w') as f:
-        json.dump(doc, f, indent=indent, sort_keys=sort_keys)
-        if indent is not None:
-            f.write('\n')
-    os.replace(tmp, path)
+    try:
+        with open(tmp, 'w') as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return path
 
 

@@ -161,20 +161,15 @@ class SweepEngine:
         updated and saved after each terminal outcome, making the sweep
         resumable after an interrupt.
         """
-        unique: List[JobSpec] = []
-        seen = set()
+        unique: Dict[str, JobSpec] = {}  # key -> first spec with it
         for s in specs:
-            k = s.key()
-            if k not in seen:
-                seen.add(k)
-                unique.append(s)
+            unique.setdefault(s.key(), s)
 
         self._outcomes: Dict[str, JobOutcome] = {}
         self._manifest = manifest
         self._total = len(unique)
         pending = deque()
-        for s in unique:
-            k = s.key()
+        for k, s in unique.items():
             cached = (self.store.get(k)
                       if self.use_cache and self.store is not None else None)
             if cached is not None:
@@ -237,7 +232,7 @@ class SweepEngine:
         finally:
             for info in active.values():
                 self._kill(info['proc'])
-        return [self._outcomes[s.key()] for s in unique]
+        return [self._outcomes[k] for k in unique]
 
     # ------------------------------------------------------------- internals
     def _launch(self, item, active) -> None:

@@ -8,6 +8,13 @@ parameters, and the machine configuration — round-trips exactly.  The
 (it is an interactive-debugging feature and would dominate pipe traffic),
 so it serializes to nothing and deserializes as ``None``.
 
+Per-core statistics are stored one row per core: ``core_fields`` names
+:class:`~repro.manycore.stats.CoreStats`'s fields once, in declaration
+order, and ``cores`` maps each core id to a list of values in that
+order.  A reader whose ``CoreStats`` fields differ (reordered, renamed,
+added or dropped) refuses the document with ``ValueError`` instead of
+loading numbers into the wrong fields.
+
 ``RESULT_SCHEMA_VERSION`` is embedded in every stored document and in the
 run-report artifact; readers treat a mismatch as a cache miss, so schema
 evolution never requires clearing stores by hand.
@@ -16,6 +23,7 @@ evolution never requires clearing stores by hand.
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 from typing import Optional
 
 from ..energy.model import EnergyBreakdown
@@ -24,7 +32,12 @@ from ..manycore.config import MachineConfig
 from ..manycore.stats import CoreStats, MemStats, RunStats
 
 #: Bump when the serialized layout changes; old store entries become misses.
-RESULT_SCHEMA_VERSION = 1
+#: v2: one row per core under ``core_fields`` (v1 had one dict per core).
+RESULT_SCHEMA_VERSION = 2
+
+#: CoreStats's field names in declaration order: the layout of a core row
+CORE_FIELDS = tuple(f.name for f in dataclasses.fields(CoreStats))
+_core_row = attrgetter(*CORE_FIELDS)
 
 
 def stats_to_dict(stats: RunStats) -> dict:
@@ -32,17 +45,22 @@ def stats_to_dict(stats: RunStats) -> dict:
     return {
         'cycles': stats.cycles,
         'noc_word_hops': stats.noc_word_hops,
-        'mem': dataclasses.asdict(stats.mem),
-        'cores': {str(cid): dataclasses.asdict(cs)
+        'mem': dict(vars(stats.mem)),
+        'core_fields': list(CORE_FIELDS),
+        'cores': {str(cid): list(_core_row(cs))
                   for cid, cs in stats.cores.items()},
     }
 
 
 def stats_from_dict(sd: dict) -> RunStats:
+    """Rebuild a RunStats; raises ValueError when the stored core rows
+    were written for a different CoreStats layout."""
+    if tuple(sd['core_fields']) != CORE_FIELDS:
+        raise ValueError('stored core fields differ from CoreStats')
     return RunStats(
         cycles=sd['cycles'],
-        cores={int(cid): CoreStats(**cs)
-               for cid, cs in sd['cores'].items()},
+        cores={int(cid): CoreStats(*row)
+               for cid, row in sd['cores'].items()},
         mem=MemStats(**sd['mem']),
         noc_word_hops=sd['noc_word_hops'])
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.artifact import (RETIRED, ReportValidationError, load_any,
-                            registry)
+                            registry, write_json_atomic)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = {doc['kind']: doc for doc in (
@@ -84,6 +84,21 @@ def test_one_validation_error_class():
     from repro.telemetry import ReportValidationError as Reexported
     assert (CalibValidationError is DseValidationError is Reexported
             is ReportValidationError)
+
+
+def test_failed_encode_leaves_no_file(tmp_path):
+    # the text is encoded before any file is opened: no target, no tmp
+    with pytest.raises(TypeError):
+        write_json_atomic({'a': 1, 'b': object()}, tmp_path / 'x.json')
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_replace_removes_the_tmp_file(tmp_path):
+    # os.replace onto a directory fails after the tmp file is written
+    (tmp_path / 'x.json').mkdir()
+    with pytest.raises(OSError):
+        write_json_atomic({'a': 1}, tmp_path / 'x.json')
+    assert [p.name for p in tmp_path.iterdir()] == ['x.json']
 
 
 def test_retired_bench_report_is_refused_by_name(tmp_path, capsys):

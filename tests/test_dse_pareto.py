@@ -54,6 +54,63 @@ class TestFrontier:
                 assert any(dominates(pts[j], pts[i]) for j in keep)
 
 
+def _all_pairs_frontier(objectives):
+    """The O(n^2) definition the sort-based filter must equal."""
+    n = len(objectives)
+    return [i for i in range(n)
+            if not any(j != i and dominates(objectives[j], objectives[i])
+                       for j in range(n))]
+
+
+INF, NAN = float('inf'), float('nan')
+
+
+class TestFrontierEquivalence:
+    @pytest.mark.parametrize('seed', range(8))
+    def test_equals_all_pairs_definition(self, seed):
+        rng = random.Random(seed)
+        values = [0, 1, 2, 3, 0.5, -0.0, INF, -INF]
+        for _ in range(300):
+            n, k = rng.randint(0, 60), rng.randint(1, 4)
+            pts = [tuple(rng.choice(values) for _ in range(k))
+                   for _ in range(n)]
+            if pts and rng.random() < 0.3:   # exact duplicates
+                pts += [pts[rng.randrange(n)]] * rng.randint(1, 3)
+                rng.shuffle(pts)
+            assert pareto_frontier(pts) == _all_pairs_frontier(pts), pts
+
+    def test_lists_and_tuples_mix(self):
+        pts = [[1, 2], (0, 3), [2, 2], (1, 2)]
+        assert pareto_frontier(pts) == _all_pairs_frontier(pts) \
+            == [0, 1, 3]
+
+    def test_nan_point_is_kept_and_dominates_nothing(self):
+        pts = [(NAN, 0), (1, 1), (2, 2), (0, NAN), (NAN, NAN)]
+        assert pareto_frontier(pts) == _all_pairs_frontier(pts) \
+            == [0, 1, 3, 4]
+
+    def test_nan_does_not_reorder_a_dominator_after_its_victim(self):
+        # (2, 2) is dominated by (1, 1); a NaN that compares false both
+        # ways must not let the sort put (1, 1) after it
+        rng = random.Random(3)
+        for _ in range(200):
+            pts = [(1, 1), (2, 2)] + [
+                tuple(rng.choice([NAN, 0, 1.5, 3]) for _ in range(2))
+                for _ in range(rng.randint(1, 6))]
+            rng.shuffle(pts)
+            assert pareto_frontier(pts) == _all_pairs_frontier(pts), pts
+
+    @pytest.mark.parametrize('pts', [
+        [(1, 2), (1,)], [(1,), (2,), (1, 2, 3)], [(0, 0), (1, 1), (5,)]])
+    def test_mixed_lengths_raise(self, pts):
+        with pytest.raises(ValueError, match='differ in length'):
+            pareto_frontier(pts)
+
+    def test_empty_and_single(self):
+        assert pareto_frontier([]) == []
+        assert pareto_frontier([(1, 2, 3)]) == [0]
+
+
 class TestSpace:
     def test_default_space_is_at_least_500_points(self):
         pts = list(enumerate_space(DEFAULT_AXES))

@@ -5,8 +5,12 @@ import json
 
 import pytest
 
-from repro.jobs import (JobSpec, ResultStore, RESULT_SCHEMA_VERSION,
-                        result_from_dict, result_to_dict, run_job)
+from repro.jobs import (DONE, JobSpec, ResultStore, RESULT_SCHEMA_VERSION,
+                        SweepEngine, result_from_dict, result_to_dict,
+                        run_job)
+from repro.jobs.serialize import CORE_FIELDS, stats_from_dict, \
+    stats_to_dict
+from repro.manycore.stats import CoreStats
 
 
 @pytest.fixture(scope='module')
@@ -106,6 +110,81 @@ class TestResultStore:
         assert len(store) == 0
 
 
+def _as_v1(doc: dict) -> dict:
+    """A v2 store entry rewritten in the v1 layout (one dict per core)."""
+    stats = doc['result']['stats']
+    fields = stats.pop('core_fields')
+    stats['cores'] = {cid: dict(zip(fields, row))
+                      for cid, row in stats['cores'].items()}
+    doc['result']['schema_version'] = doc['store_schema_version'] = 1
+    return doc
+
+
+class TestStoreV2:
+    def test_layout_is_one_row_per_core(self, tmp_path, tiny_result,
+                                        tiny_key):
+        store = ResultStore(tmp_path)
+        store.put(tiny_key, tiny_result)
+        doc = json.loads(store.path(tiny_key).read_text())
+        assert RESULT_SCHEMA_VERSION == 2
+        assert doc['store_schema_version'] == 2
+        stats = doc['result']['stats']
+        assert stats['core_fields'] == [
+            f.name for f in dataclasses.fields(CoreStats)]
+        for cid, cs in tiny_result.stats.cores.items():
+            assert stats['cores'][str(cid)] == [
+                getattr(cs, f) for f in stats['core_fields']]
+        assert stats['mem'] == dataclasses.asdict(tiny_result.stats.mem)
+
+    def test_v1_entry_is_a_miss_and_is_resimulated_as_v2(
+            self, tmp_path, tiny_result, tiny_key):
+        store = ResultStore(tmp_path)
+        store.put(tiny_key, tiny_result)
+        path = store.path(tiny_key)
+        path.write_text(json.dumps(_as_v1(json.loads(path.read_text()))))
+        assert store.get(tiny_key) is None
+        engine = SweepEngine(jobs=1, store=store)
+        [outcome] = engine.execute([JobSpec.make('bicg', 'NV_PF',
+                                                 scale='test')])
+        assert outcome.status == DONE and engine.launched == 1
+        assert outcome.result.stats.cores == tiny_result.stats.cores
+        assert json.loads(path.read_text())['store_schema_version'] == 2
+        assert store.get(tiny_key).stats.cores == tiny_result.stats.cores
+
+    @pytest.mark.parametrize('edit', [
+        lambda f: f.reverse(),
+        lambda f: f.__setitem__(slice(0, 2), f[1::-1]),
+        lambda f: f.pop(),
+    ], ids=['reversed', 'two-swapped', 'short'])
+    def test_foreign_core_fields_are_a_miss(self, edit, tmp_path,
+                                            tiny_result, tiny_key):
+        store = ResultStore(tmp_path)
+        store.put(tiny_key, tiny_result)
+        path = store.path(tiny_key)
+        doc = json.loads(path.read_text())
+        edit(doc['result']['stats']['core_fields'])
+        path.write_text(json.dumps(doc))
+        assert store.get(tiny_key) is None and store.misses == 1
+        with pytest.raises(ValueError, match='core fields'):
+            stats_from_dict(doc['result']['stats'])
+
+    def test_merged_serve_stats_round_trip(self):
+        from repro.kernels import registry
+        from repro.manycore import Fabric
+        from repro.serve import KernelRequest, ServeScheduler
+        requests = [KernelRequest(
+            req_id=i, kernel=k, params=registry.make(k).params_for('test'),
+            lanes=4, groups=1, arrival=a)
+            for i, (k, a) in enumerate([('gesummv', 0), ('atax', 40)])]
+        merged = ServeScheduler(Fabric()).run(requests).merged_stats
+        assert merged is not None and merged.total_instrs > 0
+        wire = json.loads(json.dumps(stats_to_dict(merged)))
+        assert tuple(wire['core_fields']) == CORE_FIELDS
+        back = stats_from_dict(wire)
+        assert back == merged
+        assert back.unattributed() == merged.unattributed()
+
+
 class TestReportProvenance:
     """to_json embeds the machine hash + store schema version."""
 
@@ -115,6 +194,17 @@ class TestReportProvenance:
         assert doc['machine_hash'] == machine_hash(tiny_result.machine)
         assert doc['result_store'] == {
             'schema_version': RESULT_SCHEMA_VERSION, 'source': 'simulated'}
+
+    def test_report_stamps_v2_and_a_v1_report_still_renders(
+            self, tiny_result):
+        from pathlib import Path
+        from repro.artifact import load_any
+        from repro.telemetry import build_report, render_report
+        assert build_report(tiny_result)['result_store'][
+            'schema_version'] == 2
+        old = load_any(Path(__file__).parent / 'data/artifacts/run.json')
+        assert old['result_store']['schema_version'] == 1
+        assert render_report(old)
 
     def test_cached_report_distinguishable(self, tmp_path, tiny_result,
                                            tiny_key):
