@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.artifact import load_any
 from repro.jobs import (DONE, JobSpec, ResultStore, RESULT_SCHEMA_VERSION,
                         SweepEngine, result_from_dict, result_to_dict,
                         run_job)
 from repro.jobs.serialize import CORE_FIELDS, stats_from_dict, \
     stats_to_dict
+from repro.kernels import registry
+from repro.manycore import Fabric
 from repro.manycore.stats import CoreStats
+from repro.serve import KernelRequest, ServeScheduler
+from repro.telemetry import build_report, render_report
 
 
 @pytest.fixture(scope='module')
@@ -169,9 +175,6 @@ class TestStoreV2:
             stats_from_dict(doc['result']['stats'])
 
     def test_merged_serve_stats_round_trip(self):
-        from repro.kernels import registry
-        from repro.manycore import Fabric
-        from repro.serve import KernelRequest, ServeScheduler
         requests = [KernelRequest(
             req_id=i, kernel=k, params=registry.make(k).params_for('test'),
             lanes=4, groups=1, arrival=a)
@@ -197,9 +200,6 @@ class TestReportProvenance:
 
     def test_report_stamps_v2_and_a_v1_report_still_renders(
             self, tiny_result):
-        from pathlib import Path
-        from repro.artifact import load_any
-        from repro.telemetry import build_report, render_report
         assert build_report(tiny_result)['result_store'][
             'schema_version'] == 2
         old = load_any(Path(__file__).parent / 'data/artifacts/run.json')
