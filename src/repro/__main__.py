@@ -1,84 +1,21 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``list``
-    Show available benchmarks and configurations.
-``run BENCH CONFIG [--scale test|bench] [--report OUT.json]
-[--trace OUT.json]``
-    Simulate one point, verify against numpy, print cycles/energy.
-    ``--report`` enables telemetry and writes the schema-checked run
-    report; ``--trace`` writes a Perfetto-loadable Chrome trace.
-``figure NAME [--jobs N] [--store DIR]``
-    Regenerate one paper figure (fig10a, fig10b, fig10c, fig11, fig14a,
-    fig15c, fig16, fig17a, bfs).  ``--jobs`` farms the points across a
-    worker pool first; ``--store`` persists results across runs.
-``experiment FILE.json [--jobs N] [--store DIR]``
-    Run a JSON experiment description (see harness/experiments.py and
-    examples/experiments/).
-``sweep NAME... [--jobs N] [--resume] [--no-cache]``
-    Execute the job sets of several figures as one resumable manifest
-    against the persistent result store (see docs/sweeps.md).
-``serve [TRACE.json] [--seed N --requests N] [--report OUT.json]``
-    Replay a kernel-request trace on one multi-tenant fabric: requests
-    are queued, placed by the region allocator, run as concurrent vector
-    groups, and verified against numpy.  Omitting the trace file
-    generates a deterministic seeded trace; ``--report`` writes the
-    schema-checked serving report, ``--perfetto`` an annotated Chrome
-    trace, ``--metrics-out`` JSONL metric snapshots, ``--heatmaps``
-    ASCII congestion maps, and ``--slo`` evaluates a threshold policy
-    (exit 2 on fail).  Exits nonzero if any request failed (see
-    docs/serving.md and docs/observability.md).
-``top [TRACE.json]``
-    Serve a trace with the live terminal dashboard attached: fleet
-    summary, in-flight request table, and congestion heatmaps refreshed
-    every ``--refresh`` simulated cycles.
-``fleet [TRACE.json] [--shards N --autoscale POLICY --slo POLICY]``
-    Run a sharded fabric fleet under open-loop traffic: N shards in
-    parallel worker processes behind a join-shortest-queue router with
-    request affinity, admission control, SLO-driven autoscaling with
-    graceful drain, and crash re-routing (``--crash SHARD@EPOCH``
-    injects a real worker kill).  ``--report`` writes the cross-shard
-    fleet report (schema- and conservation-checked), ``--metrics-out``
-    per-epoch JSONL snapshots; ``--slo`` evaluates a threshold policy
-    against the fleet summary.  Exit codes follow ``serve``: 1 on
-    failed/timed-out requests, 2 on SLO fail or invalid policy (see
-    docs/fleet.md).
-``report FILE.json``
-    Validate any ``repro-*`` artifact (run, serve, fleet, sweep,
-    calibration, DSE, post-mortem) against its schema and print that
-    kind's summary; ``dse report`` and ``postmortem validate|dump`` are
-    aliases.
-``compare A.json B.json [--threshold 0.02]``
-    Diff two run reports; exits nonzero when B regresses cycles (or any
-    stall cause) beyond the threshold.
-``dse calibrate|explore|predict|report``
-    The analytical fast-path (docs/dse.md): fit the closed-form model's
-    per-kernel coefficients against discrete-simulator ground truth
-    (resumable `repro.jobs` sweep; schema-checked ``CALIB_*.json``;
-    ``--max-mape`` gates model drift with exit 2), triage a multi-hundred
-    point config space in closed form and re-simulate only the Pareto
-    frontier (``DSE_*.json``), predict single points, or validate and
-    render either artifact.
-``version``
-    Print the package version plus the code-version salt (and its
-    hash) used for ResultStore keys, so provenance records can be
-    cross-checked from the shell.
-
-Exit codes for all commands are documented in one place: docs/cli.md.
+``python -m repro --help`` lists the commands and ``<command> --help``
+their flags; docs/cli.md tabulates every command's exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
 class _Exit(Exception):
-    """Unwinds a command: ``main`` prints the line to stderr and returns
-    the code."""
+    """A command's failure: ``main`` prints the text, if any, to stderr
+    and returns the code."""
 
-    def __init__(self, code, message):
+    def __init__(self, code, message=''):
         super().__init__(message)
         self.code = code
 
@@ -108,6 +45,19 @@ def _load_slo_policy(path):
         raise _Exit(2, f'{path}: invalid SLO policy: {exc}') from None
 
 
+def _request_verdict(records, slo=None):
+    """The exit of ``serve``, ``top`` and ``fleet``: 1 listing every
+    failed or timed-out request, else 2 when the SLO failed, else 0."""
+    from .serve import FAILED, TIMED_OUT
+    bad = [f'request {r["req_id"]} ({r["kernel"]}) {r["state"].upper()}: '
+           f'{r.get("error") or ""}'
+           for r in records if r['state'] in (FAILED, TIMED_OUT)]
+    if bad:
+        raise _Exit(1, '\n'.join(bad))
+    if slo and slo['status'] == 'fail':
+        raise _Exit(2, 'SLO: FAIL')
+
+
 def cmd_list(args):
     from .harness.configs import CONFIGS, META_CONFIGS
     from .kernels import registry
@@ -120,7 +70,6 @@ def cmd_list(args):
         print(f'  {name}')
     for name in META_CONFIGS:
         print(f'  {name} (meta)')
-    return 0
 
 
 def _check_point(benchmark, config):
@@ -181,7 +130,6 @@ def cmd_run(args):
             profiler.write_collapsed(args.flamegraph)
             print(f'  flamegraph    {args.flamegraph} (collapsed stacks; '
                   f'feed to flamegraph.pl or speedscope)')
-    return 0
 
 
 def cmd_version(args):
@@ -192,36 +140,36 @@ def cmd_version(args):
     print(f'  code-version salt   {CODE_VERSION} '
           f'(hash {code_version_hash()})')
     print(f'  default machine     {machine_hash(DEFAULT_CONFIG)}')
-    return 0
+
+
+def _served_requests(args):
+    """``serve``/``top``'s requests: the trace file, or a seeded trace."""
+    from .serve import generate_trace, load_trace
+    if args.trace_file:
+        return load_trace(args.trace_file)
+    return generate_trace(seed=args.seed, n_requests=args.requests,
+                          scale=args.scale, timeout=args.timeout)
 
 
 def cmd_serve(args):
     from .manycore import Fabric
-    from .serve import (FAILED, ServeScheduler, build_serve_report,
-                        generate_trace, load_trace, render_serve_report,
-                        save_trace, store_serve_report)
-    if args.trace_file:
-        requests = load_trace(args.trace_file)
-        seed = None
-    else:
-        requests = generate_trace(
-            seed=args.seed, n_requests=args.requests, scale=args.scale,
-            mean_interarrival=args.mean_interarrival, timeout=args.timeout)
-        seed = args.seed
+    from .serve import (ServeScheduler, build_serve_report,
+                        render_serve_report, save_trace, store_serve_report)
+    requests = _served_requests(args)
     if args.save_trace:
         save_trace(args.save_trace, requests)
         print(f'trace: {args.save_trace} ({len(requests)} requests)')
     policy = _load_slo_policy(args.slo)
+    fabric = Fabric()
     plane = None
     if args.metrics_out or args.heatmaps:
         from .observe import ObservePlane
         plane = ObservePlane(interval=args.snapshot_interval,
-                             metrics_out=args.metrics_out)
-    fabric = Fabric()
-    if plane is not None:
-        plane.attach(fabric)
-    result = ServeScheduler(fabric, verify=not args.no_verify).run(requests)
-    doc = build_serve_report(result, seed=seed, slo=policy, observe=plane)
+                             metrics_out=args.metrics_out).attach(fabric)
+    result = ServeScheduler(fabric).run(requests)
+    doc = build_serve_report(result,
+                             seed=None if args.trace_file else args.seed,
+                             slo=policy, observe=plane)
     print(render_serve_report(doc))
     if args.metrics_out:
         print(f'metrics: {args.metrics_out} '
@@ -242,16 +190,19 @@ def cmd_serve(args):
                            args.perfetto)
         print(f'perfetto trace: {args.perfetto} '
               f'({len(tdoc["traceEvents"])} events)')
-    failed = [r for r in result.requests if r.state == FAILED]
-    if failed:
-        for r in failed:
-            print(f'request {r.req_id} ({r.kernel}) FAILED: {r.error}',
-                  file=sys.stderr)
-        return 1
-    if doc.get('slo', {}).get('status') == 'fail':
-        print('SLO: FAIL', file=sys.stderr)
-        return 2
-    return 0
+    _request_verdict(doc['requests'], doc.get('slo'))
+
+
+def _crashes(specs):
+    """The ``--crash SHARD@EPOCH`` pairs; anything else is exit 2."""
+    import re
+    crashes = []
+    for spec in specs or ():
+        m = re.fullmatch(r'(\d+)@(\d+)', spec)
+        if m is None:
+            raise _Exit(2, f'--crash wants SHARD@EPOCH, got {spec!r}')
+        crashes.append((int(m[1]), int(m[2])))
+    return tuple(crashes)
 
 
 def cmd_fleet(args):
@@ -267,20 +218,11 @@ def cmd_fleet(args):
                       else AutoscalePolicy.load(args.autoscale))
         except (OSError, TypeError, ValueError,
                 json.JSONDecodeError) as exc:
-            print(f'{args.autoscale}: invalid autoscale policy: {exc}',
-                  file=sys.stderr)
-            return 2
+            raise _Exit(2, f'{args.autoscale}: invalid autoscale policy: '
+                           f'{exc}') from None
         autoscaler = Autoscaler(policy)
     slo_policy = _load_slo_policy(args.slo)
-    crashes = []
-    for spec in args.crash or ():
-        try:
-            shard_s, _, epoch_s = spec.partition('@')
-            crashes.append((int(shard_s), int(epoch_s)))
-        except ValueError:
-            print(f'--crash wants SHARD@EPOCH, got {spec!r}',
-                  file=sys.stderr)
-            return 2
+    crashes = _crashes(args.crash)
     if args.trace_file:
         trace = load_trace(args.trace_file)
         seed = pattern = None
@@ -288,10 +230,8 @@ def cmd_fleet(args):
         trace = open_loop_trace(
             seed=args.seed, n_requests=args.requests,
             pattern=args.pattern, scale=args.scale,
-            mean_interarrival=args.mean_interarrival,
-            timeout=args.timeout)
+            mean_interarrival=4000, timeout=args.timeout)
         seed, pattern = args.seed, args.pattern
-    import os
     flight = None
     if args.flight:
         from .flight import FleetFlight
@@ -303,9 +243,9 @@ def cmd_fleet(args):
     cfg = FleetConfig(
         shards=args.shards, epoch_cycles=args.epoch_cycles,
         shard_queue_cap=args.shard_queue_cap, max_queue=args.max_queue,
-        affinity=not args.no_affinity, verify=not args.no_verify,
-        workers=args.workers, timeout=args.worker_timeout,
-        crashes=tuple(crashes), shard_metrics_dir=args.shard_metrics_dir,
+        affinity=not args.no_affinity, workers=args.workers,
+        timeout=args.worker_timeout, crashes=crashes,
+        shard_metrics_dir=args.shard_metrics_dir,
         snapshot_interval=args.snapshot_interval)
     router = FleetRouter(cfg, autoscaler=autoscaler, flight=flight)
     result = router.run(iter(trace))
@@ -313,23 +253,7 @@ def cmd_fleet(args):
                              slo=slo_policy)
     print(render_fleet_report(doc))
     if flight is not None:
-        slo_doc = doc.get('slo')
-        if slo_doc:
-            flight.on_slo(slo_doc['status'], result.final_cycle,
-                          detail='fleet-summary SLO evaluation')
-            if slo_doc['status'] == 'fail':
-                broken = ', '.join(
-                    r['metric'] for r in slo_doc.get('rules', ())
-                    if r.get('status') == 'fail')
-                flight.dump_postmortem(
-                    'slo_fail', f'SLO failed on: {broken or "?"}',
-                    result.final_cycle)
-        journal = flight.write_journal()
-        print(f'flight journal: {journal} '
-              f'({len(flight.spans)} spans, '
-              f'{len(flight.detector.anomalies)} anomalies)')
-        for pm in flight.postmortems:
-            print(f'post-mortem [{pm["trigger"]}]: {pm["path"]}')
+        print(flight.conclude(doc.get('slo'), result.final_cycle))
     if args.metrics_out:
         with open(args.metrics_out, 'w') as f:
             for row in result.epoch_log:
@@ -340,92 +264,74 @@ def cmd_fleet(args):
         _save_report(doc, args.report)
         print(f'report: {args.report} (schema-valid, '
               f'conservation-checked)')
-    s = doc['summary']
-    if s['failed'] or s['timed_out']:
-        for r in doc['requests']:
-            if r['state'] in ('failed', 'timed-out'):
-                print(f'request {r["req_id"]} ({r["kernel"]}) '
-                      f'{r["state"].upper()}: {r.get("error", "")}',
-                      file=sys.stderr)
-        return 1
-    if doc.get('slo', {}).get('status') == 'fail':
-        print('SLO: FAIL', file=sys.stderr)
-        return 2
-    return 0
+    _request_verdict(doc['requests'], doc.get('slo'))
 
 
 def cmd_top(args):
     from .observe.top import run_fleet_top, run_top
-    from .serve import FAILED, generate_trace, load_trace
     if args.fleet:
-        import os
         if not os.path.isdir(args.fleet):
-            print(f'{args.fleet}: not a directory', file=sys.stderr)
-            return 2
-        frames = run_fleet_top(args.fleet, follow=args.follow,
-                               interval=args.interval)
-        print(f'rendered {frames} fleet frame(s) from {args.fleet}')
-        return 0
-    if args.trace_file:
-        requests = load_trace(args.trace_file)
-    else:
-        requests = generate_trace(
-            seed=args.seed, n_requests=args.requests, scale=args.scale,
-            mean_interarrival=args.mean_interarrival, timeout=args.timeout)
-    result = run_top(requests, refresh=args.refresh,
-                     verify=not args.no_verify,
+            raise _Exit(2, f'{args.fleet}: not a directory')
+        run_fleet_top(args.fleet)
+        print(f'rendered 1 fleet frame(s) from {args.fleet}')
+        return
+    result = run_top(_served_requests(args), refresh=args.refresh,
                      metrics_out=args.metrics_out)
-    counts = result.by_state()
     print(f'served {len(result.requests)} request(s) in '
           f'{result.makespan} cycles over {result.dashboard.frames} '
-          f'dashboard frame(s): {counts}')
-    return 1 if counts.get(FAILED, 0) else 0
+          f'dashboard frame(s): {result.by_state()}')
+    _request_verdict(map(vars, result.requests))
 
 
-def cmd_trace(args):
-    from .flight import (JournalError, check_continuity, read_journal,
-                         render_tree, write_merged_trace)
-    if args.trace_command == 'merge':
-        spans, anomalies = [], []
-        label = 'fleet'
-        for path in args.journals:
-            try:
-                header, s, a = read_journal(path)
-            except (OSError, JournalError) as exc:
-                print(f'INVALID journal: {exc}', file=sys.stderr)
-                return 1
-            label = header.get('label', label)
-            spans.extend(s)
-            anomalies.extend(a)
-        doc = write_merged_trace(args.out, spans, anomalies, label)
-        traces = {s['trace_id'] for s in spans}
-        print(f'merged trace: {args.out} '
-              f'({len(doc["traceEvents"])} events, {len(traces)} '
-              f'trace(s) from {len(args.journals)} journal(s))')
-        return 0
+def _journal(path):
+    """``(header, spans, anomalies)`` of a flight journal; an unreadable
+    or invalid one is exit 1."""
+    from .flight import JournalError, read_journal
     try:
-        header, spans, anomalies = read_journal(args.journal)
+        return read_journal(path)
     except (OSError, JournalError) as exc:
-        print(f'INVALID journal: {exc}', file=sys.stderr)
-        return 1
-    if args.trace_command == 'export':
-        subset = [s for s in spans if s['trace_id'] == args.trace_id]
-        if not subset:
-            print(f'{args.journal}: no spans for trace_id '
-                  f'{args.trace_id!r}', file=sys.stderr)
-            return 1
-        doc = write_merged_trace(args.out, subset, [],
-                                 header.get('label', 'fleet'))
-        print(f'exported trace {args.trace_id}: {args.out} '
-              f'({len(doc["traceEvents"])} events)')
-        return 0
-    # inspect
+        raise _Exit(1, f'INVALID journal: {exc}') from None
+
+
+def _one_trace(args, spans):
+    """The spans of ``--trace-id``; none at all is exit 1."""
+    subset = [s for s in spans if s['trace_id'] == args.trace_id]
+    if not subset:
+        raise _Exit(1, f'{args.journal}: no spans for trace_id '
+                       f'{args.trace_id!r}')
+    return subset
+
+
+def cmd_trace_merge(args):
+    from .flight import write_merged_trace
+    spans, anomalies = [], []
+    label = 'fleet'
+    for path in args.journals:
+        header, s, a = _journal(path)
+        label = header.get('label', label)
+        spans.extend(s)
+        anomalies.extend(a)
+    doc = write_merged_trace(args.out, spans, anomalies, label)
+    traces = {s['trace_id'] for s in spans}
+    print(f'merged trace: {args.out} '
+          f'({len(doc["traceEvents"])} events, {len(traces)} '
+          f'trace(s) from {len(args.journals)} journal(s))')
+
+
+def cmd_trace_export(args):
+    from .flight import write_merged_trace
+    header, spans, _ = _journal(args.journal)
+    doc = write_merged_trace(args.out, _one_trace(args, spans), [],
+                             header.get('label', 'fleet'))
+    print(f'exported trace {args.trace_id}: {args.out} '
+          f'({len(doc["traceEvents"])} events)')
+
+
+def cmd_trace_inspect(args):
+    from .flight import check_continuity, render_tree
+    _, spans, anomalies = _journal(args.journal)
     if args.trace_id is not None:
-        spans = [s for s in spans if s['trace_id'] == args.trace_id]
-        if not spans:
-            print(f'{args.journal}: no spans for trace_id '
-                  f'{args.trace_id!r}', file=sys.stderr)
-            return 1
+        spans = _one_trace(args, spans)
     verdicts = check_continuity(spans)
     for tid in sorted(verdicts):
         print(render_tree(spans, tid))
@@ -433,23 +339,25 @@ def cmd_trace(args):
     print(f'{len(verdicts)} trace(s), '
           f'{len(verdicts) - len(broken)} continuous, '
           f'{len(broken)} broken; {len(anomalies)} anomaly event(s)')
-    for v in broken:
-        print(f'DISCONTINUOUS {v["trace_id"]}: '
-              f'gaps {v["gaps"]} {v.get("error", "")}'.rstrip(),
-              file=sys.stderr)
-    return 2 if broken else 0
+    if broken:
+        raise _Exit(2, '\n'.join(
+            f'DISCONTINUOUS {v["trace_id"]}: '
+            f'gaps {v["gaps"]} {v.get("error", "")}'.rstrip()
+            for v in broken))
 
 
 def cmd_report(args):
-    """``report``, ``dse report`` and ``postmortem validate|dump``."""
+    """``report``, ``dse report`` and ``postmortem dump``."""
     from .artifact import REGISTRY, load_any
     doc = _loaded(load_any, args.file)
-    if getattr(args, 'postmortem_command', None) == 'validate':
-        print(f'{args.file}: valid {doc["kind"]} '
-              f'(schema v{doc["schema_version"]})')
-    else:
-        print(REGISTRY[doc['kind']].render(doc))
-    return 0
+    print(REGISTRY[doc['kind']].render(doc))
+
+
+def cmd_postmortem_validate(args):
+    from .artifact import load_any
+    doc = _loaded(load_any, args.file)
+    print(f'{args.file}: valid {doc["kind"]} '
+          f'(schema v{doc["schema_version"]})')
 
 
 def cmd_compare(args):
@@ -458,7 +366,8 @@ def cmd_compare(args):
     b = _loaded(load_report, args.b)
     text, regressed = compare_reports(a, b, threshold=args.threshold)
     print(text)
-    return 2 if regressed else 0
+    if regressed:
+        raise _Exit(2)
 
 
 # a copy of repro.harness.figures.FIGURES' names, so --help imports no
@@ -493,14 +402,12 @@ def cmd_figure(args):
                              progress=_progress)
         outcomes = engine.execute(specs)
         if any_failed(outcomes):
-            print(render_summary(outcomes), file=sys.stderr)
-            return 1
+            raise _Exit(1, render_summary(outcomes))
         for o in outcomes:
             cache.prime(o.spec, o.result)
     fn = getattr(F, F.FIGURES[args.name])
     series = fn(cache)
     print(series.render())
-    return 0
 
 
 def cmd_experiment(args):
@@ -509,7 +416,6 @@ def cmd_experiment(args):
                             store=_open_store(args.store),
                             progress=_progress if args.jobs > 1 else None)
     print(result.render())
-    return 0
 
 
 def cmd_sweep(args):
@@ -524,8 +430,7 @@ def cmd_sweep(args):
         try:
             manifest = SweepManifest.load(args.manifest)
         except (OSError, ValueError) as exc:
-            print(f'cannot resume: {exc}', file=sys.stderr)
-            return 2
+            raise _Exit(2, f'cannot resume: {exc}') from None
         specs = manifest.pending()
         print(f'resuming {manifest.name}: {len(specs)} of '
               f'{len(manifest.entries)} job(s) still pending')
@@ -552,7 +457,7 @@ def cmd_sweep(args):
         _save_report(doc, args.report)
         print(f'sweep report: {args.report}')
     if any_failed(outcomes):
-        return 1
+        raise _Exit(1)
     if args.render:
         cache = F.ResultCache(scale=args.scale, store=store)
         for name in args.figures:
@@ -561,7 +466,6 @@ def cmd_sweep(args):
                 else {}
             print()
             print(fn(cache, **kwargs).render())
-    return 0
 
 
 def _dse_load_model(calib):
@@ -575,124 +479,107 @@ def _dse_load_model(calib):
     return AnalyticModel.default()
 
 
-def cmd_dse(args):
+def _csv(value, default, cast=str):
+    """A comma-list flag's values, or ``default`` without the flag."""
+    return [cast(v) for v in value.split(',')] if value else list(default)
+
+
+def cmd_dse_calibrate(args):
+    from .jobs import ResultStore, SweepEngine, any_failed, render_summary
     from .model import calibrate as C
     from .model.analytic import ModelError
-
-    if args.dse_command == 'calibrate':
-        from .jobs import ResultStore, SweepEngine, any_failed, \
-            render_summary
-        kernels = (args.kernels.split(',') if args.kernels
-                   else list(C.SMOKE_KERNELS if args.smoke
-                             else C.DEFAULT_KERNELS))
-        configs = (args.configs.split(',') if args.configs
-                   else list(C.DEFAULT_CONFIGS))
-        depths = ([int(v) for v in args.depths.split(',')] if args.depths
-                  else list(C.DEFAULT_DEPTHS))
-        banks = ([int(v) for v in args.banks.split(',')] if args.banks
-                 else list(C.DEFAULT_BANKS))
-        try:
-            specs = C.calibration_specs(kernels, scale=args.scale,
-                                        configs=configs, depths=depths,
-                                        banks=banks)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(f'calibration suite: {len(kernels)} kernel(s) x '
-              f'{len(specs) // max(1, len(kernels))} config point(s) '
-              f'= {len(specs)} ground-truth job(s)')
-        store = ResultStore(args.store)
-        engine = SweepEngine(jobs=args.jobs, timeout=args.timeout,
-                             store=store, use_cache=not args.no_cache,
-                             progress=_progress)
-        outcomes = engine.execute(specs)
-        print(render_summary(outcomes, store=store))
-        if any_failed(outcomes):
-            return 1
-        suite = {'kernels': kernels, 'configs': configs,
-                 'depths': depths, 'banks': banks, 'scale': args.scale}
-        try:
-            doc = C.run_calibration(outcomes, label=args.label,
-                                    suite=suite)
-        except ModelError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(C.render_calib_report(doc))
-        out = args.out or C.calib_path(args.label)
-        C.save_calib_report(doc, out)
-        print(f'calibration report: {out} (schema-valid)')
-        if args.max_mape is not None \
-                and doc['overall']['median_ape_pct'] > args.max_mape:
-            print(f"calibration gate: FAIL — median APE "
-                  f"{doc['overall']['median_ape_pct']:.1f}% exceeds "
-                  f"{args.max_mape:g}%", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.dse_command == 'explore':
-        from .dse import (AXES_BY_NAME, DseError, dse_path,
-                          render_dse_report, run_dse, save_dse_report)
-        from .jobs import ResultStore
-        model = _dse_load_model(args.calib)
-        axes = AXES_BY_NAME[args.space]
-        store = ResultStore(args.store) if not args.no_simulate else None
-        try:
-            doc = run_dse(model, args.benchmark, axes=axes,
-                          scale=args.scale,
-                          simulate=not args.no_simulate,
-                          jobs=args.jobs, store=store,
-                          timeout=args.timeout,
-                          use_cache=not args.no_cache,
-                          label=args.label,
-                          progress=_progress, log=print)
-        except (DseError, ModelError, KeyError) as exc:
-            print(f'dse explore: {exc}', file=sys.stderr)
-            return 1
-        print(render_dse_report(doc))
-        out = args.out or dse_path(args.label)
-        save_dse_report(doc, out)
-        print(f'dse report: {out} (schema-valid)')
-        return 1 if doc['triage'].get('n_sim_failed', 0) else 0
-
-    if args.dse_command == 'predict':
-        _check_point(args.benchmark, args.config)
-        model = _dse_load_model(args.calib)
-        from .manycore import DEFAULT_CONFIG
-        overrides = {}
-        if args.frame_counters is not None:
-            overrides['frame_counters'] = args.frame_counters
-        if args.llc_banks is not None:
-            overrides['llc_banks'] = args.llc_banks
-        if args.noc_width is not None:
-            overrides['noc_width_words'] = args.noc_width
-        if args.dram_bandwidth is not None:
-            overrides['dram_bandwidth_words_per_cycle'] = \
-                args.dram_bandwidth
-        machine = DEFAULT_CONFIG.scaled(**overrides) if overrides \
-            else None
-        try:
-            p = model.predict(args.benchmark, args.config,
-                              scale=args.scale, machine=machine)
-        except (ModelError, KeyError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        tag = '' if p.calibrated else ' (uncalibrated priors)'
-        print(f'{p.benchmark} / {p.config} @{args.scale}{tag}')
-        print(f'  predicted cycles  {p.cycles:.1f}')
-        print(f'  predicted energy  {p.energy_pj / 1e6:.3f} uJ on-chip')
-        print(f'  tiles used        {p.tiles_used}')
-        feats = '  '.join(f'{k}={v:.1f}' for k, v in p.features.items())
-        print(f'  features          {feats}')
-        return 0
-
-    if args.dse_command == 'report':
-        return cmd_report(args)
-    raise AssertionError(args.dse_command)
+    try:
+        kernels = _csv(args.kernels, C.SMOKE_KERNELS if args.smoke
+                       else C.DEFAULT_KERNELS)
+        configs = _csv(args.configs, C.DEFAULT_CONFIGS)
+        depths = _csv(args.depths, C.DEFAULT_DEPTHS, int)
+        banks = _csv(args.banks, C.DEFAULT_BANKS, int)
+        specs = C.calibration_specs(kernels, scale=args.scale,
+                                    configs=configs, depths=depths,
+                                    banks=banks)
+    except ValueError as exc:
+        raise _Exit(1, str(exc)) from None
+    print(f'calibration suite: {len(kernels)} kernel(s) x '
+          f'{len(specs) // max(1, len(kernels))} config point(s) '
+          f'= {len(specs)} ground-truth job(s)')
+    store = ResultStore(args.store)
+    engine = SweepEngine(jobs=args.jobs, timeout=args.timeout, store=store,
+                         use_cache=not args.no_cache, progress=_progress)
+    outcomes = engine.execute(specs)
+    print(render_summary(outcomes, store=store))
+    if any_failed(outcomes):
+        raise _Exit(1)
+    suite = {'kernels': kernels, 'configs': configs,
+             'depths': depths, 'banks': banks, 'scale': args.scale}
+    try:
+        doc = C.run_calibration(outcomes, label=args.label, suite=suite)
+    except ModelError as exc:
+        raise _Exit(1, str(exc)) from None
+    print(C.render_calib_report(doc))
+    out = args.out or C.calib_path(args.label)
+    C.save_calib_report(doc, out)
+    print(f'calibration report: {out} (schema-valid)')
+    mape = doc['overall']['median_ape_pct']
+    if args.max_mape is not None and mape > args.max_mape:
+        raise _Exit(2, f'calibration gate: FAIL — median APE {mape:.1f}% '
+                       f'exceeds {args.max_mape:g}%')
 
 
-def _add_trace_args(p, requests, mean_interarrival, fleet=False):
+def cmd_dse_explore(args):
+    from .dse import (AXES_BY_NAME, DseError, dse_path, render_dse_report,
+                      run_dse, save_dse_report)
+    from .model.analytic import ModelError
+    model = _dse_load_model(args.calib)
+    store = None if args.no_simulate else _open_store(args.store)
+    try:
+        doc = run_dse(model, args.benchmark, axes=AXES_BY_NAME[args.space],
+                      scale=args.scale, simulate=not args.no_simulate,
+                      jobs=args.jobs, store=store, timeout=args.timeout,
+                      use_cache=not args.no_cache, label=args.label,
+                      progress=_progress, log=print)
+    except (DseError, ModelError, KeyError) as exc:
+        raise _Exit(1, f'dse explore: {exc}') from None
+    print(render_dse_report(doc))
+    out = args.out or dse_path(args.label)
+    save_dse_report(doc, out)
+    print(f'dse report: {out} (schema-valid)')
+    if doc['triage'].get('n_sim_failed', 0):
+        raise _Exit(1)
+
+
+#: ``dse predict``'s machine overrides: flag, the ``MachineConfig``
+#: field it sets, metavar, help
+_MACHINE_FLAGS = (('--frame-counters', 'frame_counters', 'N', None),
+                  ('--llc-banks', 'llc_banks', 'N', None),
+                  ('--noc-width', 'noc_width_words', 'W',
+                   'NoC link width in words'))
+
+
+def cmd_dse_predict(args):
+    from .manycore import DEFAULT_CONFIG
+    from .model.analytic import ModelError
+    _check_point(args.benchmark, args.config)
+    model = _dse_load_model(args.calib)
+    overrides = {field: getattr(args, field)
+                 for _, field, _, _ in _MACHINE_FLAGS
+                 if getattr(args, field) is not None}
+    machine = DEFAULT_CONFIG.scaled(**overrides) if overrides else None
+    try:
+        p = model.predict(args.benchmark, args.config, scale=args.scale,
+                          machine=machine)
+    except (ModelError, KeyError, ValueError) as exc:
+        raise _Exit(1, str(exc)) from None
+    tag = '' if p.calibrated else ' (uncalibrated priors)'
+    print(f'{p.benchmark} / {p.config} @{args.scale}{tag}')
+    print(f'  predicted cycles  {p.cycles:.1f}')
+    print(f'  predicted energy  {p.energy_pj / 1e6:.3f} uJ on-chip')
+    print(f'  tiles used        {p.tiles_used}')
+    feats = '  '.join(f'{k}={v:.1f}' for k, v in p.features.items())
+    print(f'  features          {feats}')
+
+
+def _add_trace_args(p, requests, noun='trace'):
     """The generated-trace flags ``serve``, ``fleet`` and ``top`` share."""
-    noun = 'traffic' if fleet else 'trace'
     p.add_argument('--seed', type=int, default=0, metavar='N',
                    help=f'{noun}-generator seed (default 0)')
     p.add_argument('--requests', type=int, default=requests, metavar='N',
@@ -700,15 +587,51 @@ def _add_trace_args(p, requests, mean_interarrival, fleet=False):
     p.add_argument('--scale', choices=('test', 'bench'), default='test',
                    help='problem sizes for generated requests '
                         '(default test)')
-    p.add_argument('--mean-interarrival', type=int,
-                   default=mean_interarrival, metavar='CYCLES',
-                   help=f'mean request interarrival '
-                        f'(default {mean_interarrival})')
     p.add_argument('--timeout', type=int, default=None, metavar='CYCLES',
                    help='per-request deadline measured from arrival')
-    p.add_argument('--no-verify', action='store_true',
-                   help='skip numpy output verification'
-                        + (' in shards' if fleet else ''))
+
+
+#: flags several commands declare: the worker-pool flags of ``sweep``,
+#: ``dse calibrate`` and ``dse explore``, and the ``--calib`` of
+#: ``dse explore`` and ``dse predict``
+_SHARED_ARGS = {
+    '--store': dict(default='.repro-store', metavar='DIR',
+                    help='result store directory (default .repro-store)'),
+    '--jobs': dict(type=int, default=1, metavar='N',
+                   help='max concurrent worker processes (default 1)'),
+    '--timeout': dict(type=float, default=None, metavar='SEC',
+                      help='per-job wall-clock timeout in seconds'),
+    '--no-cache': dict(action='store_true',
+                       help='ignore store hits; recompute (and overwrite) '
+                            'every point'),
+    '--calib': dict(metavar='CALIB.json',
+                    help='calibration artifact (omit for rough '
+                         'uncalibrated priors)'),
+}
+
+
+def _add_shared_args(p, *flags):
+    """Declare ``flags`` from :data:`_SHARED_ARGS`, in the order given."""
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_ARGS[flag])
+
+
+def _add_dse_artifact_args(p, prefix):
+    """``--label``, ``--out`` and the worker-pool flags of a ``dse``
+    command that writes ``<prefix>_<label>.json``."""
+    p.add_argument('--label', default='local',
+                   help='label embedded in the artifact and its '
+                        'default filename (default local)')
+    p.add_argument('--out', metavar='OUT.json',
+                   help=f'artifact path (default {prefix}_<label>.json)')
+    _add_shared_args(p, '--store', '--jobs', '--timeout', '--no-cache')
+
+
+def _command(sub, name, handler, **kw):
+    """A leaf command's parser, carrying the handler ``main`` calls."""
+    p = sub.add_parser(name, **kw)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -717,9 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
         description='Rockcress (MICRO 2021) reproduction CLI')
     sub = parser.add_subparsers(dest='command', required=True)
 
-    sub.add_parser('list', help='show benchmarks and configurations')
+    _command(sub, 'list', cmd_list, help='show benchmarks and '
+                                         'configurations')
 
-    p = sub.add_parser('run', help='simulate one benchmark/configuration')
+    p = _command(sub, 'run', cmd_run,
+                 help='simulate one benchmark/configuration')
     p.add_argument('benchmark')
     p.add_argument('config')
     p.add_argument('--scale', choices=('test', 'bench'), default='bench')
@@ -745,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='write collapsed-stack flamegraph input '
                         '(implies --self-profile)')
 
-    p = sub.add_parser('figure', help='regenerate one paper figure')
+    p = _command(sub, 'figure', cmd_figure,
+                 help='regenerate one paper figure')
     p.add_argument('name', choices=sorted(FIGURE_NAMES))
     p.add_argument('--scale', choices=('test', 'bench'), default='bench')
     p.add_argument('--jobs', type=int, default=1, metavar='N',
@@ -754,35 +680,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--store', metavar='DIR',
                    help='persistent result store directory')
 
-    p = sub.add_parser('experiment', help='run a JSON experiment file')
+    p = _command(sub, 'experiment', cmd_experiment,
+                 help='run a JSON experiment file')
     p.add_argument('file')
     p.add_argument('--jobs', type=int, default=1, metavar='N',
                    help='worker processes for the point sweep (default 1)')
     p.add_argument('--store', metavar='DIR',
                    help='persistent result store directory')
 
-    p = sub.add_parser('sweep', help='execute figure sweeps as a '
-                                     'resumable parallel job manifest')
+    p = _command(sub, 'sweep', cmd_sweep,
+                 help='execute figure sweeps as a resumable parallel job '
+                      'manifest')
     p.add_argument('figures', nargs='+', choices=sorted(FIGURE_NAMES),
                    metavar='FIGURE',
                    help='figures whose points to execute '
                         f'({", ".join(sorted(FIGURE_NAMES))})')
     p.add_argument('--scale', choices=('test', 'bench'), default='bench')
-    p.add_argument('--jobs', type=int, default=1, metavar='N',
-                   help='max concurrent worker processes (default 1)')
-    p.add_argument('--store', default='.repro-store', metavar='DIR',
-                   help='result store directory (default .repro-store)')
+    _add_shared_args(p, '--jobs', '--store')
     p.add_argument('--manifest', default='sweep-manifest.json',
                    metavar='PATH', help='manifest path '
                                         '(default sweep-manifest.json)')
     p.add_argument('--resume', action='store_true',
                    help='reload the manifest and run only pending/failed '
                         'points')
-    p.add_argument('--no-cache', action='store_true',
-                   help='ignore store hits; recompute (and overwrite) '
-                        'every point')
-    p.add_argument('--timeout', type=float, default=None, metavar='SEC',
-                   help='per-job wall-clock timeout in seconds')
+    _add_shared_args(p, '--no-cache', '--timeout')
     p.add_argument('--retries', type=int, default=1, metavar='K',
                    help='retries after a crash/timeout (default 1)')
     p.add_argument('--report', metavar='OUT.json',
@@ -793,12 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--benches', metavar='A,B,...',
                    help='restrict the benchmark set (comma-separated)')
 
-    p = sub.add_parser('serve', help='replay a kernel-request trace on '
-                                     'one multi-tenant fabric')
+    p = _command(sub, 'serve', cmd_serve,
+                 help='replay a kernel-request trace on one multi-tenant '
+                      'fabric')
     p.add_argument('trace_file', nargs='?', metavar='TRACE.json',
                    help='request trace to replay (omit to generate a '
                         'seeded trace)')
-    _add_trace_args(p, requests=8, mean_interarrival=2000)
+    _add_trace_args(p, requests=8)
     p.add_argument('--save-trace', metavar='OUT.json',
                    help='also write the (generated) trace file')
     p.add_argument('--report', metavar='OUT.json',
@@ -821,12 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help='evaluate an SLO threshold policy; exit 2 on '
                         'fail (see docs/observability.md)')
 
-    p = sub.add_parser('fleet', help='run a sharded fabric fleet under '
-                                     'open-loop traffic')
+    p = _command(sub, 'fleet', cmd_fleet,
+                 help='run a sharded fabric fleet under open-loop traffic')
     p.add_argument('trace_file', nargs='?', metavar='TRACE.json',
                    help='request trace to replay (omit to generate '
                         'seeded open-loop traffic)')
-    _add_trace_args(p, requests=24, mean_interarrival=4000, fleet=True)
+    _add_trace_args(p, requests=24, noun='traffic')
     p.add_argument('--pattern', default='mixed',
                    choices=('steady', 'diurnal', 'bursty', 'mixed'),
                    help='arrival process (default mixed: diurnal wave '
@@ -884,12 +806,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help='cycles between shard metric snapshots '
                         '(default 5000)')
 
-    p = sub.add_parser('top', help='serve a trace with a live '
-                                   'terminal dashboard attached')
+    p = _command(sub, 'top', cmd_top,
+                 help='serve a trace with a live terminal dashboard '
+                      'attached')
     p.add_argument('trace_file', nargs='?', metavar='TRACE.json',
                    help='request trace to replay (omit to generate a '
                         'seeded trace)')
-    _add_trace_args(p, requests=8, mean_interarrival=2000)
+    _add_trace_args(p, requests=8)
     p.add_argument('--refresh', type=int, default=5000, metavar='CYCLES',
                    help='simulated cycles between dashboard frames '
                         '(default 5000)')
@@ -900,28 +823,22 @@ def build_parser() -> argparse.ArgumentParser:
                         'streams under DIR (from `repro fleet '
                         '--shard-metrics-dir`) and render an aggregated '
                         'per-shard dashboard instead of serving a trace')
-    p.add_argument('--follow', action='store_true',
-                   help='with --fleet: keep re-reading the streams '
-                        'until interrupted')
-    p.add_argument('--interval', type=float, default=1.0, metavar='SEC',
-                   help='with --fleet --follow: seconds between frames '
-                        '(default 1.0)')
 
     p = sub.add_parser('trace', help='merge/export/inspect fleet '
                                      'flight journals')
     tsub = p.add_subparsers(dest='trace_command', required=True)
-    pt = tsub.add_parser('merge', help='merge journal(s) into one '
-                                       'Perfetto trace')
+    pt = _command(tsub, 'merge', cmd_trace_merge,
+                  help='merge journal(s) into one Perfetto trace')
     pt.add_argument('journals', nargs='+', metavar='FLIGHT.jsonl')
     pt.add_argument('--out', required=True, metavar='OUT.json',
                     help='merged Chrome trace-event JSON path')
-    pt = tsub.add_parser('export', help='export one trace_id as a '
-                                        'Perfetto trace')
+    pt = _command(tsub, 'export', cmd_trace_export,
+                  help='export one trace_id as a Perfetto trace')
     pt.add_argument('journal', metavar='FLIGHT.jsonl')
     pt.add_argument('--trace-id', required=True, metavar='TID')
     pt.add_argument('--out', required=True, metavar='OUT.json')
-    pt = tsub.add_parser('inspect', help='print span trees + '
-                                         'continuity verdicts')
+    pt = _command(tsub, 'inspect', cmd_trace_inspect,
+                  help='print span trees + continuity verdicts')
     pt.add_argument('journal', metavar='FLIGHT.jsonl')
     pt.add_argument('--trace-id', metavar='TID',
                     help='restrict to one trace (default: all)')
@@ -929,10 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser('postmortem', help='validate/dump POSTMORTEM_* '
                                           'artifacts')
     psub = p.add_subparsers(dest='postmortem_command', required=True)
-    pp = psub.add_parser('validate', help='schema-check a post-mortem')
+    pp = _command(psub, 'validate', cmd_postmortem_validate,
+                  help='schema-check a post-mortem')
     pp.add_argument('file', metavar='POSTMORTEM.json')
-    pp = psub.add_parser('dump', help='schema-check + render a '
-                                      'post-mortem')
+    pp = _command(psub, 'dump', cmd_report,
+                  help='schema-check + render a post-mortem')
     pp.add_argument('file', metavar='POSTMORTEM.json')
 
     p = sub.add_parser('dse', help='analytical fast-path: calibrate the '
@@ -940,9 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    'simulate only the Pareto frontier')
     dsub = p.add_subparsers(dest='dse_command', required=True)
 
-    pd = dsub.add_parser('calibrate', help='fit model coefficients '
-                                           'against simulator ground '
-                                           'truth; write CALIB_*.json')
+    pd = _command(dsub, 'calibrate', cmd_dse_calibrate,
+                  help='fit model coefficients against simulator ground '
+                       'truth; write CALIB_*.json')
     pd.add_argument('--kernels', metavar='A,B,...',
                     help='kernels to calibrate (default: the full '
                          'modeled suite)')
@@ -956,32 +874,16 @@ def build_parser() -> argparse.ArgumentParser:
                          '(default 4,5,8; must be >= 4)')
     pd.add_argument('--banks', metavar='4,16',
                     help='LLC bank counts in the grid (default 4,16)')
-    pd.add_argument('--label', default='local',
-                    help='label embedded in the artifact and its '
-                         'default filename (default local)')
-    pd.add_argument('--out', metavar='OUT.json',
-                    help='artifact path (default CALIB_<label>.json)')
-    pd.add_argument('--store', default='.repro-store', metavar='DIR',
-                    help='result store for ground truth '
-                         '(default .repro-store)')
-    pd.add_argument('--jobs', type=int, default=1, metavar='N',
-                    help='max concurrent worker processes (default 1)')
-    pd.add_argument('--timeout', type=float, default=None, metavar='SEC',
-                    help='per-job wall-clock timeout')
-    pd.add_argument('--no-cache', action='store_true',
-                    help='ignore store hits; resimulate every point')
+    _add_dse_artifact_args(pd, 'CALIB')
     pd.add_argument('--max-mape', type=float, default=None, metavar='PCT',
                     help='error gate: exit 2 when overall median APE '
                          'exceeds this percentage')
 
-    pd = dsub.add_parser('explore', help='triage a config space '
-                                         'analytically; simulate only '
-                                         'the Pareto frontier; write '
-                                         'DSE_*.json')
+    pd = _command(dsub, 'explore', cmd_dse_explore,
+                  help='triage a config space analytically; simulate '
+                       'only the Pareto frontier; write DSE_*.json')
     pd.add_argument('benchmark', help='kernel to explore')
-    pd.add_argument('--calib', metavar='CALIB.json',
-                    help='calibration artifact (omit for rough '
-                         'uncalibrated priors)')
+    _add_shared_args(pd, '--calib')
     pd.add_argument('--space', choices=('default', 'small'),
                     default='default',
                     help='axes grid: default (576 points) or small '
@@ -989,49 +891,31 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument('--scale', choices=('test', 'bench'), default='test')
     pd.add_argument('--no-simulate', action='store_true',
                     help='skip frontier re-simulation (pure triage)')
-    pd.add_argument('--label', default='local',
-                    help='label embedded in the artifact and its '
-                         'default filename (default local)')
-    pd.add_argument('--out', metavar='OUT.json',
-                    help='artifact path (default DSE_<label>.json)')
-    pd.add_argument('--store', default='.repro-store', metavar='DIR',
-                    help='result store for frontier simulations '
-                         '(default .repro-store)')
-    pd.add_argument('--jobs', type=int, default=1, metavar='N',
-                    help='max concurrent worker processes (default 1)')
-    pd.add_argument('--timeout', type=float, default=None, metavar='SEC',
-                    help='per-job wall-clock timeout')
-    pd.add_argument('--no-cache', action='store_true',
-                    help='ignore store hits; resimulate the frontier')
+    _add_dse_artifact_args(pd, 'DSE')
 
-    pd = dsub.add_parser('predict', help='predict one point in closed '
-                                         'form (no simulation)')
+    pd = _command(dsub, 'predict', cmd_dse_predict,
+                  help='predict one point in closed form (no simulation)')
     pd.add_argument('benchmark')
     pd.add_argument('config')
     pd.add_argument('--scale', choices=('test', 'bench'), default='test')
-    pd.add_argument('--calib', metavar='CALIB.json',
-                    help='calibration artifact (omit for rough '
-                         'uncalibrated priors)')
-    pd.add_argument('--frame-counters', type=int, default=None,
-                    metavar='N')
-    pd.add_argument('--llc-banks', type=int, default=None, metavar='N')
-    pd.add_argument('--noc-width', type=int, default=None, metavar='W',
-                    help='NoC link width in words')
-    pd.add_argument('--dram-bandwidth', type=float, default=None,
-                    metavar='WPC', help='DRAM words per cycle')
+    _add_shared_args(pd, '--calib')
+    for flag, field, metavar, help_ in _MACHINE_FLAGS:
+        pd.add_argument(flag, dest=field, type=int, metavar=metavar,
+                        help=help_)
 
-    pd = dsub.add_parser('report', help='validate + render a CALIB_*/'
-                                        'DSE_* artifact')
+    pd = _command(dsub, 'report', cmd_report,
+                  help='validate + render a CALIB_*/DSE_* artifact')
     pd.add_argument('file')
 
-    sub.add_parser('version', help='print package version + provenance '
-                                   'salts')
+    _command(sub, 'version', cmd_version,
+             help='print package version + provenance salts')
 
-    p = sub.add_parser('report', help='validate + summarize a run report')
+    p = _command(sub, 'report', cmd_report,
+                 help='validate + summarize a run report')
     p.add_argument('file')
 
-    p = sub.add_parser('compare', help='diff two run reports; nonzero '
-                                       'exit on regression')
+    p = _command(sub, 'compare', cmd_compare,
+                 help='diff two run reports; nonzero exit on regression')
     p.add_argument('a')
     p.add_argument('b')
     p.add_argument('--threshold', type=float, default=0.02,
@@ -1042,18 +926,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = {'list': cmd_list, 'run': cmd_run, 'figure': cmd_figure,
-               'experiment': cmd_experiment, 'sweep': cmd_sweep,
-               'serve': cmd_serve, 'fleet': cmd_fleet, 'top': cmd_top,
-               'trace': cmd_trace, 'postmortem': cmd_report,
-               'report': cmd_report,
-               'compare': cmd_compare, 'dse': cmd_dse,
-               'version': cmd_version}[args.command]
     try:
-        return command(args)
+        args.handler(args)
     except _Exit as exc:
-        print(exc, file=sys.stderr)
+        if str(exc):
+            print(exc, file=sys.stderr)
         return exc.code
+    return 0
 
 
 if __name__ == '__main__':

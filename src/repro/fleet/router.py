@@ -58,7 +58,6 @@ class FleetConfig:
     shard_queue_cap: int = 8     # per-shard backlog cap (backpressure)
     max_queue: int = 256         # router queue cap (admission control)
     affinity: bool = True        # job-key stickiness on top of JSQ
-    verify: bool = True          # in-shard numpy verification
     digests: bool = True         # per-request output digests
     workers: int = 4             # concurrent worker processes
     timeout: Optional[float] = None  # wall-clock per batch (seconds)
@@ -518,7 +517,7 @@ class FleetRouter:
                 shard_id=sh.shard_id, epoch=epoch,
                 requests=tuple(
                     dict(e.req.to_dict(), arrival=0) for e in entries),
-                verify=cfg.verify, digests=cfg.digests, crash=crash,
+                digests=cfg.digests, crash=crash,
                 metrics_out=(
                     f'{cfg.shard_metrics_dir}/shard{sh.shard_id}.jsonl'
                     if cfg.shard_metrics_dir else None),

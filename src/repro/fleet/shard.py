@@ -51,7 +51,6 @@ class ShardBatch:
     shard_id: int
     epoch: int
     requests: Tuple[dict, ...]  # KernelRequest.to_dict() forms, arrival 0
-    verify: bool = True
     digests: bool = True
     crash: bool = False  # fault injection: worker SIGKILLs itself
     max_cycles: int = 200_000_000
@@ -63,8 +62,8 @@ class ShardBatch:
     def key(self) -> str:
         canon = json.dumps(
             {'shard': self.shard_id, 'epoch': self.epoch,
-             'requests': list(self.requests), 'verify': self.verify,
-             'digests': self.digests, 'crash': self.crash},
+             'requests': list(self.requests), 'digests': self.digests,
+             'crash': self.crash},
             sort_keys=True)
         digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
         return f'fleet-{digest}'
@@ -108,7 +107,7 @@ def run_shard_batch(batch: ShardBatch) -> dict:
         ObservePlane(interval=batch.snapshot_interval,
                      metrics_out=batch.metrics_out,
                      append=True).attach(fabric)
-    scheduler = ServeScheduler(fabric, verify=batch.verify)
+    scheduler = ServeScheduler(fabric)
     result = scheduler.run(requests, max_cycles=batch.max_cycles)
     report = build_serve_report(result)
     digests: Dict[str, str] = {}

@@ -2,14 +2,14 @@
 
 The dashboard rides the plane's snapshot callback: every time the
 :class:`~repro.observe.ObservePlane` takes a periodic snapshot (driven
-by the fabric clock inside a running ``serve_trace`` loop) the dashboard
+by the fabric clock inside a running serve scheduler) the dashboard
 repaints one frame — fleet summary, serving gauges, the in-flight
 request table, and the three congestion heatmaps.  On a TTY frames
 repaint in place with ANSI cursor control; on a plain stream (CI logs,
 tests) frames are appended, which doubles as a cheap flight recorder.
 
 **Fleet mode** (``repro top --fleet DIR``) works the other way around:
-instead of driving a fabric it *tails* the per-shard JSONL snapshot
+instead of driving a fabric it *reads* the per-shard JSONL snapshot
 streams a fleet run writes (``repro fleet --flight --shard-metrics-dir
 DIR`` → ``DIR/shard<N>.jsonl``, one append-mode stream per shard across
 all of that shard's batches) and renders an aggregated dashboard with
@@ -30,7 +30,6 @@ import json
 import os
 import re
 import sys
-import time
 from typing import Dict, List, Optional
 
 from ..manycore import Fabric
@@ -114,7 +113,6 @@ def run_top(requests: List[KernelRequest],
             fabric: Optional[Fabric] = None,
             refresh: int = 5000,
             stream=None,
-            verify: bool = True,
             metrics_out: Optional[str] = None,
             max_cycles: int = 200_000_000) -> ServeResult:
     """Serve ``requests`` with a live dashboard attached.
@@ -128,7 +126,7 @@ def run_top(requests: List[KernelRequest],
     plane = ObservePlane(interval=refresh,
                          metrics_out=metrics_out)
     plane.attach(fabric)
-    scheduler = ServeScheduler(fabric, verify=verify)
+    scheduler = ServeScheduler(fabric)
     dash = TopDashboard(plane, scheduler=scheduler, stream=stream)
     dash.install()
     result = scheduler.run(requests, max_cycles)
@@ -241,31 +239,13 @@ def render_fleet_frame(shards: Dict[int, dict]) -> str:
     return '\n'.join(lines)
 
 
-def run_fleet_top(metrics_dir: str, stream=None, follow: bool = False,
-                  interval: float = 1.0,
-                  max_frames: Optional[int] = None) -> int:
-    """Render the fleet dashboard from per-shard streams.
-
-    One frame by default; with ``follow`` the streams are re-read every
-    ``interval`` seconds until interrupted (or ``max_frames`` rendered),
-    repainting in place on a TTY.  Returns the frame count.
-    """
+def run_fleet_top(metrics_dir: str, stream=None) -> None:
+    """Render one fleet dashboard frame from the per-shard streams,
+    painted over the screen on a TTY."""
     out = stream if stream is not None else sys.stdout
-    use_ansi = bool(getattr(out, 'isatty', lambda: False)())
-    frames = 0
-    while True:
-        shards = read_fleet_streams(metrics_dir)
-        frame = render_fleet_frame(shards)
-        if use_ansi:
-            out.write(_CLEAR + frame + '\n')
-        else:
-            out.write(frame + '\n\n')
-        out.flush()
-        frames += 1
-        if not follow or (max_frames is not None
-                          and frames >= max_frames):
-            return frames
-        try:
-            time.sleep(interval)
-        except KeyboardInterrupt:
-            return frames
+    frame = render_fleet_frame(read_fleet_streams(metrics_dir))
+    if getattr(out, 'isatty', lambda: False)():
+        out.write(_CLEAR + frame + '\n')
+    else:
+        out.write(frame + '\n\n')
+    out.flush()

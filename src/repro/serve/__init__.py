@@ -18,7 +18,7 @@ from .report import (BREAKDOWN_SCHEMA, SERVE_REPORT_KIND,
                      store_serve_report, trace_key, validate_serve_report)
 from .request import (DONE, FAILED, KernelRequest, QUEUED, REJECTED,
                       RUNNING, TERMINAL, TIMED_OUT)
-from .scheduler import ServeResult, ServeScheduler, serve_trace
+from .scheduler import ServeResult, ServeScheduler
 from .tracegen import (DEFAULT_KERNELS, DEFAULT_SHAPES, PATTERNS,
                        SIZE_LADDERS, generate_trace, load_trace,
                        mint_trace_id, open_loop_trace, save_trace)
@@ -32,7 +32,7 @@ __all__ = [
     'trace_key', 'validate_serve_report',
     'DONE', 'FAILED', 'KernelRequest', 'QUEUED', 'REJECTED', 'RUNNING',
     'TERMINAL', 'TIMED_OUT',
-    'ServeResult', 'ServeScheduler', 'serve_trace',
+    'ServeResult', 'ServeScheduler',
     'DEFAULT_KERNELS', 'DEFAULT_SHAPES', 'PATTERNS', 'SIZE_LADDERS',
     'generate_trace', 'load_trace', 'mint_trace_id', 'open_loop_trace',
     'save_trace',

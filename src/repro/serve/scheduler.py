@@ -86,9 +86,8 @@ class ServeScheduler(Consumer):
     facts = ('llc_access', 'frame_words', 'wide_issue', 'formation_wait',
              'formation')
 
-    def __init__(self, fabric: Fabric, verify: bool = True):
+    def __init__(self, fabric: Fabric):
         self.fabric = fabric
-        self.verify = verify
         cfg = fabric.cfg
         self.allocator = RegionAllocator(cfg.mesh_width, cfg.mesh_height)
         self.queue: List[KernelRequest] = []
@@ -219,12 +218,11 @@ class ServeScheduler(Consumer):
         req.instrs = req.stats.total_instrs
         if job.state == JOB_DONE:
             req.state = DONE
-            if self.verify:
-                try:
-                    req._bench.verify(self.fabric, req._ws, req.params)
-                except AssertionError as exc:
-                    req.state = FAILED
-                    req.error = f'output mismatch: {exc}'
+            try:
+                req._bench.verify(self.fabric, req._ws, req.params)
+            except AssertionError as exc:
+                req.state = FAILED
+                req.error = f'output mismatch: {exc}'
         else:  # killed
             req.state = (TIMED_OUT if req._kill_reason == 'timeout'
                          else FAILED)
@@ -319,13 +317,3 @@ class ServeScheduler(Consumer):
                            merged_stats=merged,
                            num_tiles=fabric.cfg.num_cores,
                            spans=self.spans)
-
-
-def serve_trace(requests: List[KernelRequest],
-                fabric: Optional[Fabric] = None,
-                verify: bool = True,
-                max_cycles: int = _MAX_DEFAULT) -> ServeResult:
-    """Convenience wrapper: serve ``requests`` on a (fresh) fabric."""
-    if fabric is None:
-        fabric = Fabric()
-    return ServeScheduler(fabric, verify=verify).run(requests, max_cycles)

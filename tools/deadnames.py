@@ -21,6 +21,13 @@ function's name reaches its position (a ``*``/``**`` call, or the name
 used as a value, reaches everything) and no call shown in a ``.md`` file
 passes the keyword either.  Inline its one value instead.
 
+It also reports command-line flags nobody passes: a string constant
+under ``src/repro`` that is a whole ``--flag`` (the first argument of an
+``add_argument`` call, or a table row feeding one) is dead when no
+searched file outside ``src/repro`` mentions it — no test, doc,
+example, CI job, benchmark or tool.  Delete the flag and the switch
+behind it, or document it.
+
     python tools/deadnames.py         # prints the hits, then 'N dead names'
 
 Exit status 1 on any hit, so CI can run it after ``tools/loc.py``.
@@ -37,6 +44,7 @@ SOURCE = os.path.join('src', 'repro')
 SEARCH = ('src', 'tests', 'docs', 'examples', 'benchmarks', 'tools',
           '.github')
 SUFFIXES = ('.py', '.md', '.yml', '.toml')
+_FLAG = re.compile(r'--[a-z][a-z0-9-]*')
 _PLAIN_DECORATORS = {'property', 'staticmethod', 'classmethod', 'setter',
                      'dataclass', 'contextmanager', 'lru_cache'}
 
@@ -95,6 +103,15 @@ def defaulted(tree):
                     yield name, arg.arg, None, fn.lineno
 
 
+def flags(tree):
+    """``(flag, lineno)`` of every string constant that is a whole
+    ``--flag``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _FLAG.fullmatch(node.value):
+            yield node.value, node.lineno
+
+
 def _files():
     for root in SEARCH:
         for dirpath, _, names in os.walk(root):
@@ -108,9 +125,12 @@ def main() -> int:
     words = Counter()
     keywords = set()   # every name some call passes as a keyword
     reach = Counter()  # callee name -> most positional arguments passed
+    passed = set()     # every --flag some file outside src/repro mentions
     for path in _files():
         with open(path, errors='replace') as f:
             text = f.read()
+        if not os.path.normpath(path).startswith(SOURCE + os.sep):
+            passed.update(_FLAG.findall(text))
         words.update(re.findall(r'[A-Za-z_][A-Za-z0-9_]*', text))
         if path.endswith('.md'):
             for call in re.findall(r'\w\(([^()]*)\)', text):
@@ -149,6 +169,8 @@ def main() -> int:
                          if param not in keywords
                          and (i is None or reach[callee] <= i)
                          and not callee.startswith('__')]
+                dead += [(path, line, flag) for flag, line in flags(tree)
+                         if flag not in passed]
     for path, line, ident in sorted(dead):
         print(f'{path}:{line}: {ident}')
     print(f'{len(dead)} dead names')
