@@ -392,29 +392,35 @@ def _progress(outcome, done, total):
 
 def cmd_figure(args):
     from .harness import figures as F
-    store = _open_store(args.store)
-    cache = F.ResultCache(scale=args.scale, store=store)
+    cache = F.ResultCache(scale=args.scale, store=_open_store(args.store))
     if args.jobs > 1:
         from .jobs import SweepEngine, any_failed, plan_figures, \
             render_summary
         specs = plan_figures([args.name], scale=args.scale)
-        engine = SweepEngine(jobs=args.jobs, store=store,
-                             progress=_progress)
-        outcomes = engine.execute(specs)
+        outcomes = SweepEngine(jobs=args.jobs, store=cache,
+                               progress=_progress).execute(specs)
         if any_failed(outcomes):
             raise _Exit(1, render_summary(outcomes))
-        for o in outcomes:
-            cache.prime(o.spec, o.result)
-    fn = getattr(F, F.FIGURES[args.name])
-    series = fn(cache)
-    print(series.render())
+    print(getattr(F, F.FIGURES[args.name])(cache).render())
 
 
 def cmd_experiment(args):
-    from .harness.experiments import run_experiment
-    result = run_experiment(args.file, jobs=args.jobs,
-                            store=_open_store(args.store),
-                            progress=_progress if args.jobs > 1 else None)
+    import traceback
+    from .harness.experiments import ExperimentSpec, run_experiment
+    try:
+        spec = ExperimentSpec.load(args.file)
+    except (OSError, ValueError) as exc:
+        raise _Exit(1, f'invalid experiment: {args.file}: {exc}') from None
+    try:
+        result = run_experiment(spec, jobs=args.jobs,
+                                store=_open_store(args.store),
+                                progress=_progress if args.jobs > 1
+                                else None)
+    except Exception as exc:  # a failed point
+        if args.jobs > 1:  # the farm's summary, as `figure` prints it
+            raise _Exit(1, str(exc)) from None
+        reason = traceback.format_exception_only(exc)[-1].strip()
+        raise _Exit(1, f'experiment: {reason}') from None
     print(result.render())
 
 

@@ -25,7 +25,7 @@ Accounting rules from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..manycore.config import MachineConfig

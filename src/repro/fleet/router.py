@@ -58,12 +58,10 @@ class FleetConfig:
     shard_queue_cap: int = 8     # per-shard backlog cap (backpressure)
     max_queue: int = 256         # router queue cap (admission control)
     affinity: bool = True        # job-key stickiness on top of JSQ
-    digests: bool = True         # per-request output digests
     workers: int = 4             # concurrent worker processes
     timeout: Optional[float] = None  # wall-clock per batch (seconds)
     max_reroutes: int = 2        # re-executions after shard crashes
     max_epochs: int = 100_000    # runaway guard
-    mp_context: Optional[str] = None
     #: fault injection: (shard_id, epoch) pairs; the named shard's first
     #: batch dispatched at or after that epoch is killed mid-run
     crashes: Tuple[Tuple[int, int], ...] = ()
@@ -166,8 +164,7 @@ class FleetRouter:
         #: below is None-guarded so the default path costs one check
         self.flight = flight
         self.pool = pool if pool is not None else ShardPool(
-            workers=config.workers, timeout=config.timeout,
-            mp_context=config.mp_context)
+            workers=config.workers, timeout=config.timeout)
         self.shards: Dict[int, ShardState] = {}
         self._next_shard_id = 0
         for _ in range(max(1, config.shards)):
@@ -517,7 +514,7 @@ class FleetRouter:
                 shard_id=sh.shard_id, epoch=epoch,
                 requests=tuple(
                     dict(e.req.to_dict(), arrival=0) for e in entries),
-                digests=cfg.digests, crash=crash,
+                crash=crash,
                 metrics_out=(
                     f'{cfg.shard_metrics_dir}/shard{sh.shard_id}.jsonl'
                     if cfg.shard_metrics_dir else None),

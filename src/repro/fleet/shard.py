@@ -51,7 +51,6 @@ class ShardBatch:
     shard_id: int
     epoch: int
     requests: Tuple[dict, ...]  # KernelRequest.to_dict() forms, arrival 0
-    digests: bool = True
     crash: bool = False  # fault injection: worker SIGKILLs itself
     max_cycles: int = 200_000_000
     #: per-shard observe-plane JSONL stream (append mode, shared across
@@ -62,8 +61,7 @@ class ShardBatch:
     def key(self) -> str:
         canon = json.dumps(
             {'shard': self.shard_id, 'epoch': self.epoch,
-             'requests': list(self.requests), 'digests': self.digests,
-             'crash': self.crash},
+             'requests': list(self.requests), 'crash': self.crash},
             sort_keys=True)
         digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
         return f'fleet-{digest}'
@@ -111,12 +109,11 @@ def run_shard_batch(batch: ShardBatch) -> dict:
     result = scheduler.run(requests, max_cycles=batch.max_cycles)
     report = build_serve_report(result)
     digests: Dict[str, str] = {}
-    if batch.digests:
-        for req in result.requests:
-            if req.state == DONE:
-                outs = request_outputs(fabric, req)
-                if outs is not None:
-                    digests[str(req.req_id)] = output_digest(outs)
+    for req in result.requests:
+        if req.state == DONE:
+            outs = request_outputs(fabric, req)
+            if outs is not None:
+                digests[str(req.req_id)] = output_digest(outs)
     return {
         'shard_id': batch.shard_id,
         'epoch': batch.epoch,
@@ -139,11 +136,10 @@ class ShardPool:
     (silent same-shard retry).
     """
 
-    def __init__(self, workers: int = 4, timeout: Optional[float] = None,
-                 mp_context: Optional[str] = None):
+    def __init__(self, workers: int = 4, timeout: Optional[float] = None):
         self.engine = SweepEngine(
             jobs=workers, timeout=timeout, retries=0, store=None,
-            job_fn=run_shard_batch, mp_context=mp_context,
+            job_fn=run_shard_batch,
             encode=lambda doc: doc, decode=lambda doc: doc)
 
     @property

@@ -21,7 +21,6 @@ phase list (gramschm, bfs) have a hand-written launch builder here.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np

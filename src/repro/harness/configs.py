@@ -26,8 +26,8 @@ member configurations and keeps the fastest, as the paper does
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..manycore import DEFAULT_CONFIG, MachineConfig
 

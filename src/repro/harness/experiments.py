@@ -23,16 +23,20 @@ table; every simulated point is verified against the numpy reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from ..kernels import registry
 from ..manycore import DEFAULT_CONFIG, MachineConfig
-from .figures import ResultCache, Series
+from .configs import CONFIGS, META_CONFIGS
+from .figures import ResultCache, Series, table
 
-VALID_METRICS = ('cycles', 'speedup', 'icache', 'energy', 'instrs',
-                 'miss_rate')
+#: metric -> table format; ``speedup`` is the first config's cycles over
+#: each config's
+_FORMATS = {'cycles': '{:.0f}', 'speedup': '{:.2f}', 'icache': '{:.0f}',
+            'energy': '{:.3e}', 'instrs': '{:.0f}', 'miss_rate': '{:.3f}'}
+VALID_METRICS = tuple(_FORMATS)
 
 
 @dataclass
@@ -49,6 +53,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> 'ExperimentSpec':
+        if not isinstance(d, dict):
+            raise ValueError('an experiment is a JSON object')
         unknown = set(d) - {'name', 'benchmarks', 'configs', 'scale',
                             'machine', 'metrics', 'verify'}
         if unknown:
@@ -66,6 +72,14 @@ class ExperimentSpec:
         for b in spec.benchmarks:
             if b not in registry.BY_NAME:
                 raise ValueError(f'unknown benchmark {b!r}')
+        if not spec.configs:
+            raise ValueError('no configs')
+        for c in spec.configs:
+            if c not in CONFIGS and c not in META_CONFIGS:
+                raise ValueError(f'unknown configuration {c!r}')
+        unknown = set(spec.machine) - {f.name for f in fields(MachineConfig)}
+        if unknown:
+            raise ValueError(f'unknown machine fields: {sorted(unknown)}')
         for m in spec.metrics:
             if m not in VALID_METRICS:
                 raise ValueError(f'unknown metric {m!r} '
@@ -98,32 +112,18 @@ class ExperimentResult:
         return '\n'.join(parts)
 
 
-def _metric_value(result, metric: str, baseline):
-    if metric == 'cycles':
-        return float(result.cycles)
-    if metric == 'speedup':
-        return baseline.cycles / result.cycles
-    if metric == 'icache':
-        return float(result.icache_accesses)
-    if metric == 'instrs':
-        return float(result.instrs)
-    if metric == 'energy':
-        return result.energy.on_chip_total if result.energy else 0.0
-    if metric == 'miss_rate':
-        return result.stats.mem.miss_rate
-    raise ValueError(metric)
-
-
 def run_experiment(spec: Union[ExperimentSpec, Dict, str, Path],
                    jobs: int = 1, store=None,
                    progress=None) -> ExperimentResult:
     """Execute an experiment spec; returns per-metric result tables.
 
     ``jobs > 1`` farms the (benchmark x config) points across a
-    :class:`repro.jobs.SweepEngine` worker pool first and then fills the
-    tables from the primed cache — results are bit-identical to the
-    serial path because workers run the very same ``run_job``.  ``store``
-    (a :class:`repro.jobs.ResultStore`) persists results across runs.
+    :class:`repro.jobs.SweepEngine` worker pool straight into the result
+    cache, then fills the tables from it — results are bit-identical to
+    the serial path because workers run the very same ``run_job``.  A
+    failed point raises ``RuntimeError`` with the farm's summary and is
+    not simulated again in-process.  ``store`` (a
+    :class:`repro.jobs.ResultStore`) persists results across runs.
     """
     if isinstance(spec, (str, Path)):
         spec = ExperimentSpec.load(spec)
@@ -132,35 +132,25 @@ def run_experiment(spec: Union[ExperimentSpec, Dict, str, Path],
     cache = ResultCache(scale=spec.scale, verify=spec.verify, store=store)
     machine = spec.machine_config()
 
-    if jobs and jobs > 1:
-        from ..jobs import JobSpec, SweepEngine
+    if jobs > 1:
+        from ..jobs import JobSpec, SweepEngine, any_failed, render_summary
         points = [JobSpec.make(b, cfg, scale=spec.scale, verify=spec.verify,
                                machine=machine)
                   for b in spec.benchmarks for cfg in spec.configs]
-        engine = SweepEngine(jobs=jobs, store=cache.store,
-                             progress=progress)
-        for outcome in engine.execute(points):
-            if outcome.result is not None:
-                cache.prime(outcome.spec, outcome.result)
-        # failed points (if any) re-raise naturally in the serial fill
-        # below, with the same exception the worker saw.
+        outcomes = SweepEngine(jobs=jobs, store=cache,
+                               progress=progress).execute(points)
+        if any_failed(outcomes):
+            raise RuntimeError(render_summary(outcomes))
 
-    tables: Dict[str, Series] = {}
-    fmt = {'cycles': '{:.0f}', 'icache': '{:.0f}', 'instrs': '{:.0f}',
-           'energy': '{:.3e}', 'speedup': '{:.2f}', 'miss_rate': '{:.3f}'}
+    def result(bench, cfg):
+        return cache.run(bench, cfg, machine=machine)
+    tables = {}
     for metric in spec.metrics:
-        tables[metric] = Series(
-            f'{spec.name}: {metric}', list(spec.configs),
-            mean_kind='geomean' if metric == 'speedup' else 'amean',
-            value_format=fmt.get(metric, '{:.2f}'))
-
-    for b in spec.benchmarks:
-        baseline = None
-        for cfg in spec.configs:
-            r = cache.run(b, cfg, machine=machine)
-            if baseline is None:
-                baseline = r
-            for metric in spec.metrics:
-                tables[metric].add(b, cfg, _metric_value(r, metric,
-                                                         baseline))
+        speedup = metric == 'speedup'
+        tables[metric] = table(
+            f'{spec.name}: {metric}', spec.benchmarks, spec.configs, result,
+            'cycles' if speedup else metric,
+            baseline=spec.configs[0] if speedup else None, speedup=speedup,
+            mean_kind='geomean' if speedup else 'amean',
+            value_format=_FORMATS[metric])
     return ExperimentResult(spec, tables)

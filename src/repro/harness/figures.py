@@ -1,10 +1,15 @@
 """Regenerate every table and figure of the paper's evaluation section.
 
-Each ``fig*`` function returns a :class:`Series` — per-benchmark rows of
-per-configuration values plus a mean — and can render itself as the text
-analogue of the paper's plot.  A shared :class:`ResultCache` makes sure
-each (benchmark, configuration, machine-override) point simulates once per
-session even when several figures need it.
+A table-shaped figure is a row: title, columns, metric, baseline,
+speedup-or-ratio and :class:`Series` format.  One reducer, :func:`table`,
+evaluates every row from the one metric table :data:`METRICS`, and one
+function, :func:`_column`, resolves every figure column — Table 3's
+``BEST_V`` members and the long-line rule are read from
+:mod:`.configs` and stated once.  The figures that filter core subsets,
+hop buckets or lanes (11, 12, 13, 15) stay hand-written.  A shared
+:class:`ResultCache` makes sure each (benchmark, configuration,
+machine-override) point simulates once per session even when several
+figures need it.
 
 Inputs are scaled down from the paper's (see EXPERIMENTS.md); the point of
 these harnesses is the *shape* — who wins, by what factor, where the
@@ -15,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 from ..core.vgroup import plan_groups
 from ..kernels import registry
 from ..manycore import DEFAULT_CONFIG, MachineConfig
-from .configs import CONFIGS, META_CONFIGS, get
-from .runner import RunResult, run_benchmark
+from .configs import META_CONFIGS, get
+from .runner import RunResult
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -41,12 +47,12 @@ class ResultCache:
 
     Keys are the content-addressed :meth:`repro.jobs.JobSpec.key` hashes,
     so ``active_cores=None`` vs ``()`` and parameter-dict ordering never
-    split a cache entry.  An optional persistent
-    :class:`repro.jobs.ResultStore` backs the in-memory dict: hits are
-    rehydrated from disk and fresh results written back, which is how
-    ``repro sweep`` farms points out in parallel and figure regeneration
-    afterwards simulates nothing (see docs/sweeps.md).
-    ``self.simulations`` counts actual simulator launches.
+    split a cache entry.  ``get``/``put`` read and write the in-memory
+    dict backed by an optional persistent :class:`repro.jobs.ResultStore`,
+    so the cache is itself a store: ``SweepEngine(store=cache)`` farms
+    points out in parallel straight into it, and the figure afterwards
+    simulates nothing (see docs/sweeps.md).  ``self.simulations`` counts
+    actual simulator launches.
     """
 
     def __init__(self, scale: str = 'bench', verify: bool = True,
@@ -57,37 +63,35 @@ class ResultCache:
         self._results: Dict[str, RunResult] = {}
         self.simulations = 0
 
-    def _spec(self, bench_name, config_name, machine, active_cores,
-              params_override):
-        from ..jobs.spec import JobSpec
-        return JobSpec.make(bench_name, config_name, scale=self.scale,
-                            verify=self.verify,
-                            params_override=params_override,
-                            machine=machine, active_cores=active_cores)
-
-    def prime(self, spec, result: RunResult) -> None:
-        """Pre-populate one point (used by the parallel sweep paths)."""
-        self._results[spec.key()] = result
-
-    def run(self, bench_name: str, config_name: str,
-            machine: Optional[MachineConfig] = None,
-            active_cores: Optional[tuple] = None,
-            params_override: Optional[dict] = None) -> RunResult:
-        spec = self._spec(bench_name, config_name, machine, active_cores,
-                          params_override)
-        key = spec.key()
+    def get(self, key: str) -> Optional[RunResult]:
         result = self._results.get(key)
         if result is None and self.store is not None:
             result = self.store.get(key)
             if result is not None:
                 self._results[key] = result
+        return result
+
+    def put(self, key: str, result: RunResult) -> None:
+        self._results[key] = result
+        if self.store is not None:
+            self.store.put(key, result)
+
+    def run(self, bench_name: str, config_name: str,
+            machine: Optional[MachineConfig] = None,
+            active_cores: Optional[tuple] = None,
+            params_override: Optional[dict] = None) -> RunResult:
+        from ..jobs.engine import run_job
+        from ..jobs.spec import JobSpec
+        spec = JobSpec.make(bench_name, config_name, scale=self.scale,
+                            verify=self.verify,
+                            params_override=params_override,
+                            machine=machine, active_cores=active_cores)
+        key = spec.key()
+        result = self.get(key)
         if result is None:
-            from ..jobs.engine import run_job
             result = run_job(spec)
             self.simulations += 1
-            self._results[key] = result
-            if self.store is not None:
-                self.store.put(key, result)
+            self.put(key, result)
         return result
 
 
@@ -100,7 +104,6 @@ class Series:
     rows: Dict[str, Dict[str, float]] = field(default_factory=dict)
     mean_kind: str = 'geomean'
     value_format: str = '{:.2f}'
-    note: str = ''
 
     def add(self, row: str, col: str, value: float) -> None:
         self.rows.setdefault(row, {})[col] = value
@@ -115,13 +118,9 @@ class Series:
     def render(self) -> str:
         name_w = max([len(r) for r in self.rows] + [10])
         col_w = max([len(c) for c in self.columns] + [8]) + 1
-        lines = [self.title]
-        if self.note:
-            lines.append(self.note)
         header = ' ' * name_w + ''.join(f'{c:>{col_w}}'
                                         for c in self.columns)
-        lines.append(header)
-        lines.append('-' * len(header))
+        lines = [self.title, header, '-' * len(header)]
         for row, vals in self.rows.items():
             cells = ''.join(
                 f'{self.value_format.format(vals[c]):>{col_w}}'
@@ -137,75 +136,92 @@ class Series:
         return '\n'.join(lines)
 
 
+#: metric name -> getter; counts come back as floats, which is exact
+#: below 2**53, so a ratio of two equals the integer division bit for bit
+METRICS = {
+    'cycles': lambda r: float(r.cycles),
+    'icache': lambda r: float(r.icache_accesses),
+    'instrs': lambda r: float(r.instrs),
+    'energy': lambda r: r.energy.on_chip_total if r.energy else 0.0,
+    'miss_rate': lambda r: r.stats.mem.miss_rate,
+}
+
+
+def table(title: str, benches: Sequence[str], columns: Sequence[str],
+          result, metric: str, baseline: Optional[str] = None,
+          speedup: bool = False, **series) -> Series:
+    """Fill one :class:`Series` from ``result(bench, column)``.
+
+    Each cell holds ``METRICS[metric]`` of that result, or — with a
+    ``baseline`` column — its ratio to the baseline's: base/x for a
+    ``speedup``, x/base otherwise.  A ``None`` result is an empty cell.
+    The baseline resolves first in each row, then the columns in order.
+    ``series`` passes ``mean_kind`` / ``value_format`` through.
+    """
+    value = METRICS[metric]
+    s = Series(title, list(columns), **series)
+    for b in benches:
+        base = value(result(b, baseline)) if baseline else None
+        for col in columns:
+            r = result(b, col)
+            if r is None:
+                continue
+            x = value(r)
+            s.add(b, col, x if base is None else
+                  base / x if speedup else x / base)
+    return s
+
+
+def _long_lines(cache: ResultCache, bench: str) -> bool:
+    """Table 3's "Long Lines: ?": the long-line set, at bench scale only
+    (the variants need row spans of at least one long line)."""
+    return bench in registry.LONG_LINE_SET and cache.scale == 'bench'
+
+
+def _column(cache: ResultCache, bench: str, col: str,
+            machine: Optional[MachineConfig] = None) -> Optional[RunResult]:
+    """The result behind one figure column, ``None`` for an empty cell.
+
+    A meta-configuration keeps the fastest of its ``META_CONFIGS``
+    members (the first on ties); ``BEST_V`` takes long lines where they
+    apply.  A long-line configuration where they do not is empty.
+    """
+    if col == 'BEST_V_PCV' and bench == 'gramschm':
+        col = 'BEST_V'  # the paper: no SIMD variant; closest valid
+    if col == 'BEST_V' and _long_lines(cache, bench):
+        col = 'BEST_V_LL'
+    if col in META_CONFIGS:
+        return min((_column(cache, bench, m, machine)
+                    for m in META_CONFIGS[col].members),
+                   key=lambda r: r.cycles)
+    if get(col).long_lines and not _long_lines(cache, bench):
+        return None
+    return cache.run(bench, col, machine=machine)
+
+
 POLY = [c.name for c in registry.POLYBENCH]
 
 
+def _figure(title: str, columns: Sequence[str], metric: str,
+            baseline: Optional[str] = None, speedup: bool = False,
+            **series):
+    """One figure row: ``fig(cache, benches=POLY)`` is :func:`table`
+    over :func:`_column`."""
+    def fig(cache: ResultCache, benches: Sequence[str] = POLY) -> Series:
+        return table(title, benches, columns, partial(_column, cache),
+                     metric, baseline, speedup, **series)
+    fig.__doc__ = title
+    return fig
+
+
 # ------------------------------------------------------------------ Figure 10
-def fig10a_speedup(cache: ResultCache,
-                   benches: Sequence[str] = POLY) -> Series:
-    """Speedup over the NV baseline (paper Figure 10a)."""
-    s = Series('Figure 10a: speedup relative to NV',
-               ['NV', 'NV_PF', 'BEST_V'])
-    for b in benches:
-        base = cache.run(b, 'NV').cycles
-        s.add(b, 'NV', 1.0)
-        s.add(b, 'NV_PF', base / cache.run(b, 'NV_PF').cycles)
-        s.add(b, 'BEST_V', base / _best_v(cache, b).cycles)
-    return s
-
-
-def fig10b_icache(cache: ResultCache,
-                  benches: Sequence[str] = POLY) -> Series:
-    """I-cache accesses relative to NV (paper Figure 10b)."""
-    s = Series('Figure 10b: I-cache accesses relative to NV',
-               ['NV', 'NV_PF', 'BEST_V'])
-    for b in benches:
-        base = cache.run(b, 'NV').icache_accesses
-        s.add(b, 'NV', 1.0)
-        s.add(b, 'NV_PF', cache.run(b, 'NV_PF').icache_accesses / base)
-        s.add(b, 'BEST_V', _best_v(cache, b).icache_accesses / base)
-    return s
-
-
-def fig10c_energy(cache: ResultCache,
-                  benches: Sequence[str] = POLY) -> Series:
-    """Total on-chip energy relative to NV (paper Figure 10c)."""
-    s = Series('Figure 10c: total on-chip energy relative to NV',
-               ['NV', 'NV_PF', 'BEST_V'])
-    for b in benches:
-        base = cache.run(b, 'NV').energy.on_chip_total
-        s.add(b, 'NV', 1.0)
-        s.add(b, 'NV_PF',
-              cache.run(b, 'NV_PF').energy.on_chip_total / base)
-        s.add(b, 'BEST_V', _best_v(cache, b).energy.on_chip_total / base)
-    return s
-
-
-def _best_v(cache: ResultCache, bench: str) -> RunResult:
-    """BEST_V: fastest of V4/V16, plus long lines where the paper uses
-    them (Table 3's "Long Lines: ?")."""
-    members = ['V4', 'V16']
-    # the long-line variants need bench-scale inputs (row spans of one
-    # 256-byte line)
-    if bench in registry.LONG_LINE_SET and cache.scale == 'bench':
-        members.append('V16_LL')
-    best = None
-    for m in members:
-        r = cache.run(bench, m)
-        if best is None or r.cycles < best.cycles:
-            best = r
-    return best
-
-
-def _best_v_pcv(cache: ResultCache, bench: str) -> RunResult:
-    if bench == 'gramschm':
-        return _best_v(cache, bench)  # paper: no SIMD variant; closest valid
-    best = None
-    for m in ('V4_PCV', 'V16_PCV'):
-        r = cache.run(bench, m)
-        if best is None or r.cycles < best.cycles:
-            best = r
-    return best
+_FIG10 = ['NV', 'NV_PF', 'BEST_V']
+fig10a_speedup = _figure('Figure 10a: speedup relative to NV', _FIG10,
+                         'cycles', 'NV', speedup=True)
+fig10b_icache = _figure('Figure 10b: I-cache accesses relative to NV',
+                        _FIG10, 'icache', 'NV')
+fig10c_energy = _figure('Figure 10c: total on-chip energy relative to NV',
+                        _FIG10, 'energy', 'NV')
 
 
 # ------------------------------------------------------------------ Figure 11
@@ -297,48 +313,13 @@ def render_cpi(table: Dict[str, Dict], title: str) -> str:
 
 
 # ------------------------------------------------------------------ Figure 14
-def fig14a_speedup(cache: ResultCache,
-                   benches: Sequence[str] = POLY) -> Series:
-    """Speedup vs NV_PF with SIMD units and the GPU (Figure 14a)."""
-    s = Series('Figure 14a: speedup relative to NV_PF',
-               ['NV_PF', 'PCV_PF', 'BEST_V', 'BEST_V_PCV', 'GPU'])
-    for b in benches:
-        base = cache.run(b, 'NV_PF').cycles
-        s.add(b, 'NV_PF', 1.0)
-        s.add(b, 'PCV_PF', base / cache.run(b, 'PCV_PF').cycles)
-        s.add(b, 'BEST_V', base / _best_v(cache, b).cycles)
-        s.add(b, 'BEST_V_PCV', base / _best_v_pcv(cache, b).cycles)
-        s.add(b, 'GPU', base / cache.run(b, 'GPU').cycles)
-    return s
-
-
-def fig14b_icache(cache: ResultCache,
-                  benches: Sequence[str] = POLY) -> Series:
-    s = Series('Figure 14b: I-cache accesses relative to NV_PF',
-               ['NV_PF', 'PCV_PF', 'BEST_V', 'BEST_V_PCV'])
-    for b in benches:
-        base = cache.run(b, 'NV_PF').icache_accesses
-        s.add(b, 'NV_PF', 1.0)
-        s.add(b, 'PCV_PF', cache.run(b, 'PCV_PF').icache_accesses / base)
-        s.add(b, 'BEST_V', _best_v(cache, b).icache_accesses / base)
-        s.add(b, 'BEST_V_PCV',
-              _best_v_pcv(cache, b).icache_accesses / base)
-    return s
-
-
-def fig14c_energy(cache: ResultCache,
-                  benches: Sequence[str] = POLY) -> Series:
-    s = Series('Figure 14c: total on-chip energy relative to NV_PF',
-               ['NV_PF', 'PCV_PF', 'BEST_V', 'BEST_V_PCV'])
-    for b in benches:
-        base = cache.run(b, 'NV_PF').energy.on_chip_total
-        s.add(b, 'NV_PF', 1.0)
-        s.add(b, 'PCV_PF',
-              cache.run(b, 'PCV_PF').energy.on_chip_total / base)
-        s.add(b, 'BEST_V', _best_v(cache, b).energy.on_chip_total / base)
-        s.add(b, 'BEST_V_PCV',
-              _best_v_pcv(cache, b).energy.on_chip_total / base)
-    return s
+_FIG14 = ['NV_PF', 'PCV_PF', 'BEST_V', 'BEST_V_PCV']
+fig14a_speedup = _figure('Figure 14a: speedup relative to NV_PF',
+                         _FIG14 + ['GPU'], 'cycles', 'NV_PF', speedup=True)
+fig14b_icache = _figure('Figure 14b: I-cache accesses relative to NV_PF',
+                        _FIG14, 'icache', 'NV_PF')
+fig14c_energy = _figure('Figure 14c: total on-chip energy relative to '
+                        'NV_PF', _FIG14, 'energy', 'NV_PF')
 
 
 # ------------------------------------------------------------------ Figure 15
@@ -397,109 +378,57 @@ def fig15c_frame_stalls(cache: ResultCache,
 
 
 # ------------------------------------------------------------------ Figure 16
-def fig16_vector_lengths(cache: ResultCache,
-                         benches: Sequence[str] = POLY) -> Series:
-    """Speedup of vector-length / long-line variants over V4 (Figure 16)."""
-    s = Series('Figure 16: speedup relative to V4',
-               ['V4', 'V4_LL_PCV', 'V16', 'V16_LL_PCV'])
-    for b in benches:
-        base = cache.run(b, 'V4').cycles
-        s.add(b, 'V4', 1.0)
-        s.add(b, 'V16', base / cache.run(b, 'V16').cycles)
-        if (b in registry.LONG_LINE_SET and b != 'gramschm'
-                and cache.scale == 'bench'):
-            s.add(b, 'V4_LL_PCV',
-                  base / cache.run(b, 'V4_LL_PCV').cycles)
-            s.add(b, 'V16_LL_PCV',
-                  base / cache.run(b, 'V16_LL_PCV').cycles)
-    return s
+fig16_vector_lengths = _figure('Figure 16: speedup relative to V4',
+                               ['V4', 'V4_LL_PCV', 'V16', 'V16_LL_PCV'],
+                               'cycles', 'V4', speedup=True)
 
 
 # ------------------------------------------------------------------ Figure 17
-def fig17a_miss_rate(cache: ResultCache,
-                     benches: Sequence[str] = POLY) -> Series:
-    """LLC miss rates (Figure 17a)."""
-    s = Series('Figure 17a: LLC miss rate',
-               ['NV', 'NV_PF', 'BEST_V', 'V16_LL'], mean_kind='amean',
-               value_format='{:.3f}')
-    for b in benches:
-        s.add(b, 'NV', cache.run(b, 'NV').stats.mem.miss_rate)
-        s.add(b, 'NV_PF', cache.run(b, 'NV_PF').stats.mem.miss_rate)
-        s.add(b, 'BEST_V', _best_v(cache, b).stats.mem.miss_rate)
-        if b in registry.LONG_LINE_SET and cache.scale == 'bench':
-            s.add(b, 'V16_LL', cache.run(b, 'V16_LL').stats.mem.miss_rate)
-    return s
+fig17a_miss_rate = _figure('Figure 17a: LLC miss rate',
+                           ['NV', 'NV_PF', 'BEST_V', 'V16_LL'], 'miss_rate',
+                           mean_kind='amean', value_format='{:.3f}')
 
 
-def fig17b_llc_capacity(cache: ResultCache,
-                        benches: Sequence[str] = POLY) -> Series:
-    """Sensitivity to LLC capacity (Figure 17b).
+def _sweep(title: str, field: str, points: Dict[str, int], base: str):
+    """A machine-field sweep (Figures 17b/17c): NV_PF, V4 and V16_LL at
+    each of ``points`` (column suffix -> ``field`` value), as speedups
+    over the ``base`` column; a column no benchmark fills is dropped."""
+    def fig(cache: ResultCache, benches: Sequence[str] = POLY) -> Series:
+        cols = {f'{cfg}_{suffix}': (cfg, value)
+                for cfg in ('NV_PF', 'V4', 'V16_LL')
+                for suffix, value in points.items()}
 
-    The paper shrinks the LLC to 16/32 kB for this sweep so capacity
-    pressure is visible; we do the same relative to our scaled inputs.
-    """
-    cols = []
-    s = Series('Figure 17b: speedup relative to NV_PF @ 32kB LLC', [])
-    for b in benches:
-        base = None
-        for name, cfgname in [('NV_PF', 'NV_PF'), ('V4', 'V4'),
-                              ('V16_LL', 'V16_LL')]:
-            if cfgname == 'V16_LL' and (
-                    b not in registry.LONG_LINE_SET or
-                    cache.scale != 'bench'):
-                continue
-            for kb in (16, 32):
-                machine = get(cfgname).machine().scaled(
-                    llc_capacity_bytes=kb * 1024)
-                r = cache.run(b, cfgname, machine=machine)
-                col = f'{name}_{kb}kB'
-                if col not in s.columns:
-                    s.columns.append(col)
-                if name == 'NV_PF' and kb == 32:
-                    base = r.cycles
-                s.add(b, col, r.cycles)
-        for col in list(s.rows[b]):
-            s.rows[b][col] = base / s.rows[b][col]
-    return s
+        def result(bench, col):
+            cfg, value = cols[col]
+            machine = get(cfg).machine().scaled(**{field: value})
+            return _column(cache, bench, cfg, machine)
+        s = table(title, benches, cols, result, 'cycles')
+        s.columns = [c for c in s.columns
+                     if any(c in row for row in s.rows.values())]
+        for row in s.rows.values():
+            row.update({c: row[base] / x for c, x in row.items()})
+        return s
+    fig.__doc__ = title
+    return fig
 
 
-def fig17c_noc_width(cache: ResultCache,
-                     benches: Sequence[str] = POLY) -> Series:
-    """Sensitivity to on-chip network width (Figure 17c)."""
-    s = Series('Figure 17c: speedup relative to NV_PF @ NW1', [])
-    for b in benches:
-        base = None
-        for name, cfgname in [('NV_PF', 'NV_PF'), ('V4', 'V4'),
-                              ('V16_LL', 'V16_LL')]:
-            if cfgname == 'V16_LL' and (
-                    b not in registry.LONG_LINE_SET or
-                    cache.scale != 'bench'):
-                continue
-            for nw in (1, 4):
-                machine = get(cfgname).machine().scaled(
-                    noc_width_words=nw)
-                r = cache.run(b, cfgname, machine=machine)
-                col = f'{name}_NW{nw}'
-                if col not in s.columns:
-                    s.columns.append(col)
-                if name == 'NV_PF' and nw == 1:
-                    base = r.cycles
-                s.add(b, col, r.cycles)
-        for col in list(s.rows[b]):
-            s.rows[b][col] = base / s.rows[b][col]
-    return s
+# The paper shrinks the LLC to 16/32 kB for this sweep so capacity
+# pressure is visible; we do the same relative to our scaled inputs.
+fig17b_llc_capacity = _sweep(
+    'Figure 17b: speedup relative to NV_PF @ 32kB LLC',
+    'llc_capacity_bytes', {'16kB': 16 * 1024, '32kB': 32 * 1024},
+    'NV_PF_32kB')
+fig17c_noc_width = _sweep('Figure 17c: speedup relative to NV_PF @ NW1',
+                          'noc_width_words', {'NW1': 1, 'NW4': 4},
+                          'NV_PF_NW1')
 
 
 # ------------------------------------------------------------- Section 6.6 bfs
 def bfs_irregular(cache: ResultCache) -> Series:
     """NV vs vector groups on bfs (Section 6.6: NV is ~2.9x faster)."""
-    s = Series('Section 6.6: bfs speedup relative to V4 (higher = NV wins)',
-               ['NV', 'V4', 'V16'])
-    base = cache.run('bfs', 'V4').cycles
-    s.add('bfs', 'NV', base / cache.run('bfs', 'NV').cycles)
-    s.add('bfs', 'V4', 1.0)
-    s.add('bfs', 'V16', base / cache.run('bfs', 'V16').cycles)
-    return s
+    return table('Section 6.6: bfs speedup relative to V4 (higher = NV '
+                 'wins)', ['bfs'], ['NV', 'V4', 'V16'],
+                 partial(_column, cache), 'cycles', 'V4', speedup=True)
 
 
 #: CLI/sweep-facing registry: figure name -> function name in this module.

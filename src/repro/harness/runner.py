@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..kernels.base import Benchmark, VectorParams
 from ..manycore import Fabric, MachineConfig, RunStats
-from .configs import Config, MetaConfig, get
+from .configs import MetaConfig, get
 
 
 @dataclass

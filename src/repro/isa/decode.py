@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .instruction import Instr
 from .opcodes import (ROWS, SEQ_CONTROL, SEQ_FRAME, SEQ_LOAD,  # noqa: F401
-                      SEQ_PLAIN, SEQ_SEND, SEQ_SYSTEM, Op)
+                      SEQ_SEND, Op)
 
 _SLOT = {'rd': 0, 'rs1': 1, 'rs2': 2}  # index into (rd, rs1, rs2)
 

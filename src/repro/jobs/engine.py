@@ -24,7 +24,7 @@ import multiprocessing as mp
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -107,8 +107,11 @@ class SweepEngine:
         Extra attempts after a crash or timeout (raised exceptions are
         deterministic and are not retried).
     store:
-        Optional :class:`~repro.jobs.store.ResultStore`; hits skip the
-        worker launch entirely and fresh results are written back.
+        Optional ``get(key)`` / ``put(key, result)`` store — a
+        :class:`~repro.jobs.store.ResultStore`, or a
+        :class:`~repro.harness.figures.ResultCache` to fill a figure's
+        cache directly; hits skip the worker launch entirely and fresh
+        results are written back.
     use_cache:
         When False the store is write-only (``--no-cache``).
     job_fn:
@@ -132,7 +135,6 @@ class SweepEngine:
                  retries: int = 1, store=None, use_cache: bool = True,
                  job_fn: Callable = run_job,
                  progress: Optional[Callable] = None,
-                 mp_context: Optional[str] = None,
                  encode: Callable = result_to_dict,
                  decode: Callable = None):
         self.jobs = max(1, int(jobs))
@@ -142,10 +144,8 @@ class SweepEngine:
         self.use_cache = use_cache
         self.job_fn = job_fn
         self.progress = progress
-        if mp_context is None:
-            mp_context = ('fork' if 'fork' in mp.get_all_start_methods()
-                          else 'spawn')
-        self.ctx = mp.get_context(mp_context)
+        self.ctx = mp.get_context('fork' if 'fork' in
+                                  mp.get_all_start_methods() else 'spawn')
         self.encode = encode
         self.decode = (decode if decode is not None
                        else lambda doc: result_from_dict(

@@ -28,7 +28,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 #: Bump when simulator semantics change and cached results must not be
 #: reused.  Part of every job key, so stale store entries simply stop

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.sync import instruction_delay_bound, safe_runahead
 from ..core.vgroup import GroupDescriptor, plan_groups, plan_groups_in

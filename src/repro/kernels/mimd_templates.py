@@ -18,12 +18,12 @@ f1..f7 scratch, f8..f23 accumulators, f24..f27 constants.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..isa import Assembler, VL_SELF, opcodes as op
-from .codegen import SelfDaeStream, pack_frame_cfg, strided_loop
+from ..isa import Assembler, VL_SELF
+from .codegen import SelfDaeStream, strided_loop
 from .vector_templates import (MatTerm, StencilSection, emit_fconst,
                                emit_fp_zero)
 

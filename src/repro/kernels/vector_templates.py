@@ -32,7 +32,7 @@ hold accumulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..isa import Assembler, VL_GROUP, VL_SINGLE, opcodes as op
 from .codegen import GroupCtx, VectorKernelBuilder, VectorProgram, \

@@ -7,7 +7,7 @@ since the simulator is word-addressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 WORD_BYTES = 4
 

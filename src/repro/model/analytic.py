@@ -30,14 +30,12 @@ uncalibrated predictions use rough priors and are clearly marked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..energy.model import EnergyParams
 from ..manycore.config import DEFAULT_CONFIG, MachineConfig
-from .workload import (MimdPhase, VectorPhase, Workload, WorkloadError,
-                       build_workload)
+from .workload import VectorPhase, Workload, WorkloadError, build_workload
 
 #: Feature names, in coefficient-vector order.
 FEATURES: Tuple[str, ...] = ('phase', 'comp', 'fill', 'llcser', 'dram',

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import io
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict
 
 #: components attributed inside the run loop, in render order
 LOOP_COMPONENTS = ('tile_step', 'llc', 'dram', 'frames', 'inet', 'barrier',

@@ -13,7 +13,7 @@ enough (external fragmentation), and the two are counted separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.vgroup import serpentine_order

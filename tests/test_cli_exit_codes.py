@@ -127,6 +127,55 @@ def test_list_names_every_benchmark_and_configuration(capsys):
         assert name in words, name
 
 
+@pytest.mark.parametrize('doc', [
+    None, [], {'benchmarks': ['nope']}, {'configs': []},
+    {'configs': ['V5']}, {'machine': {'no_such_field': 1}}])
+def test_invalid_experiment_is_one_line(doc, tmp_path, capsys):
+    path = tmp_path / 'experiment.json'  # None: the file does not exist
+    if doc is not None:
+        if isinstance(doc, dict):
+            doc = {'benchmarks': ['bicg'], 'scale': 'test', **doc}
+        path.write_text(json.dumps(doc))
+    assert main(['experiment', str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f'invalid experiment: {path}: ')
+    assert err.count('\n') == 1
+
+
+@pytest.fixture
+def infeasible_experiment(tmp_path):
+    """NV runs on a 64-byte scratchpad, V4's frames do not fit."""
+    path = tmp_path / 'spad.json'
+    path.write_text(json.dumps({
+        'benchmarks': ['bicg'], 'configs': ['NV', 'V4'], 'scale': 'test',
+        'machine': {'spad_capacity_bytes': 64}}))
+    return path
+
+
+def test_failed_experiment_point_is_one_line(infeasible_experiment,
+                                             capsys):
+    assert main(['experiment', str(infeasible_experiment)]) == 1
+    assert capsys.readouterr().err == \
+        'experiment: ValueError: frame region exceeds scratchpad capacity\n'
+
+
+def test_farmed_experiment_failure_is_not_retried_in_process(
+        infeasible_experiment, monkeypatch, capsys):
+    import repro.jobs.engine as engine
+
+    def in_process(spec):  # workers keep the real run_job
+        raise AssertionError(f'{spec.label()} simulated in-process')
+    monkeypatch.setattr(engine, 'run_job', in_process)
+    assert main(['experiment', str(infeasible_experiment),
+                 '--jobs', '2']) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == 'sweep: 2 job(s) — 1 simulated, 0 cached, 1 failed'
+    assert err[1].startswith('  FAILED   bicg/V4 ') and \
+        err[1].endswith('ValueError: frame region exceeds scratchpad '
+                        'capacity')
+    assert len(err) == 2
+
+
 def test_serve_slo_contract(tmp_path, capsys):
     passing = tmp_path / 'pass.json'
     passing.write_text(json.dumps({'failed': {'fail': 0},

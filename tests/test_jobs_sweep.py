@@ -77,6 +77,41 @@ class TestPlanner:
             plan_figures(['fig99'], scale='test')
 
 
+class _RecordingCache(F.ResultCache):
+    """A real ResultCache that also records the key of every point a
+    figure asks it for."""
+
+    keys = set()
+
+    def run(self, bench_name, config_name, machine=None, active_cores=None,
+            params_override=None):
+        self.keys.add(JobSpec.make(
+            bench_name, config_name, scale=self.scale, verify=self.verify,
+            params_override=params_override, machine=machine,
+            active_cores=active_cores).key())
+        return super().run(bench_name, config_name, machine, active_cores,
+                           params_override)
+
+
+@pytest.fixture(scope='module')
+def recording_cache():
+    return _RecordingCache(scale='test')
+
+
+@pytest.mark.parametrize('name', list(F.FIGURES))
+def test_plan_is_exactly_what_the_figure_runs(name, recording_cache):
+    """Planning is exact: the planner's key set is the key set a real
+    run of the figure requests, for every registered figure."""
+    benches = ['bicg', 'gemm']
+    planned = {s.key() for s in plan_figures([name], scale='test',
+                                             benches=benches)}
+    recording_cache.keys = set()
+    fn = getattr(F, F.FIGURES[name])
+    fn(recording_cache) if name == 'bfs' else \
+        fn(recording_cache, benches=benches)
+    assert planned == recording_cache.keys
+
+
 class TestFigureSweepEndToEnd:
     """Farm a figure's points, then regenerate it with zero simulations."""
 

@@ -28,6 +28,13 @@ searched file outside ``src/repro`` mentions it — no test, doc,
 example, CI job, benchmark or tool.  Delete the flag and the switch
 behind it, or document it.
 
+And it reports unused imports: a module-level import in a module under
+``src/repro`` other than an ``__init__.py`` is dead when the module never
+uses the bound name (as a name, or a word of a string that is not a
+docstring: a string annotation, or code the module compiles) and no
+``.py`` file imports that name from that module (``from ..isa.decode
+import SEQ_FRAME`` keeps ``isa/decode.py``'s import of ``SEQ_FRAME``).
+
     python tools/deadnames.py         # prints the hits, then 'N dead names'
 
 Exit status 1 on any hit, so CI can run it after ``tools/loc.py``.
@@ -112,6 +119,47 @@ def flags(tree):
             yield node.value, node.lineno
 
 
+def _module(path):
+    """``['repro', 'isa', 'decode']`` for ``src/repro/isa/decode.py``."""
+    return os.path.relpath(path, 'src')[:-len('.py')].split(os.sep)
+
+
+def imported(tree, path):
+    """``(module, name)`` of every ``from module import name`` in a file,
+    relative imports resolved against the file's own package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = [node.module] if node.module else []
+            if node.level:
+                parts = _module(path)[:-node.level] + parts
+            for alias in node.names:
+                yield '.'.join(parts), alias.name
+
+
+def unused_imports(tree):
+    """``(bound name, lineno)`` of module-level imports the module never
+    uses: not as a name, nor as a word of a string that is not a
+    docstring (a string annotation, or code the module compiles)."""
+    docs = {id(n.body[0].value) for n in ast.walk(tree)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+            and n.body and isinstance(n.body[0], ast.Expr)}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docs:
+            used.update(re.findall(r'\w+', node.value))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, 'module', None) != '__future__':
+            for alias in node.names:
+                name = alias.asname or alias.name.split('.')[0]
+                if name not in used:
+                    yield name, node.lineno
+
+
 def _files():
     for root in SEARCH:
         for dirpath, _, names in os.walk(root):
@@ -126,6 +174,7 @@ def main() -> int:
     keywords = set()   # every name some call passes as a keyword
     reach = Counter()  # callee name -> most positional arguments passed
     passed = set()     # every --flag some file outside src/repro mentions
+    imports = set()    # every (module, name) some file imports
     for path in _files():
         with open(path, errors='replace') as f:
             text = f.read()
@@ -137,8 +186,10 @@ def main() -> int:
                 keywords.update(re.findall(r'(\w+)\s*=', call))
         if not path.endswith('.py'):
             continue
+        tree = ast.parse(text)
+        imports.update(imported(tree, path))
         callees = set()
-        for node in ast.walk(ast.parse(text)):  # a Call before its func
+        for node in ast.walk(tree):  # a Call before its func
             if isinstance(node, ast.Call):
                 callees.add(node.func)
                 name = getattr(node.func, 'attr',
@@ -171,6 +222,11 @@ def main() -> int:
                          and not callee.startswith('__')]
                 dead += [(path, line, flag) for flag, line in flags(tree)
                          if flag not in passed]
+                if name != '__init__.py':
+                    dead += [(path, line, f'import {ident}')
+                             for ident, line in unused_imports(tree)
+                             if ('.'.join(_module(path)), ident)
+                             not in imports]
     for path, line, ident in sorted(dead):
         print(f'{path}:{line}: {ident}')
     print(f'{len(dead)} dead names')
