@@ -1,15 +1,12 @@
 """Regenerate every table and figure of the paper's evaluation section.
 
-A table-shaped figure is a row: title, columns, metric, baseline,
-speedup-or-ratio and :class:`Series` format.  One reducer, :func:`table`,
-evaluates every row from the one metric table :data:`METRICS`, and one
-function, :func:`_column`, resolves every figure column — Table 3's
-``BEST_V`` members and the long-line rule are read from
-:mod:`.configs` and stated once.  The figures that filter core subsets,
-hop buckets or lanes (11, 12, 13, 15) stay hand-written.  A shared
-:class:`ResultCache` makes sure each (benchmark, configuration,
-machine-override) point simulates once per session even when several
-figures need it.
+A table-shaped figure is a row (title, columns, metric, baseline,
+speedup-or-ratio, :class:`Series` format) that one reducer, :func:`table`,
+evaluates from :data:`METRICS`; :func:`_column` resolves every column,
+stating Table 3's ``BEST_V`` and long-line rule once.  Figures 11-13 and
+15 filter core subsets, hop buckets or lanes and stay hand-written.  A
+shared :class:`ResultCache` simulates each (benchmark, configuration,
+machine-override) point once per session.
 
 Inputs are scaled down from the paper's (see EXPERIMENTS.md); the point of
 these harnesses is the *shape* — who wins, by what factor, where the
@@ -389,10 +386,12 @@ fig17a_miss_rate = _figure('Figure 17a: LLC miss rate',
                            mean_kind='amean', value_format='{:.3f}')
 
 
-def _sweep(title: str, field: str, points: Dict[str, int], base: str):
+def _sweep(title: str, knob: str, points: Dict[str, int], base: str):
     """A machine-field sweep (Figures 17b/17c): NV_PF, V4 and V16_LL at
-    each of ``points`` (column suffix -> ``field`` value), as speedups
-    over the ``base`` column; a column no benchmark fills is dropped."""
+    each of ``points`` (column suffix -> value of the ``knob`` field), as
+    speedups over the ``base`` column; a column no benchmark fills is
+    dropped.  The speedups are taken after the table is filled, so the
+    points run in column order even where ``base`` is not the first."""
     def fig(cache: ResultCache, benches: Sequence[str] = POLY) -> Series:
         cols = {f'{cfg}_{suffix}': (cfg, value)
                 for cfg in ('NV_PF', 'V4', 'V16_LL')
@@ -400,7 +399,7 @@ def _sweep(title: str, field: str, points: Dict[str, int], base: str):
 
         def result(bench, col):
             cfg, value = cols[col]
-            machine = get(cfg).machine().scaled(**{field: value})
+            machine = get(cfg).machine().scaled(**{knob: value})
             return _column(cache, bench, cfg, machine)
         s = table(title, benches, cols, result, 'cycles')
         s.columns = [c for c in s.columns

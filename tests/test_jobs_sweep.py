@@ -79,9 +79,7 @@ class TestPlanner:
 
 class _RecordingCache(F.ResultCache):
     """A real ResultCache that also records the key of every point a
-    figure asks it for."""
-
-    keys = set()
+    figure asks it for (in ``keys``, which the test resets)."""
 
     def run(self, bench_name, config_name, machine=None, active_cores=None,
             params_override=None):
@@ -106,9 +104,8 @@ def test_plan_is_exactly_what_the_figure_runs(name, recording_cache):
     planned = {s.key() for s in plan_figures([name], scale='test',
                                              benches=benches)}
     recording_cache.keys = set()
-    fn = getattr(F, F.FIGURES[name])
-    fn(recording_cache) if name == 'bfs' else \
-        fn(recording_cache, benches=benches)
+    kwargs = {} if name == 'bfs' else {'benches': benches}
+    getattr(F, F.FIGURES[name])(recording_cache, **kwargs)
     assert planned == recording_cache.keys
 
 
